@@ -77,14 +77,6 @@ def random_nondegenerate(rng: random.Random) -> TriangleVariable:
             return T
 
 
-def random_positive(rng: random.Random) -> TriangleVariable:
-    T = random_nondegenerate(rng)
-    if orientation(T) is Orientation.NEGATIVE:
-        A, B, C = T.vertices
-        T = from_vertices(A.conjugate(), B.conjugate(), C.conjugate())
-    return T
-
-
 def random_double_class(rng: random.Random) -> ShapeClass:
     """A class over one of the three double-point divisors."""
     slot = rng.randrange(3)
@@ -423,14 +415,3 @@ ALL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("group-action", check_group_action),
     ("angle-formula", check_angle_formula),
 ]
-
-
-def run_all(verbose_sink: Callable[[str], None] | None = None) -> bool:
-    ok = True
-    for name, fn in ALL_CHECKS:
-        passed, detail = fn()
-        ok = ok and passed
-        if verbose_sink is not None:
-            status = "PASS" if passed else "FAIL"
-            verbose_sink(f"{status} {name}: {detail}")
-    return ok

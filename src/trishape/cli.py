@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -28,15 +29,39 @@ from .families import (
     constant_ratio_family,
     incircle_outcircle,
     inscribed_family,
-    level_value,
+    level_curves,
     poncelet_family,
     separation_test,
 )
 from .checks import ALL_CHECKS, random_nondegenerate
 
+#: the families ``trace`` samples, with the number of --param values each takes
+_TRACE_PARAMS = {"poncelet": 0, "inscribed": 0, "constant-angle": 1, "constant-ratio": 1}
+
 
 def _tol() -> float:
     return float(os.environ.get("SHAPE_TOL", "1e-9"))
+
+
+def _floats(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+
+
+def _levels(text: str) -> list[float]:
+    levels = _floats(text)
+    if not all(0.0 < v <= 0.5 for v in levels):
+        raise argparse.ArgumentTypeError(f"levels must be finite and in (0, 0.5]: {text!r}")
+    return levels
+
+
+def _grid(text: str) -> int:
+    grid = int(text)
+    if grid < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {grid}")
+    return grid
 
 
 def _parse_complex(text: str) -> complex:
@@ -120,29 +145,27 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    params = [float(v) for v in args.param.split(",")] if args.param else []
+    wanted = _TRACE_PARAMS[args.family]
+    if len(args.param) != wanted:
+        raise argparse.ArgumentError(None, f"argument --param: --family {args.family} "
+                                     f"takes {wanted} value(s), got {len(args.param)}")
     if args.family == "poncelet":
         cfg = PonceletConfig.from_radii(args.r, args.R)
-        rows = []
-        for k in range(args.samples):
-            theta = 2.0 * PI * k / args.samples
-            c = class_of(poncelet_family(cfg, theta))
-            s, t = to_sphere(c), to_torus(c)
-            rows.append([theta, json.dumps(c.to_json()), s.x, s.y, s.z]
-                        + [float(x) for x in t.as_tuple()])
+        params = (2.0 * PI * k / args.samples for k in range(args.samples))
+        triangle_at = functools.partial(poncelet_family, cfg)
     else:
-        fam = _family_from_spec(args.family, params)
+        fam = _family_from_spec(args.family, args.param)
         lo, hi = fam.domain
-        span = hi - lo
-        rows = []
-        for k in range(1, args.samples + 1):
-            t_par = lo + span * k / (args.samples + 1)
-            c = class_of(fam.eval(t_par))
-            s, t = to_sphere(c), to_torus(c)
-            rows.append([t_par, json.dumps(c.to_json()), s.x, s.y, s.z]
-                        + [float(x) for x in t.as_tuple()])
+        params = (lo + (hi - lo) * k / (args.samples + 1) for k in range(1, args.samples + 1))
+        triangle_at = fam.eval
+    rows = []
+    for t_par in params:
+        c = class_of(triangle_at(t_par))
+        s, t = to_sphere(c), to_torus(c)
+        rows.append([t_par, json.dumps(c.to_json()), s.x, s.y, s.z]
+                    + [float(x) for x in t.as_tuple()])
     header = ["t", "class", "x", "y", "z", "p", "q", "r"]
-    out = [dict(zip(header, row)) for row in rows]
+    out = [dict(zip(header, row)) for row in rows] if args.format == "json" else None
     _emit(out, args.format, rows, header)
     return 0
 
@@ -191,39 +214,11 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _poncelet_levels_rows(levels: Sequence[float], grid: int) -> list[list[float]]:
-    rows = []
-    for level in levels:
-        for i in range(1, grid):
-            alpha = PI * i / grid
-            hi = PI - alpha
-            mid = hi / 2.0
-
-            def f(beta: float) -> float:
-                return level_value((alpha, beta, PI - alpha - beta)) - level
-
-            if f(mid) < 0.0:
-                continue
-            for lo_b, hi_b in ((1e-12, mid), (hi - 1e-12, mid)):
-                a_, b_ = lo_b, hi_b
-                for _ in range(80):
-                    m = (a_ + b_) / 2.0
-                    if f(a_) * f(m) <= 0.0:
-                        b_ = m
-                    else:
-                        a_ = m
-                beta = (a_ + b_) / 2.0
-                rows.append([level, alpha, beta, PI - alpha - beta])
-    return rows
-
-
 def _cmd_emit_figure(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.name == "poncelet-levels":
-        levels = [float(v) for v in args.levels.split(",")]
         writer.writerow(["level", "alpha", "beta", "gamma"])
-        for row in _poncelet_levels_rows(levels, args.grid):
-            writer.writerow(row)
+        writer.writerows(level_curves(args.levels, args.grid))
     elif args.name == "sphere-atlas":
         rng = random.Random(7)
         writer.writerow(["index", "x", "y", "z", "orientation", "loci"])
@@ -275,10 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_orbit)
 
     p = sub.add_parser("trace", help="sample a family across its parameter domain")
-    p.add_argument("--family", choices=("poncelet", "inscribed", "constant-angle",
-                                        "constant-ratio"), required=True)
-    p.add_argument("--param", default=None,
-                   help="family parameter(s), comma-separated")
+    p.add_argument("--family", choices=tuple(_TRACE_PARAMS), required=True)
+    p.add_argument("--param", type=_floats, default=[],
+                   help="family parameter: one for constant-angle and constant-ratio")
     p.add_argument("--r", type=float, default=0.5, help="inradius (poncelet)")
     p.add_argument("--R", type=float, default=2.0, help="circumradius (poncelet)")
     p.add_argument("--samples", type=int, default=32)
@@ -305,9 +299,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit-figure", help="deterministic CSV figure data")
     p.add_argument("--name", choices=("poncelet-levels", "sphere-atlas",
                                       "torus-atlas"), required=True)
-    p.add_argument("--levels", default="0.1,0.2,0.3,0.4",
-                   help="contour levels for poncelet-levels")
-    p.add_argument("--grid", type=int, default=50)
+    p.add_argument("--levels", type=_levels, default="0.1,0.2,0.3,0.4",
+                   help="contour levels for poncelet-levels, each in (0, 0.5]")
+    p.add_argument("--grid", type=_grid, default=50, help="grid size, at least 2")
     p.set_defaults(fn=_cmd_emit_figure)
 
     return parser
@@ -318,6 +312,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -154,6 +154,30 @@ def level_value(angles: Sequence[AngleModPi | float]) -> float:
     return 4.0 * math.prod(math.sin(v / 2.0) for v in reps)
 
 
+def level_curves(levels: Sequence[float], grid: int) -> list[tuple[float, ...]]:
+    """Points (level, alpha, beta, gamma) of the r/R level curves at
+    alpha = pi*i/grid, 0 < i < grid.
+
+    r/R = 2s (cos((beta - gamma)/2) - s) with s = sin(alpha/2), so level L
+    meets alpha iff u = L/(2s) + s <= 1, at beta = (pi - alpha)/2 -/+ acos(u),
+    smaller beta first; at u = 1 the two points coincide.
+    """
+    rows = []
+    for level in levels:
+        if not 0.0 < level <= 0.5:
+            raise ValueError(f"level must be finite and in (0, 0.5]: {level}")
+        for i in range(1, grid):
+            alpha = math.pi * i / grid
+            s = math.sin(alpha / 2.0)
+            u = level / (2.0 * s) + s
+            if u > 1.0:
+                continue
+            half, delta = (math.pi - alpha) / 2.0, math.acos(u)
+            for beta in (half - delta, half + delta):
+                rows.append((level, alpha, beta, math.pi - alpha - beta))
+    return rows
+
+
 def _line_distance(P: complex, Q: complex, Z: complex) -> float:
     """Distance from Z to the line through P and Q."""
     w = Q - P

@@ -239,9 +239,3 @@ def torus_fiber_limit(
     mean = sum(vals) / 3.0
     return tuple(v - mean for v in vals)
 
-
-def lifted_angle_sum(c: ShapeClass) -> float:
-    """Sum of the angle representatives in [0, pi): pi for positively
-    oriented classes, 2*pi for negatively oriented ones, 0 or pi with a zero
-    entry for degenerate classes."""
-    return sum(float(x) for x in c.angles)

@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,3 +167,78 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["degeneracy"] == "Nondegenerate"
+
+
+def test_emit_figure_poncelet_levels_benchmark_command(capsys):
+    code, out, _ = run_cli(
+        capsys, "emit-figure", "--name", "poncelet-levels", "--grid", "400"
+    )
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "level,alpha,beta,gamma"
+    assert len(lines) - 1 == 1766
+    for line in lines[1:]:
+        level, a, b, g = (float(v) for v in line.split(","))
+        assert level in (0.1, 0.2, 0.3, 0.4)
+        r_over_R = 4.0 * math.sin(a / 2) * math.sin(b / 2) * math.sin(g / 2)
+        assert abs(r_over_R - level) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", ["3", "60"])
+def test_emit_figure_equilateral_tangency(capsys, grid):
+    # r/R = 1/2 only at the equilateral triangle: the level curve touches
+    # the grid line alpha = pi/3 there, and both of its points are emitted
+    code, out, _ = run_cli(
+        capsys, "emit-figure", "--name", "poncelet-levels", "--levels", "0.5",
+        "--grid", grid,
+    )
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert max(abs(v - math.pi / 3) for v in row[1:]) < 1e-12
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--levels", "nan,0.2"], "--levels"),
+    (["--levels", "inf"], "--levels"),
+    (["--levels", "-0.1"], "--levels"),
+    (["--levels", "0.6"], "--levels"),
+    (["--grid", "1"], "--grid"),
+], ids=["nan", "inf", "negative", "above-half", "grid-1"])
+def test_emit_figure_rejects_bad_levels_and_grid(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["emit-figure", "--name", "poncelet-levels", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "constant-angle"],
+    ["--family", "inscribed", "--param", "3"],
+], ids=["missing", "extra"])
+def test_trace_param_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--param" in captured.err
+
+
+def test_trace_matches_golden(capsys):
+    golden = (Path(__file__).parent / "data" / "trace_poncelet_50.csv").read_text()
+    argv = ["trace", "--family", "poncelet", "--samples", "50"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == golden
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    want = list(csv.DictReader(io.StringIO(golden)))
+    got = json.loads(out)
+    assert len(got) == len(want) == 50
+    for g, w in zip(got, want):
+        assert g["class"] == w["class"]
+        assert all(g[k] == float(w[k]) for k in ("t", "x", "y", "z", "p", "q", "r"))

@@ -22,6 +22,7 @@ from trishape.families import (
     constant_ratio_family,
     incircle_outcircle,
     inscribed_family,
+    level_curves,
     level_value,
     limit_class,
     poncelet_family,
@@ -91,6 +92,45 @@ def test_level_value_matches_radii_both_orientations():
             continue
         cfg = incircle_outcircle(T)
         assert abs(level_value(interior_angles(T)) - cfg.r / cfg.R) < 1e-9
+
+
+def _level_curves_by_bisection(levels, grid):
+    """Reference: on each line of fixed alpha, r/R rises on beta in
+    (0, (pi - alpha)/2) and falls symmetrically after; bisect each half."""
+    rows = []
+    for level in levels:
+        for i in range(1, grid):
+            alpha = PI * i / grid
+            mid = (PI - alpha) / 2
+
+            def f(beta):
+                return level_value((alpha, beta, PI - alpha - beta)) - level
+
+            if f(mid) < 0.0:
+                continue
+            for outer in (1e-12, PI - alpha - 1e-12):
+                lo, hi = outer, mid
+                for _ in range(80):
+                    m = (lo + hi) / 2
+                    lo, hi = (lo, m) if f(lo) * f(m) <= 0.0 else (m, hi)
+                beta = (lo + hi) / 2
+                rows.append((level, alpha, beta, PI - alpha - beta))
+    return rows
+
+
+def test_level_curves_match_bisection():
+    levels = (0.1, 0.25, 0.4, 0.49)
+    got = level_curves(levels, 60)
+    want = _level_curves_by_bisection(levels, 60)
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    for g, w in zip(got, want):
+        assert abs(g[2] - w[2]) < 1e-12 and abs(g[3] - w[3]) < 1e-12
+
+
+@pytest.mark.parametrize("level", [0.0, -0.1, 0.6, math.nan, math.inf])
+def test_level_curves_reject_levels_outside_range(level):
+    with pytest.raises(ValueError, match="level"):
+        level_curves([level], 10)
 
 
 def test_poncelet_concentric_is_equilateral():
