@@ -38,6 +38,9 @@ from .checks import ALL_CHECKS, random_nondegenerate
 #: the families ``trace`` samples, with the number of --param values each takes
 _TRACE_PARAMS = {"poncelet": 0, "inscribed": 0, "constant-angle": 1, "constant-ratio": 1}
 
+#: the families ``separate`` compares, with the number of --pair values each takes
+_PAIR_PARAMS = {"inscribed": 0, "constant-angle": 2, "constant-ratio": 2}
+
 
 def _tol() -> float:
     return float(os.environ.get("SHAPE_TOL", "1e-9"))
@@ -64,15 +67,27 @@ def _grid(text: str) -> int:
     return grid
 
 
-def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 're,im', got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+def _pair(text: str) -> tuple[str, list[float]]:
+    kind, _, rest = text.partition(":")
+    if kind not in _PAIR_PARAMS:
+        raise argparse.ArgumentTypeError(
+            f"unknown family {kind!r}; choose from {', '.join(_PAIR_PARAMS)}")
+    params = _floats(rest) if rest else []
+    if len(params) != _PAIR_PARAMS[kind]:
+        raise argparse.ArgumentTypeError(
+            f"{kind} takes {_PAIR_PARAMS[kind]} value(s), got {len(params)} in {text!r}")
+    return kind, params
+
+
+def _complex(text: str) -> complex:
+    re_im = _floats(text)
+    if len(re_im) != 2:
+        raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
+    return complex(*re_im)
 
 
 def _triangle_from_args(args: argparse.Namespace) -> TriangleVariable:
-    A, B, C = (_parse_complex(v) for v in args.vertices)
+    A, B, C = args.vertices
     directions = None
     if getattr(args, "directions", None):
         directions = [float(v) for v in args.directions]
@@ -188,11 +203,7 @@ def _cmd_poncelet(args: argparse.Namespace) -> int:
 
 
 def _cmd_separate(args: argparse.Namespace) -> int:
-    kind, _, rest = args.pair.partition(":")
-    params = [float(v) for v in rest.split(",")] if rest else []
-    if len(params) != 2:
-        raise ValueError("--pair needs two comma-separated parameters, e.g. "
-                         "constant-angle:1.5707963,2.0943951")
+    kind, params = args.pair
     f1 = _family_from_spec(kind, params[:1])
     f2 = _family_from_spec(kind, params[1:])
     model = {"dyck": Model.DYCK, "sphere": Model.SPHERE, "torus": Model.TORUS}[args.model]
@@ -250,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_triangle_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--vertices", nargs=3, required=True, metavar="RE,IM",
+        p.add_argument("--vertices", nargs=3, type=_complex, required=True, metavar="RE,IM",
                        help="three vertices A B C as re,im pairs")
         p.add_argument("--directions", nargs=6, type=float, default=None,
                        help="direction sextuple for an all-coincident triangle")
@@ -287,8 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_poncelet)
 
     p = sub.add_parser("separate", help="compare two family limits in one model")
-    p.add_argument("--pair", required=True,
-                   help="kind:param1,param2 (e.g. constant-angle:1.5707963,2.0943951)")
+    p.add_argument("--pair", type=_pair, required=True,
+                   help="kind:param1,param2 (e.g. constant-angle:1.5707963,2.0943951); "
+                   "inscribed takes no values")
     p.add_argument("--model", choices=("dyck", "sphere", "torus"), required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_separate)

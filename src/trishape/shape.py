@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .angles import AngleModPi, angle_dist, reduce_mod_pi
+from .angles import PI, AngleModPi, angle_dist, reduce_mod_pi
 from .triangle import (
     SLOTS,
     GroupElement,
@@ -206,25 +206,58 @@ def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
     return class_of(act(g, lift_class(c)))
 
 
+#: the 12 symmetries, in the order orbit lists their images
+_GROUP = tuple(GroupElement.all_elements())
+
+
 def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
-    """Deduplicated images of the class under all 12 symmetries."""
+    """Deduplicated images of the class under all 12 symmetries.
+
+    One lift serves every image.  An image is kept unless it is class_equal
+    to an earlier kept one; only kept images whose first angle lies in the
+    same or a neighbouring bucket of R/pi are compared, since buckets are at
+    least 2 tol wide and class_equal needs the first angles within tol.
+    """
+    T = lift_class(c)
+    n = max(1, int(PI / max(2.0 * tol, 1e-18)))  # buckets of width pi/n >= 2 tol
+    buckets: dict[int, list[ShapeClass]] = {}
     out: list[ShapeClass] = []
-    for g in GroupElement.all_elements():
-        img = act_class(g, c)
-        if not any(class_equal(img, seen, tol) for seen in out):
+    for g in _GROUP:
+        img = class_of(act(g, T))
+        b = int(float(img.angles[0]) * n / PI) % n
+        near = {(b - 1) % n, b, (b + 1) % n}  # the wrap at pi joins buckets n-1 and 0
+        if not any(
+            class_equal(img, seen, tol) for k in near for seen in buckets.get(k, ())
+        ):
+            buckets.setdefault(b, []).append(img)
             out.append(img)
     return out
 
 
-def _rep_key(c: ShapeClass) -> tuple:
-    angles = tuple(sorted(round(float(x), 9) for x in c.angles))
-    coords = tuple(
-        round(v, 9) for z in c.sides.as_tuple() for v in (z.real, z.imag)
-    )
-    return angles + coords
+def _rep_key(c: ShapeClass, tol: float) -> tuple[float, ...]:
+    """Slot-ordered angles, with those within tol of pi read as near 0, then
+    the side moduli over their largest: independent of the stored side
+    representative."""
+    angles = tuple(v - PI if PI - v <= tol else v for v in map(float, c.angles))
+    mods = c.sides.moduli()
+    top = max(mods)
+    return angles + tuple(m / top for m in mods)
+
+
+def _key_less(k1: tuple[float, ...], k2: tuple[float, ...], tol: float) -> bool:
+    """Lexicographic order in which components within tol count as equal."""
+    for x, y in zip(k1, k2):
+        if abs(x - y) > tol:
+            return x < y
+    return False
 
 
 def canonical_rep(c: ShapeClass, tol: float = DEFAULT_TOL) -> ShapeClass:
-    """Deterministic orbit representative: lexicographic minimum over the
-    orbit of (sorted angle values, canonical side coordinates)."""
-    return min(orbit(c, tol), key=_rep_key)
+    """Deterministic orbit representative: the orbit member with the least
+    key (slot-ordered angles, then side moduli), compared with tolerance."""
+    best, best_key = None, None
+    for img in orbit(c, tol):
+        key = _rep_key(img, tol)
+        if best is None or _key_less(key, best_key, tol):
+            best, best_key = img, key
+    return best

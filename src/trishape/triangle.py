@@ -101,6 +101,9 @@ class TriangleVariable:
             sides = [complex(s[0], s[1]) for s in data["sides"]]
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed triangle JSON at 'sides': {exc}") from exc
+        if len(sides) != 3:
+            raise ValueError(f"malformed triangle JSON at 'sides': expected 3 "
+                             f"side-vectors, got {len(sides)}")
         bp = data.get("basepoint", [0.0, 0.0])
         try:
             basepoint = complex(bp[0], bp[1])
@@ -109,9 +112,10 @@ class TriangleVariable:
         directions = data.get("directions")
         free = None
         if "arguments" in data:
-            free = {
-                SLOTS[i]: reduce_mod_pi(v) for i, v in enumerate(data["arguments"])
-            }
+            if len(data["arguments"]) != 3:
+                raise ValueError(f"malformed triangle JSON at 'arguments': expected 3 "
+                                 f"values, got {len(data['arguments'])}")
+            free = {slot: reduce_mod_pi(v) for slot, v in zip(SLOTS, data["arguments"])}
         return from_sides(
             sides[0],
             sides[1],

@@ -107,9 +107,21 @@ def test_trace_constant_angle(capsys):
 
 
 def test_domain_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "classify", "--vertices", "0,0", "bogus", "0,1")
+    # a triple point whose direction sextuple does not close
+    code, _, err = run_cli(capsys, "classify", "--vertices", "0,0", "0,0", "0,0",
+                           "--directions", "1", "0", "1", "0", "1", "0")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("bad", ["a,b", "bogus", "1,2,3", "1"])
+def test_malformed_vertices_are_a_usage_error(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--vertices", bad, "1,0", "0,1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--vertices" in captured.err
 
 
 def test_usage_error_exit_code():
@@ -226,6 +238,25 @@ def test_trace_param_count_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--param" in captured.err
+
+
+@pytest.mark.parametrize("pair", [
+    "inscribed:1,2", "constant-angle:1", "constant-ratio:1,2,3", "constant-angle:1,x",
+    "no-such-family:1,2",
+], ids=["inscribed-extra", "missing", "extra", "not-a-number", "unknown"])
+def test_separate_bad_pair_is_a_usage_error(capsys, pair):
+    with pytest.raises(SystemExit) as exc:
+        main(["separate", "--pair", pair, "--model", "torus"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--pair" in captured.err
+
+
+def test_separate_inscribed_takes_no_values(capsys):
+    code, out, _ = run_cli(capsys, "separate", "--pair", "inscribed", "--model", "torus")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "Merged"
 
 
 def test_trace_matches_golden(capsys):

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 
@@ -22,6 +23,7 @@ from trishape.shape import (
     proj_dist,
     psi,
 )
+from trishape.cli import main
 
 
 def _random_class(rng):
@@ -161,3 +163,133 @@ def test_shape_json_round_trip():
         c = _random_class(rng)
         back = ShapeClass.from_json(c.to_json())
         assert class_equal(back, c, 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# canonical representatives of relabeled, mirrored and similar copies
+
+_FREE_SLOT = {(0, 1): "c", (1, 2): "a", (0, 2): "b"}  # zero side of a coincident pair
+
+
+def _free_slot(verts):
+    return next(s for (i, j), s in _FREE_SLOT.items() if verts[i] == verts[j])
+
+
+def _base_shape(kind, rng):
+    """(vertices, free argument or None) of a unit-size shape of the kind."""
+    if kind == "scalene":
+        return (0j, 1 + 0j, complex(rng.uniform(0.1, 0.4), rng.uniform(0.6, 1.0))), None
+    if kind == "isosceles":
+        h = rng.choice((rng.uniform(0.2, 0.8), rng.uniform(0.95, 2.0)))
+        return (complex(0.5, h), 0j, 1 + 0j), None
+    if kind == "equilateral":
+        return (complex(0.5, math.sqrt(3) / 2), 0j, 1 + 0j), None
+    if kind == "simple":
+        return (0j, complex(rng.uniform(0.25, 0.4)), 1 + 0j), None
+    line = cmath.exp(1j * rng.uniform(0, 2 * PI))
+    verts = (0j, line, line)
+    if kind == "doubled-simple":
+        return verts, None
+    offset = rng.choice((rng.uniform(0.1, PI / 2 - 0.1), rng.uniform(PI / 2 + 0.1, PI - 0.1)))
+    return verts, cmath.phase(line) + offset  # double with a free argument
+
+
+def _copy(verts, free, rng):
+    """The class of the shape under a random relabel, mirror and similarity."""
+    perm = rng.sample(range(3), 3)
+    verts = [verts[p] for p in perm]
+    mirror = rng.random() < 0.5
+    if mirror:
+        verts = [z.conjugate() for z in verts]
+        free = None if free is None else -free
+    spin = cmath.exp(1j * rng.uniform(0, 2 * PI))
+    factor = spin * 10.0 ** rng.uniform(-2, 2)
+    shift = complex(rng.uniform(-500, 500), rng.uniform(-500, 500))
+    moved = [factor * z + shift for z in verts]
+    args = None
+    if free is not None:
+        args = {_free_slot(verts): reduce_mod_pi(free + cmath.phase(spin))}
+    return class_of(from_vertices(*moved, free_arguments=args))
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("scalene", 12), ("isosceles", 6), ("simple", 6), ("doubled-simple", 3),
+    ("double", 6), ("equilateral", 2),
+])
+def test_canonical_rep_agrees_across_copies(kind, size):
+    rng = random.Random(28)
+    for _ in range(30):
+        verts, free = _base_shape(kind, rng)
+        copies = [_copy(verts, free, rng) for _ in range(3)]
+        for c in copies:
+            assert len(orbit(c)) == size
+        reps = [canonical_rep(c) for c in copies]
+        for rep in reps[1:]:
+            assert class_dist(reps[0], rep) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# orbit dedup against a pairwise reference
+
+
+def _pairwise_orbit(c, tol):
+    T = lift_class(c)
+    out = []
+    for g in GroupElement.all_elements():
+        img = class_of(act(g, T))
+        if not any(class_equal(img, seen, tol) for seen in out):
+            out.append(img)
+    return out
+
+
+def _edge_classes(tol):
+    """Classes with an angle within tol of 0 or pi, and with two angles
+    within tol of each other, at several fractions of tol."""
+    out = []
+    for frac in (0.3, 0.5, 0.99, 1.0, 1.01, 1.5, 2.0, 3.0):
+        eps = frac * tol
+        # a thin triangle: the angles at A and B are about eps, the one at C
+        # about pi - 2 eps, so one angle sits near 0 and another near pi
+        out.append(class_of(from_vertices(0, 1, complex(0.4, 0.4 * math.tan(eps)))))
+        out.append(class_of(from_vertices(0, 1, complex(0.4, -0.4 * math.tan(eps)))))
+        # a near-isosceles triangle: base angles eps apart
+        base = 0.9
+        apex = complex(0.5, 0.5 * math.tan(base))
+        out.append(class_of(from_vertices(0, 1, apex + 0.5 * eps)))
+        # a double point whose free argument is eps off its line
+        line = 0.7
+        free = {"b": reduce_mod_pi(line + eps)}
+        z = cmath.exp(1j * line)
+        out.append(class_of(from_sides(z, 0, -z, free_arguments=free)))
+        out.append(class_of(from_sides(z, 0, -z, free_arguments={"b": reduce_mod_pi(line - eps)})))
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-3])
+def test_orbit_matches_pairwise_dedup(tol):
+    rng = random.Random(29)
+    classes = _edge_classes(tol) + [_random_class(rng) for _ in range(10)]
+    classes += [_random_double(rng) for _ in range(5)]
+    w = cmath.exp(2j * PI / 3)
+    classes.append(class_of(from_vertices(w, w.conjugate(), 1)))
+    classes.append(class_of(from_vertices(0, 0.3, 1)))
+    classes.append(class_of(from_sides(1, 0, -1)))
+    sizes = set()
+    for c in classes:
+        want = _pairwise_orbit(c, tol)
+        assert orbit(c, tol) == want
+        sizes.add(len(want))
+    assert len(sizes) >= 4
+
+
+@pytest.mark.parametrize("shape_tol", ["1e-6", "0.01", "0.5", "10"])
+def test_cli_orbit_matches_pairwise_dedup_at_large_shape_tol(capsys, monkeypatch, shape_tol):
+    monkeypatch.setenv("SHAPE_TOL", shape_tol)
+    assert main(["orbit", "--vertices", "0,0", "1,0", "0.3,0.1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    got = [ShapeClass.from_json(c) for c in data["classes"]]
+    want = _pairwise_orbit(class_of(from_vertices(0, 1, 0.3 + 0.1j)), float(shape_tol))
+    assert data["size"] == len(got) == len(want)
+    assert all(class_dist(x, y) < 1e-12 for x, y in zip(got, want))
+    if shape_tol == "10":
+        assert len(want) == 1

@@ -164,6 +164,15 @@ def test_json_error_names_field():
         TriangleVariable.from_json({"basepoint": [0, 0]})
 
 
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_json_wrong_count_names_field(count):
+    sides = [[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="'sides'"):
+        TriangleVariable.from_json({"sides": sides[:count]})
+    with pytest.raises(ValueError, match="'arguments'"):
+        TriangleVariable.from_json({"sides": sides[:3], "arguments": [0.0, 1.0, 2.0, 3.0][:count]})
+
+
 def test_group_has_twelve_elements_and_identity():
     elements = GroupElement.all_elements()
     assert len(elements) == 12
