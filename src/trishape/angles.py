@@ -12,12 +12,14 @@ from dataclasses import dataclass
 
 PI = math.pi
 
-#: Default comparison tolerance for angle values.
+#: Default comparison tolerance of the package, shared by every module.
 DEFAULT_TOL = 1e-9
 
 
 def _wrap_pi(x: float) -> float:
     """Map x into [0, pi)."""
+    if 0.0 <= x < PI:  # fmod would return x itself; NaN and inf fail this test
+        return x
     if not math.isfinite(x):
         raise ValueError(f"non-finite angle value: {x!r}")
     r = math.fmod(x, PI)
@@ -29,7 +31,7 @@ def _wrap_pi(x: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AngleModPi:
     """An angle modulo pi, stored by its representative in [0, pi)."""
 
@@ -42,19 +44,21 @@ class AngleModPi:
         return self.value
 
     def __add__(self, other: "AngleModPi | float") -> "AngleModPi":
-        return AngleModPi(self.value + float(other))
+        return AngleModPi(
+            self.value + (other.value if isinstance(other, AngleModPi) else float(other))
+        )
 
     def __sub__(self, other: "AngleModPi | float") -> "AngleModPi":
-        return AngleModPi(self.value - float(other))
+        return AngleModPi(
+            self.value - (other.value if isinstance(other, AngleModPi) else float(other))
+        )
 
     def __neg__(self) -> "AngleModPi":
         return AngleModPi(-self.value)
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return angle_dist(self, ZERO) < tol
-
-
-ZERO = AngleModPi(0.0)
+        v = self.value
+        return v < tol or PI - v < tol
 
 
 def reduce_mod_pi(x: float) -> AngleModPi:
@@ -105,5 +109,7 @@ def lift(xi: AngleModPi | float) -> ProjPoint1R:
 
 def angle_dist(a: AngleModPi | float, b: AngleModPi | float) -> float:
     """Wraparound distance on R/pi, valued in [0, pi/2]."""
-    d = abs(_wrap_pi(float(a)) - _wrap_pi(float(b)))
+    x = a.value if isinstance(a, AngleModPi) else _wrap_pi(float(a))
+    y = b.value if isinstance(b, AngleModPi) else _wrap_pi(float(b))
+    d = abs(x - y)
     return min(d, PI - d)

@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -83,6 +84,8 @@ def _complex(text: str) -> complex:
     re_im = _floats(text)
     if len(re_im) != 2:
         raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
+    if not all(map(math.isfinite, re_im)):
+        raise argparse.ArgumentTypeError(f"coordinates must be finite, got {text!r}")
     return complex(*re_im)
 
 
@@ -101,7 +104,7 @@ def _emit(obj, fmt: str, csv_rows=None, csv_header=None) -> None:
         for row in csv_rows:
             writer.writerow(row)
     else:
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def _family_from_spec(kind: str, params: Sequence[float]) -> Family:

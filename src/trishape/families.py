@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .angles import AngleModPi, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, AngleModPi, angle_dist, reduce_mod_pi
 from .shape import ProjTripleC, ShapeClass, class_dist, class_of
 from .triangle import (
     DegeneracyType,
@@ -34,7 +34,6 @@ from .projections import (
     torus_dist,
 )
 
-DEFAULT_TOL = 1e-9
 
 #: Default limit tolerance for extrapolated family limits.
 LIMIT_TOL = 1e-6

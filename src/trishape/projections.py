@@ -16,10 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .angles import AngleModPi, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, AngleModPi, _wrap_pi, angle_dist
 from .shape import ProjTripleC, ShapeClass
-
-DEFAULT_TOL = 1e-9
 
 _K = 2.0 - math.sqrt(3.0)
 
@@ -29,7 +27,7 @@ DELTA_B = (math.sqrt(3.0) / 2.0, 0.0, 0.5)
 DELTA_C = (0.0, 0.0, -1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpherePoint:
     """A point of the unit sphere."""
 
@@ -50,7 +48,7 @@ def sphere_dist(s1: SpherePoint, s2: SpherePoint) -> float:
     return math.dist(s1.as_tuple(), s2.as_tuple())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusPoint:
     """An angle triple (p, q, r) mod pi with p + q + r = 0 mod pi."""
 
@@ -59,7 +57,7 @@ class TorusPoint:
     r: AngleModPi
 
     def __post_init__(self) -> None:
-        total = float(self.p) + float(self.q) + float(self.r)
+        total = self.p.value + self.q.value + self.r.value
         if angle_dist(total, 0.0) > 1e-9:
             raise ValueError(f"angle triple does not sum to 0 mod pi: {total}")
 
@@ -67,7 +65,7 @@ class TorusPoint:
         return (self.p, self.q, self.r)
 
     def is_origin(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(v.is_zero(tol) for v in self.as_tuple())
+        return self.p.is_zero(tol) and self.q.is_zero(tol) and self.r.is_zero(tol)
 
 
 def torus_dist(t1: TorusPoint, t2: TorusPoint) -> float:
@@ -174,16 +172,14 @@ def torus_inverse(t: TorusPoint, tol: float = DEFAULT_TOL) -> ShapeClass:
     """
     if t.is_origin(tol):
         raise ValueError("blown-down point: no unique class over the torus origin")
-    alpha, beta, gamma = t.as_tuple()
-    raw = _torus_sides(float(alpha), float(beta))
-    zero = (alpha.is_zero(1e-12), beta.is_zero(1e-12), gamma.is_zero(1e-12))
-    sides = tuple(0j if z else s for z, s in zip(zero, raw))
+    raw = _torus_sides(t.p.value, t.q.value)
+    zero = (t.p.is_zero(1e-12), t.q.is_zero(1e-12), t.r.is_zero(1e-12))
     if any(zero):
-        angles = (alpha, beta, gamma)
-    else:
-        xi = tuple(reduce_mod_pi(cmath.phase(s)) for s in sides)
-        angles = (xi[1] - xi[2], xi[2] - xi[0], xi[0] - xi[1])
-    return ShapeClass(sides=ProjTripleC(*sides), angles=angles)
+        sides = [0j if z else s for z, s in zip(zero, raw)]
+        return ShapeClass(sides=ProjTripleC(*sides), angles=t.as_tuple())
+    xa, xb, xc = (_wrap_pi(cmath.phase(s)) for s in raw)
+    angles = (AngleModPi(xb - xc), AngleModPi(xc - xa), AngleModPi(xa - xb))
+    return ShapeClass(sides=ProjTripleC(*raw), angles=angles)
 
 
 DEFAULT_SCHEDULE = (1e-3, 1e-4, 1e-5, 1e-6)

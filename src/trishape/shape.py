@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .angles import PI, AngleModPi, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, PI, AngleModPi, _wrap_pi, angle_dist, reduce_mod_pi
 from .triangle import (
     SLOTS,
     GroupElement,
@@ -21,10 +21,15 @@ from .triangle import (
     interior_angles,
 )
 
-DEFAULT_TOL = 1e-9
+
+def _pivot(ma: float, mb: float, mc: float) -> int:
+    """Index of the largest of three moduli, the first one on a tie."""
+    if ma >= mb and ma >= mc:
+        return 0
+    return 1 if mb >= mc else 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjTripleC:
     """A point [a, b, c] of P(X): complex triple, not all zero, a+b+c = 0.
 
@@ -37,19 +42,20 @@ class ProjTripleC:
     c: complex
 
     def __post_init__(self) -> None:
-        vals = [complex(self.a), complex(self.b), complex(self.c)]
-        scale = max(abs(v) for v in vals)
+        a, b, c = complex(self.a), complex(self.b), complex(self.c)
+        ma, mb, mc = abs(a), abs(b), abs(c)
+        scale = max(ma, mb, mc)
         if scale == 0.0:
             raise ValueError("projective triple cannot be all zero")
-        if abs(sum(vals)) > 1e-6 * scale:
-            raise ValueError(f"triple does not close: a+b+c = {sum(vals)}")
-        pivot = max(range(3), key=lambda i: (abs(vals[i]), -i))
-        vals = [v / vals[pivot] for v in vals]
-        mean = sum(vals) / 3.0
-        vals = [v - mean for v in vals]
-        object.__setattr__(self, "a", vals[0])
-        object.__setattr__(self, "b", vals[1])
-        object.__setattr__(self, "c", vals[2])
+        if abs(a + b + c) > 1e-6 * scale:
+            raise ValueError(f"triple does not close: a+b+c = {0 + a + b + c}")
+        p = (a, b, c)[_pivot(ma, mb, mc)]
+        a, b, c = a / p, b / p, c / p
+        # summed from the int 0, as sum() does: a -0.0 part of a becomes 0.0
+        mean = (0 + a + b + c) / 3.0
+        object.__setattr__(self, "a", a - mean)
+        object.__setattr__(self, "b", b - mean)
+        object.__setattr__(self, "c", c - mean)
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (self.a, self.b, self.c)
@@ -78,7 +84,7 @@ def proj_dist(t1: ProjTripleC, t2: ProjTripleC) -> float:
     return min(1.0, math.sqrt(sum(abs(x) ** 2 for x in residual)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShapeClass:
     """A similarity class: ([a, b, c]; (alpha, beta, gamma))."""
 
@@ -98,7 +104,7 @@ class ShapeClass:
         return ShapeClass(sides=sides, angles=angles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlowupCoord:
     """([a, b, c]; [xi_a, xi_b, xi_c]) with the additive diagonal relation.
 
@@ -117,12 +123,11 @@ class BlowupCoord:
 
 
 def _gauge_fix(
-    sides: ProjTripleC, xi: tuple[AngleModPi, AngleModPi, AngleModPi]
+    sides: ProjTripleC, xi: tuple[float, float, float]
 ) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
-    mods = sides.moduli()
-    pivot = max(range(3), key=lambda i: (mods[i], -i))
-    shift = xi[pivot]
-    return tuple(x - shift for x in xi)
+    """Shift the xi values, each in [0, pi), so the largest side's is 0."""
+    shift = xi[_pivot(abs(sides.a), abs(sides.b), abs(sides.c))]
+    return (AngleModPi(xi[0] - shift), AngleModPi(xi[1] - shift), AngleModPi(xi[2] - shift))
 
 
 def class_of(T: TriangleVariable) -> ShapeClass:
@@ -139,16 +144,19 @@ def class_dist(c1: ShapeClass, c2: ShapeClass) -> float:
 
 
 def class_equal(c1: ShapeClass, c2: ShapeClass, tol: float = DEFAULT_TOL) -> bool:
-    """Equality in P(X) x T: projective sides and all three angles agree."""
-    if proj_dist(c1.sides, c2.sides) > tol:
+    """Equality in P(X) x T: projective sides and all three angles agree.
+
+    The angles are tested first: they are cheaper, and in an orbit they
+    tell most unequal images apart."""
+    if not all(angle_dist(x, y) <= tol for x, y in zip(c1.angles, c2.angles)):
         return False
-    return all(angle_dist(x, y) <= tol for x, y in zip(c1.angles, c2.angles))
+    return proj_dist(c1.sides, c2.sides) <= tol
 
 
 def phi(c: ShapeClass) -> BlowupCoord:
     """Class to blowup coordinate: angles (alpha, beta, gamma) -> [0, -gamma, beta]."""
     _alpha, beta, gamma = c.angles
-    xi = (reduce_mod_pi(0.0), -gamma, beta)
+    xi = (0.0, _wrap_pi(-gamma.value), beta.value)
     return BlowupCoord(sides=c.sides, xi=_gauge_fix(c.sides, xi))
 
 
@@ -157,8 +165,11 @@ def psi(b: BlowupCoord) -> ShapeClass:
 
     Independent of the diagonal representative of [xi_a, xi_b, xi_c].
     """
-    xa, xb, xc = b.xi
-    return ShapeClass(sides=b.sides, angles=(xb - xc, xc - xa, xa - xb))
+    xa, xb, xc = b.xi[0].value, b.xi[1].value, b.xi[2].value
+    return ShapeClass(
+        sides=b.sides,
+        angles=(AngleModPi(xb - xc), AngleModPi(xc - xa), AngleModPi(xa - xb)),
+    )
 
 
 def blowup_equal(b1: BlowupCoord, b2: BlowupCoord, tol: float = DEFAULT_TOL) -> bool:
@@ -224,7 +235,7 @@ def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
     out: list[ShapeClass] = []
     for g in _GROUP:
         img = class_of(act(g, T))
-        b = int(float(img.angles[0]) * n / PI) % n
+        b = int(img.angles[0].value * n / PI) % n
         near = {(b - 1) % n, b, (b + 1) % n}  # the wrap at pi joins buckets n-1 and 0
         if not any(
             class_equal(img, seen, tol) for k in near for seen in buckets.get(k, ())

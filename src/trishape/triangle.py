@@ -8,17 +8,16 @@ direction sextuple.
 """
 from __future__ import annotations
 
+import cmath
 import enum
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .angles import PI, AngleModPi, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, PI, AngleModPi, angle_dist, reduce_mod_pi
 
 SLOTS = ("a", "b", "c")
-
-DEFAULT_TOL = 1e-9
 
 
 class DegeneracyType(enum.Enum):
@@ -41,16 +40,18 @@ class Orientation(enum.Enum):
 def canonical_directions(coords: Sequence[float]) -> tuple[float, ...]:
     """Canonicalize a point of P^5(R): max-abs coordinate 1, first nonzero
     coordinate positive."""
-    vals = [float(v) for v in coords]
+    vals = list(map(float, coords))
     if len(vals) != 6:
         raise ValueError("direction sextuple must have six coordinates")
-    m = max(abs(v) for v in vals)
+    m = max(map(abs, vals))
     if m == 0.0:
         raise ValueError("direction sextuple cannot be all zero")
     vals = [v / m for v in vals]
-    lead = next(v for v in vals if v != 0.0)
-    if lead < 0.0:
-        vals = [-v for v in vals]
+    for v in vals:
+        if v:
+            if v < 0.0:
+                vals = [-v for v in vals]
+            break
     return tuple(vals)
 
 
@@ -62,7 +63,7 @@ def _direction_pairs(directions: Sequence[float]) -> tuple[complex, complex, com
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriangleVariable:
     """Full geometric variable of a labeled, oriented triangle.
 
@@ -140,12 +141,22 @@ def from_sides(
     The closure defect a + b + c is checked against ``tol`` and then removed
     exactly by setting c = -a - b.  Zero sides get their argument from
     ``free_arguments``; unspecified free arguments default to the direction
-    of the line through the remaining vertices.
+    of the line through the remaining vertices.  Non-finite side-vectors,
+    basepoint or directions, and side-vectors whose length overflows, raise
+    ``ValueError``.
     """
     a, b, c = complex(a), complex(b), complex(c)
-    scale = max(abs(a), abs(b), abs(c))
-    if scale > 0.0 and abs(a + b + c) > tol * scale:
-        raise ValueError(f"side-vectors do not close: a+b+c = {a + b + c}")
+    basepoint = complex(basepoint)
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
+        raise ValueError(f"side-vectors must be finite: a = {a}, b = {b}, c = {c}")
+    if not cmath.isfinite(basepoint):
+        raise ValueError(f"basepoint must be finite: {basepoint}")
+    try:
+        scale = max(abs(a), abs(b), abs(c))
+        if scale > 0.0 and abs(a + b + c) > tol * scale:
+            raise ValueError(f"side-vectors do not close: a+b+c = {a + b + c}")
+    except OverflowError:
+        raise ValueError(f"side-vectors too long: a = {a}, b = {b}, c = {c}") from None
     if scale > 0.0:
         c = -a - b
         dirs = canonical_directions((a.real, a.imag, b.real, b.imag, c.real, c.imag))
@@ -156,28 +167,29 @@ def from_sides(
                 "explicit direction sextuple"
             )
         dirs = canonical_directions(directions)
+        if not all(map(math.isfinite, dirs)):
+            raise ValueError(f"directions must be finite: {tuple(directions)}")
         s1 = dirs[0] + dirs[2] + dirs[4]
         s2 = dirs[1] + dirs[3] + dirs[5]
         if abs(s1) > tol or abs(s2) > tol:
             raise ValueError("direction triple violates a1+b1+c1 = a2+b2+c2 = 0")
-    pairs = _direction_pairs(dirs)
-    free_arguments = free_arguments or {}
-    args: list[AngleModPi] = []
-    for slot, pair in zip(SLOTS, pairs):
-        if abs(pair) > 0.0:
-            args.append(reduce_mod_pi(math.atan2(pair.imag, pair.real)))
-        elif slot in free_arguments:
-            args.append(reduce_mod_pi(float(free_arguments[slot])))
-        else:
-            # line through the two distinct vertices; the nonzero pairs of a
-            # double point are opposite, so either one gives the same angle
-            other = next(p for p in pairs if abs(p) > 0.0)
-            args.append(reduce_mod_pi(math.atan2(other.imag, other.real)))
+    xi = [math.atan2(dirs[k + 1], dirs[k]) if dirs[k] or dirs[k + 1] else None
+          for k in (0, 2, 4)]
+    if None in xi:
+        # a zero pair takes its free argument, else the line through the two
+        # distinct vertices; the nonzero pairs of a double point are
+        # opposite, so the first one gives the angle
+        free = free_arguments or {}
+        line = next(x for x in xi if x is not None)
+        xi = [
+            x if x is not None else float(free[slot]) if slot in free else line
+            for slot, x in zip(SLOTS, xi)
+        ]
     return TriangleVariable(
-        basepoint=complex(basepoint),
+        basepoint=basepoint,
         sides=(a, b, c),
         directions=dirs,
-        arguments=(args[0], args[1], args[2]),
+        arguments=(AngleModPi(xi[0]), AngleModPi(xi[1]), AngleModPi(xi[2])),
     )
 
 
@@ -200,6 +212,19 @@ def from_vertices(
     )
 
 
+#: the stratum of each (triple, double, simple) combination
+_STRATA = {
+    (False, False, False): DegeneracyType.NONDEGENERATE,
+    (False, False, True): DegeneracyType.SIMPLE,
+    (False, True, False): DegeneracyType.DOUBLE,
+    (True, False, False): DegeneracyType.TRIPLE,
+    (True, False, True): DegeneracyType.TRIPLED_SIMPLE,
+    (False, True, True): DegeneracyType.DOUBLED_SIMPLE,
+    (True, True, False): DegeneracyType.TRIPLED_DOUBLE,
+    (True, True, True): DegeneracyType.TRIPLED_DOUBLED_SIMPLE,
+}
+
+
 def classify(T: TriangleVariable, tol: float = DEFAULT_TOL) -> DegeneracyType:
     """Degeneracy stratum of the triangle.
 
@@ -208,25 +233,17 @@ def classify(T: TriangleVariable, tol: float = DEFAULT_TOL) -> DegeneracyType:
     parallel (equal arguments mod pi).  Their eight combinations name the
     strata.
     """
-    tpl = max(abs(s) for s in T.sides) == 0.0
-    dbl = any(abs(p) <= tol for p in T.direction_pairs())
+    a, b, c = T.sides
+    tpl = not (a or b or c)
+    pa, pb, pc = T.direction_pairs()
+    dbl = abs(pa) <= tol or abs(pb) <= tol or abs(pc) <= tol
     xa, xb, xc = T.arguments
     smp = (
         angle_dist(xa, xb) <= tol
         and angle_dist(xb, xc) <= tol
         and angle_dist(xa, xc) <= tol
     )
-    table = {
-        (False, False, False): DegeneracyType.NONDEGENERATE,
-        (False, False, True): DegeneracyType.SIMPLE,
-        (False, True, False): DegeneracyType.DOUBLE,
-        (True, False, False): DegeneracyType.TRIPLE,
-        (True, False, True): DegeneracyType.TRIPLED_SIMPLE,
-        (False, True, True): DegeneracyType.DOUBLED_SIMPLE,
-        (True, True, False): DegeneracyType.TRIPLED_DOUBLE,
-        (True, True, True): DegeneracyType.TRIPLED_DOUBLED_SIMPLE,
-    }
-    return table[(tpl, dbl, smp)]
+    return _STRATA[tpl, dbl, smp]
 
 
 def signed_area2(T: TriangleVariable) -> float:
@@ -236,10 +253,14 @@ def signed_area2(T: TriangleVariable) -> float:
 
 
 def orientation(T: TriangleVariable, tol: float = DEFAULT_TOL) -> Orientation:
-    scale = max(abs(s) for s in T.sides)
-    if scale == 0.0:
+    """Sign of the area, tested on the unit-scale direction pairs, so it does
+    not depend on the size of the triangle.  A triple point gets ZERO."""
+    a, b, c = T.sides
+    if not (a or b or c):
         return Orientation.ZERO
-    s2 = signed_area2(T)
+    pa, pb, pc = T.direction_pairs()
+    scale = max(abs(pa), abs(pb), abs(pc))
+    s2 = (pa.conjugate() * pb).imag
     if s2 > tol * scale * scale:
         return Orientation.POSITIVE
     if s2 < -tol * scale * scale:
@@ -249,8 +270,9 @@ def orientation(T: TriangleVariable, tol: float = DEFAULT_TOL) -> Orientation:
 
 def interior_angles(T: TriangleVariable) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
     """(alpha, beta, gamma) = (xi_b - xi_c, xi_c - xi_a, xi_a - xi_b) mod pi."""
-    xa, xb, xc = T.arguments
-    return (xb - xc, xc - xa, xa - xb)
+    args = T.arguments
+    xa, xb, xc = args[0].value, args[1].value, args[2].value
+    return (AngleModPi(xb - xc), AngleModPi(xc - xa), AngleModPi(xa - xb))
 
 
 def validate(T: TriangleVariable, tol: float = DEFAULT_TOL) -> list[str]:
@@ -336,26 +358,18 @@ def act(g: GroupElement, T: TriangleVariable) -> TriangleVariable:
     pairs, and arguments.  The flip takes the mirror image (complex
     conjugation), which negates arguments mod pi and reverses orientation.
     """
-    sides = tuple(T.sides[g.perm[i]] for i in range(3))
-    pairs = T.direction_pairs()
-    pairs = tuple(pairs[g.perm[i]] for i in range(3))
-    args = tuple(T.arguments[g.perm[i]] for i in range(3))
+    i, j, k = g.perm
+    s, d, x = T.sides, T.directions, T.arguments
+    sides = (s[i], s[j], s[k])
+    coords = [d[2 * i], d[2 * i + 1], d[2 * j], d[2 * j + 1], d[2 * k], d[2 * k + 1]]
+    args = (x[i], x[j], x[k])
     basepoint = T.basepoint
     if g.flip:
-        sides = tuple(s.conjugate() for s in sides)
-        pairs = tuple(p.conjugate() for p in pairs)
-        args = tuple(-x for x in args)
+        sides = (sides[0].conjugate(), sides[1].conjugate(), sides[2].conjugate())
+        coords[1::2] = [-v for v in coords[1::2]]
+        args = (-args[0], -args[1], -args[2])
         basepoint = basepoint.conjugate()
-    dirs = canonical_directions(
-        (
-            pairs[0].real,
-            pairs[0].imag,
-            pairs[1].real,
-            pairs[1].imag,
-            pairs[2].real,
-            pairs[2].imag,
-        )
-    )
+    dirs = canonical_directions(coords)
     return TriangleVariable(basepoint=basepoint, sides=sides, directions=dirs, arguments=args)
 
 

@@ -99,3 +99,38 @@ def test_rho_axis_values():
     assert angle_dist(rho(ProjPoint1R(1.0, 0.0)), 0.0) < 1e-15
     assert angle_dist(rho(ProjPoint1R(0.0, 1.0)), PI / 2) < 1e-15
     assert angle_dist(rho(ProjPoint1R(1.0, 1.0)), PI / 4) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        (-0.0, -0.0),  # the sign of a zero is kept
+        (-PI, -0.0),
+        (PI, 0.0),
+        (math.nextafter(PI, 0.0), math.nextafter(PI, 0.0)),
+        (-1e-300, 0.0),  # pi - 1e-300 rounds to pi, which wraps to 0
+        (1e17, math.fmod(1e17, PI)),
+    ],
+)
+def test_wrap_edge_values(x, expected):
+    v = AngleModPi(x).value
+    assert v.hex() == expected.hex()
+    assert 0.0 <= v < PI
+
+
+def test_arithmetic_rejects_non_finite():
+    a = AngleModPi(1.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            a + bad
+        with pytest.raises(ValueError):
+            a - bad
+        with pytest.raises(ValueError):
+            angle_dist(a, bad)
+
+
+@given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_angle_dist_same_for_floats_and_angles(x, y):
+    d = angle_dist(x, y)
+    assert angle_dist(reduce_mod_pi(x), reduce_mod_pi(y)) == d
+    assert angle_dist(reduce_mod_pi(x), y) == d

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from trishape.cli import main
+from trishape.cli import _emit, main
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +122,28 @@ def test_malformed_vertices_are_a_usage_error(capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--vertices" in captured.err
+
+
+@pytest.mark.parametrize("bad", ["nan,0", "inf,0", "0,-inf"])
+def test_non_finite_vertices_are_a_usage_error(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["project", "--model", "sphere", "--vertices", bad, "1,0", "0,1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--vertices" in captured.err
+
+
+def test_overflowing_side_vectors_are_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "classify", "--vertices", "1.5e308,0", "0,0", "0,1.5e308")
+    assert code == 1
+    assert out == ""
+    assert "side-vectors" in err
+
+
+def test_json_output_refuses_nan():
+    with pytest.raises(ValueError):
+        _emit({"x": math.nan}, "json")
 
 
 def test_usage_error_exit_code():

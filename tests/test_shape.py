@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from trishape.angles import PI, angle_dist, reduce_mod_pi
+from trishape import shape
+from trishape.angles import PI, AngleModPi, angle_dist, reduce_mod_pi
+from trishape.projections import to_torus, torus_inverse
 from trishape.triangle import GroupElement, act, classify, from_sides, from_vertices
 from trishape.shape import (
     BlowupCoord,
@@ -293,3 +295,43 @@ def test_cli_orbit_matches_pairwise_dedup_at_large_shape_tol(capsys, monkeypatch
     assert all(class_dist(x, y) < 1e-12 for x, y in zip(got, want))
     if shape_tol == "10":
         assert len(want) == 1
+
+
+def test_post_init_hooks_see_every_construction(monkeypatch):
+    """A tracer counts value objects by wrapping the __post_init__ of
+    AngleModPi and ProjTripleC.  Every such object that class_of, phi, psi
+    and torus_inverse return must have passed through that hook."""
+    seen = []
+    for cls in (AngleModPi, ProjTripleC):
+        def counting(obj, _orig=cls.__post_init__):
+            seen.append(obj)
+            _orig(obj)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    double = from_sides(1.0, 0.0, -1.0, free_arguments={"b": reduce_mod_pi(1.0)})
+    for T in (from_vertices(0.1 + 0.2j, 1.3 - 0.1j, 0.4 + 0.9j), double):
+        seen.clear()
+        c = class_of(T)
+        b = phi(c)
+        back = psi(b)
+        inv = torus_inverse(to_torus(c))
+        made = {id(obj) for obj in seen}
+        returned = [c.sides, *c.angles, *b.xi, *back.angles, inv.sides, *inv.angles]
+        assert all(id(obj) in made for obj in returned)
+
+
+def test_scalene_orbit_tells_images_apart_by_angles(monkeypatch):
+    """In a scalene orbit the images that share a first angle differ in the
+    other two, so class_equal rejects them without proj_dist."""
+    calls = []
+
+    def counting(t1, t2):
+        calls.append(1)
+        return proj_dist(t1, t2)
+
+    monkeypatch.setattr(shape, "proj_dist", counting)
+    c = class_of(from_vertices(0, 1, 0.3 + 0.8j))
+    assert len(orbit(c)) == 12
+    assert calls == []
+    assert len(orbit(_random_double(random.Random(3)))) == 6
+    assert calls  # equal images are still confirmed on their sides

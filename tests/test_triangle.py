@@ -1,8 +1,10 @@
 import cmath
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from trishape.angles import PI, angle_dist, reduce_mod_pi
 from trishape.triangle import (
@@ -218,3 +220,86 @@ def test_action_preserves_validity():
         T = from_vertices(*pts)
         for g in GroupElement.all_elements():
             assert validate(act(g, T)) == []
+
+
+@pytest.mark.parametrize(
+    "verts",
+    [
+        (math.nan, 1, 1j),
+        (math.inf, 1, 1j),
+        (0, complex(1, -math.inf), 1j),
+        (1e308, -1e308, 1e308j),  # B - A overflows to -inf
+        (1.5e308, 1.5e308j, 0),  # finite side-vectors whose length overflows
+    ],
+)
+def test_non_finite_side_vectors_raise(verts):
+    with pytest.raises(ValueError, match="side-vectors"):
+        from_vertices(*verts)
+
+
+def test_non_finite_basepoint_and_directions_raise():
+    with pytest.raises(ValueError, match="basepoint"):
+        from_sides(1, -1, 0, basepoint=complex(math.nan, 0))
+    with pytest.raises(ValueError, match="directions"):
+        from_sides(0, 0, 0, directions=(1, 0, -0.5, math.nan, -0.5, -0.5))
+    with pytest.raises(ValueError, match="directions"):
+        from_sides(0, 0, 0, directions=(1, 0, -0.5, 0.5, -math.inf, -0.5))
+
+
+def test_orientation_agrees_with_classify_at_tiny_scale():
+    # twice the area is 1e-400 here, below the smallest float
+    T = from_vertices(0, 1e-200, 1e-200j)
+    assert classify(T) is DegeneracyType.NONDEGENERATE
+    assert orientation(T) is Orientation.POSITIVE
+    assert orientation(from_vertices(0, 1e-200j, 1e-200)) is Orientation.NEGATIVE
+
+
+_coord = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _shapes(draw):
+    """Vertices of a well-conditioned nondegenerate, collinear or double
+    shape of unit size, so no predicate sits near its tolerance."""
+    kind = draw(st.sampled_from(("nondegenerate", "collinear", "double")))
+    if kind == "nondegenerate":
+        A, B, C = (complex(draw(_coord), draw(_coord)) for _ in range(3))
+        sides = (abs(C - B), abs(A - C), abs(B - A))
+        assume(min(sides) > 1e-2 * max(sides) > 0.0)
+        assume(abs(((B - A).conjugate() * (C - A)).imag) > 1e-2 * max(sides) ** 2)
+        return (A, B, C)
+    P = complex(draw(_coord), draw(_coord))
+    u = cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    if kind == "collinear":
+        t = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+        assume(min(abs(t[0] - t[1]), abs(t[1] - t[2]), abs(t[0] - t[2])) > 1e-2)
+        return tuple(P + ti * u for ti in t)
+    Q = P + draw(st.floats(0.1, 1.0)) * u
+    return draw(st.sampled_from(((P, P, Q), (P, Q, P), (Q, P, P))))
+
+
+@given(
+    _shapes(),
+    st.integers(-300, 300),
+    st.floats(0.0, 2 * math.pi),
+    _coord,
+    _coord,
+    st.sampled_from(list(itertools.permutations(range(3)))),
+)
+def test_predicates_are_similarity_invariant(verts, k, turn, tx, ty, perm):
+    """classify does not change under scale 10^k, rotation, translation and
+    relabeling; orientation does not either, except that an odd relabeling
+    reverses it."""
+    T = from_vertices(*verts)
+    f = 10.0**k * cmath.exp(1j * turn)
+    shift = 10.0**k * complex(10.0 * tx, 10.0 * ty)
+    moved = [f * verts[p] + shift for p in perm]
+    T2 = from_vertices(*moved)
+    assert classify(T2) is classify(T)
+    expected = orientation(T)
+    odd = sum(1 for i, j in itertools.combinations(range(3), 2) if perm[i] > perm[j]) % 2
+    if odd and expected is not Orientation.ZERO:
+        expected = (
+            Orientation.NEGATIVE if expected is Orientation.POSITIVE else Orientation.POSITIVE
+        )
+    assert orientation(T2) is expected
