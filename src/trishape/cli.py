@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -34,7 +35,6 @@ from .families import (
     poncelet_family,
     separation_test,
 )
-from .checks import ALL_CHECKS, random_nondegenerate
 
 #: the families ``trace`` samples, with the number of --param values each takes
 _TRACE_PARAMS = {"poncelet": 0, "inscribed": 0, "constant-angle": 1, "constant-ratio": 1}
@@ -52,6 +52,16 @@ def _floats(text: str) -> list[float]:
         return [float(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _levels(text: str) -> list[float]:
@@ -91,10 +101,7 @@ def _complex(text: str) -> complex:
 
 def _triangle_from_args(args: argparse.Namespace) -> TriangleVariable:
     A, B, C = args.vertices
-    directions = None
-    if getattr(args, "directions", None):
-        directions = [float(v) for v in args.directions]
-    return from_vertices(A, B, C, directions=directions)
+    return from_vertices(A, B, C, directions=args.directions)
 
 
 def _emit(obj, fmt: str, csv_rows=None, csv_header=None) -> None:
@@ -176,15 +183,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         lo, hi = fam.domain
         params = (lo + (hi - lo) * k / (args.samples + 1) for k in range(1, args.samples + 1))
         triangle_at = fam.eval
-    rows = []
-    for t_par in params:
-        c = class_of(triangle_at(t_par))
-        s, t = to_sphere(c), to_torus(c)
-        rows.append([t_par, json.dumps(c.to_json()), s.x, s.y, s.z]
-                    + [float(x) for x in t.as_tuple()])
+
+    def rows():
+        for t_par in params:
+            c = class_of(triangle_at(t_par))
+            s, t = to_sphere(c), to_torus(c)
+            yield ([t_par, json.dumps(c.to_json()), s.x, s.y, s.z]
+                   + [float(x) for x in t.as_tuple()])
+
     header = ["t", "class", "x", "y", "z", "p", "q", "r"]
-    out = [dict(zip(header, row)) for row in rows] if args.format == "json" else None
-    _emit(out, args.format, rows, header)
+    if args.format == "json":
+        _emit([dict(zip(header, row)) for row in rows()], "json")
+        return 0
+    # rows stream to stdout as they come; the header waits for the first,
+    # so a family that fails on its first sample leaves stdout empty
+    it = rows()
+    first = list(itertools.islice(it, 1))
+    _emit(None, "csv", itertools.chain(first, it), header)
     return 0
 
 
@@ -219,6 +234,8 @@ def _cmd_separate(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .checks import ALL_CHECKS
+
     failed = 0
     for name, fn in ALL_CHECKS:
         passed, detail = fn()
@@ -234,6 +251,8 @@ def _cmd_emit_figure(args: argparse.Namespace) -> int:
         writer.writerow(["level", "alpha", "beta", "gamma"])
         writer.writerows(level_curves(args.levels, args.grid))
     elif args.name == "sphere-atlas":
+        from .checks import random_nondegenerate
+
         rng = random.Random(7)
         writer.writerow(["index", "x", "y", "z", "orientation", "loci"])
         for i in range(args.grid * 4):
@@ -242,6 +261,8 @@ def _cmd_emit_figure(args: argparse.Namespace) -> int:
             loci = sorted(f.value for f in classify_sphere_locus(s, 1e-6))
             writer.writerow([i, s.x, s.y, s.z, orientation(T).value, ";".join(loci)])
     elif args.name == "torus-atlas":
+        from .checks import random_nondegenerate
+
         rng = random.Random(11)
         writer.writerow(["index", "p", "q", "r", "sheet"])
         for i in range(args.grid * 4):
@@ -266,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_triangle_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--vertices", nargs=3, type=_complex, required=True, metavar="RE,IM",
                        help="three vertices A B C as re,im pairs")
-        p.add_argument("--directions", nargs=6, type=float, default=None,
+        p.add_argument("--directions", nargs=6, type=_finite, default=None,
                        help="direction sextuple for an all-coincident triangle")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -22,7 +22,6 @@ from .triangle import (
     TriangleVariable,
     classify,
     from_vertices,
-    signed_area2,
 )
 from .projections import (
     DEFAULT_SCHEDULE,
@@ -46,8 +45,8 @@ SEPARATION_THRESHOLD = 1e-3
 class PonceletConfig:
     """Inradius, circumradius, and center separation of a triangle.
 
-    The three lengths always satisfy (R - r)^2 = r^2 + d^2, which is what
-    makes the one-parameter revolving family close up.
+    The three lengths are finite and always satisfy (R - r)^2 = r^2 + d^2,
+    which is what makes the one-parameter revolving family close up.
     """
 
     r: float
@@ -56,21 +55,43 @@ class PonceletConfig:
 
     def __post_init__(self) -> None:
         r, R, d = float(self.r), float(self.R), float(self.d)
+        for name, v in (("inradius r", r), ("circumradius R", R), ("center separation d", d)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite: {v}")
         if not (0.0 < r <= R / 2.0 + 1e-12):
             raise ValueError(f"inradius must satisfy 0 < r <= R/2: r={r}, R={R}")
         if d < 0.0:
             raise ValueError(f"center separation must be nonnegative: {d}")
-        residual = (R - r) ** 2 - r**2 - d**2
-        if abs(residual) > 1e-9 * max(1.0, R * R):
+        # |(R-r)^2 - r^2 - d^2| <= 1e-9 max(1, R^2), taken in units of
+        # max(1, R) so that nothing overflows: a huge d makes ds * ds
+        # infinite, which fails the test (ds ** 2 would raise)
+        u = max(1.0, R)
+        rs, Rs, ds = r / u, R / u, d / u
+        residual = abs((Rs - rs) ** 2 - rs**2 - ds * ds)
+        if residual > 1e-9:
             raise ValueError(
                 f"radii and separation are not a closed configuration: "
-                f"(R-r)^2 - r^2 - d^2 = {residual}"
+                f"|(R-r)^2 - r^2 - d^2| / max(1, R^2) = {residual:.3g} > 1e-9"
             )
 
     @staticmethod
     def from_radii(r: float, R: float) -> "PonceletConfig":
-        """The unique closed configuration with the given radii."""
-        return PonceletConfig(r, R, math.sqrt(max(0.0, R * (R - 2.0 * r))))
+        """The unique closed configuration with the given radii, whose
+        incircle lies strictly inside the outcircle (R - d > r, Chapple), as
+        :func:`poncelet_family` needs.
+
+        d = sqrt(R (R - 2r)) is taken in units of 2^k near R: exact, so d
+        keeps its bits at ordinary scales and neither overflows nor
+        underflows at extreme ones.
+        """
+        k = math.frexp(R)[1]
+        # an r above R is refused anyway; min keeps ldexp from overflowing first
+        rs, Rs = math.ldexp(min(r, R), -k), math.ldexp(R, -k)
+        cfg = PonceletConfig(r, R, math.ldexp(math.sqrt(max(0.0, Rs * (Rs - 2.0 * rs))), k))
+        if cfg.R - cfg.d <= cfg.r:
+            raise ValueError(f"incircle not strictly inside the outcircle: "
+                             f"R - d = {cfg.R - cfg.d} <= r = {cfg.r}")
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -120,20 +141,35 @@ def _circumcenter(A: complex, B: complex, C: complex) -> complex:
     return complex(ox, oy)
 
 
+def _scaled(z: complex, k: int) -> complex:
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
 def incircle_outcircle(T: TriangleVariable) -> PonceletConfig:
     """Inradius, circumradius, and incenter-circumcenter distance of a
-    nondegenerate triangle."""
+    nondegenerate triangle.
+
+    Measured in units of 2^e near the largest vertex coordinate, so nothing
+    underflows or overflows from 1e-200 to 1e200.  Scaling by a power of
+    two is exact, so at ordinary scales the results keep their bits.
+    """
     if classify(T) is not DegeneracyType.NONDEGENERATE:
         raise ValueError("incircle and outcircle require a nondegenerate triangle")
-    A, B, C = T.vertices
+    vertices = T.vertices
+    e = math.frexp(max(abs(x) for P in vertices for x in (P.real, P.imag)))[1]
+    A, B, C = (_scaled(P, -e) for P in vertices)
+    a, b, _ = (_scaled(s, -e) for s in T.sides)
     la, lb, lc = abs(C - B), abs(A - C), abs(B - A)
-    area = abs(signed_area2(T)) / 2.0
+    area = abs((a.conjugate() * b).imag) / 2.0
     perimeter = la + lb + lc
     r = 2.0 * area / perimeter
     R = la * lb * lc / (4.0 * area)
     incenter = (la * A + lb * B + lc * C) / perimeter
     d = abs(incenter - _circumcenter(A, B, C))
-    return PonceletConfig(r, R, d)
+    try:
+        return PonceletConfig(math.ldexp(r, e), math.ldexp(R, e), math.ldexp(d, e))
+    except OverflowError:
+        raise ValueError(f"circumradius too large to represent: {R} * 2^{e}") from None
 
 
 def level_value(angles: Sequence[AngleModPi | float]) -> float:

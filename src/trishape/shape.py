@@ -8,6 +8,7 @@ is taken modulo a common additive shift.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,12 @@ class ProjTripleC:
     def __post_init__(self) -> None:
         a, b, c = complex(self.a), complex(self.b), complex(self.c)
         ma, mb, mc = abs(a), abs(b), abs(c)
+        if not math.isfinite(ma + mb + mc):
+            # a NaN or infinite part, or three huge finite moduli whose sum
+            # overflowed, which pass
+            for slot, v in zip(SLOTS, (a, b, c)):
+                if not cmath.isfinite(v):
+                    raise ValueError(f"side {slot} must be finite: {v}")
         scale = max(ma, mb, mc)
         if scale == 0.0:
             raise ValueError("projective triple cannot be all zero")

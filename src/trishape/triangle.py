@@ -43,16 +43,15 @@ def canonical_directions(coords: Sequence[float]) -> tuple[float, ...]:
     vals = list(map(float, coords))
     if len(vals) != 6:
         raise ValueError("direction sextuple must have six coordinates")
-    m = max(map(abs, vals))
+    v0, v1, v2, v3, v4, v5 = vals
+    m = max(abs(v0), abs(v1), abs(v2), abs(v3), abs(v4), abs(v5))
     if m == 0.0:
         raise ValueError("direction sextuple cannot be all zero")
-    vals = [v / m for v in vals]
-    for v in vals:
-        if v:
-            if v < 0.0:
-                vals = [-v for v in vals]
-            break
-    return tuple(vals)
+    # dividing by -m when the first nonzero quotient is negative negates
+    # every quotient exactly, zeros included
+    if (v0 / m or v1 / m or v2 / m or v3 / m or v4 / m or v5 / m) < 0.0:
+        m = -m
+    return (v0 / m, v1 / m, v2 / m, v3 / m, v4 / m, v5 / m)
 
 
 def _direction_pairs(directions: Sequence[float]) -> tuple[complex, complex, complex]:
@@ -173,12 +172,15 @@ def from_sides(
         s2 = dirs[1] + dirs[3] + dirs[5]
         if abs(s1) > tol or abs(s2) > tol:
             raise ValueError("direction triple violates a1+b1+c1 = a2+b2+c2 = 0")
-    xi = [math.atan2(dirs[k + 1], dirs[k]) if dirs[k] or dirs[k + 1] else None
-          for k in (0, 2, 4)]
-    if None in xi:
+    d0, d1, d2, d3, d4, d5 = dirs
+    if (d0 or d1) and (d2 or d3) and (d4 or d5):
+        xi = (math.atan2(d1, d0), math.atan2(d3, d2), math.atan2(d5, d4))
+    else:
         # a zero pair takes its free argument, else the line through the two
         # distinct vertices; the nonzero pairs of a double point are
         # opposite, so the first one gives the angle
+        xi = [math.atan2(dirs[k + 1], dirs[k]) if dirs[k] or dirs[k + 1] else None
+              for k in (0, 2, 4)]
         free = free_arguments or {}
         line = next(x for x in xi if x is not None)
         xi = [

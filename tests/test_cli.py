@@ -10,6 +10,8 @@ import pytest
 
 from trishape.cli import _emit, main
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -122,6 +124,17 @@ def test_malformed_vertices_are_a_usage_error(capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--vertices" in captured.err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x"])
+def test_bad_directions_are_a_usage_error(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--vertices", "0,0", "0,0", "0,0",
+              "--directions", bad, "0", "-0.5", "0.5", "-0.5", "-0.5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--directions" in captured.err
 
 
 @pytest.mark.parametrize("bad", ["nan,0", "inf,0", "0,-inf"])
@@ -295,3 +308,56 @@ def test_trace_matches_golden(capsys):
     for g, w in zip(got, want):
         assert g["class"] == w["class"]
         assert all(g[k] == float(w[k]) for k in ("t", "x", "y", "z", "p", "q", "r"))
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("inscribed", ["--family", "inscribed"]),
+    ("constant_angle", ["--family", "constant-angle", "--param", "1.0"]),
+    ("constant_ratio", ["--family", "constant-ratio", "--param", "0.7"]),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trace_families_match_golden(capsys, name, argv, fmt):
+    golden = (DATA / f"trace_{name}_40.{fmt}").read_text()
+    code, out, _ = run_cli(capsys, "trace", *argv, "--samples", "40", "--format", fmt)
+    assert code == 0
+    assert out == golden
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trace_failing_on_its_first_sample_writes_nothing(capsys, fmt):
+    # at r = 1e-9 the third chord misses tangency at theta = 0, and only there
+    code, out, err = run_cli(capsys, "trace", "--family", "poncelet", "--r", "1e-9",
+                             "--R", "1", "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: third chord failed tangency")
+
+
+def test_trace_failing_later_keeps_the_rows_written(capsys, monkeypatch):
+    from trishape import cli
+
+    def failing_at_third(cfg, theta, _real=cli.poncelet_family):
+        if theta > 0.3:
+            raise ValueError("planted failure")
+        return _real(cfg, theta)
+
+    monkeypatch.setattr(cli, "poncelet_family", failing_at_third)
+    code, out, err = run_cli(capsys, "trace", "--family", "poncelet", "--samples", "50",
+                             "--format", "csv")
+    assert code == 1
+    assert err == "error: planted failure\n"
+    golden = (DATA / "trace_poncelet_50.csv").read_text().splitlines(keepends=True)
+    assert out == "".join(golden[:4])  # the header and the rows at k = 0, 1, 2
+
+
+@pytest.mark.parametrize("command", ["poncelet", "trace"])
+@pytest.mark.parametrize("radii", [
+    ["--r", "1e-200", "--R", "1"], ["--r", "0.5", "--R", "1e200"], ["--r", "nan", "--R", "1"],
+    ["--r", "0.5", "--R", "inf"], ["--r", "1e300", "--R", "1e-300"],
+], ids=["tiny-r", "huge-R", "nan-r", "inf-R", "r-above-R"])
+def test_bad_poncelet_radii_are_a_domain_error(capsys, command, radii):
+    argv = ["--family", "poncelet"] if command == "trace" else []
+    code, out, err = run_cli(capsys, command, *argv, *radii, "--samples", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")

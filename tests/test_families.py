@@ -38,6 +38,43 @@ def test_poncelet_config_validates_chapple():
         PonceletConfig(2.0, 3.0, 0.0)  # r > R/2
 
 
+@pytest.mark.parametrize("r, R, d, field", [
+    (0.5, math.inf, math.inf, "circumradius R"),
+    (0.5, 2.0, math.nan, "center separation d"),
+    (math.nan, 2.0, 1.0, "inradius r"),
+    (-math.inf, 2.0, 1.0, "inradius r"),
+])
+def test_poncelet_config_rejects_non_finite(r, R, d, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PonceletConfig(r, R, d)
+
+
+def test_poncelet_config_needs_the_incircle_strictly_inside():
+    # r = 1e-200 rounds d = sqrt(R (R - 2r)) to R, so A would sit on the
+    # incircle's center
+    with pytest.raises(ValueError, match="strictly inside"):
+        PonceletConfig.from_radii(1e-200, 1.0)
+    with pytest.raises(ValueError, match="strictly inside"):
+        PonceletConfig.from_radii(0.5, 1e200)
+    cfg = PonceletConfig.from_radii(1e-9, 1.0)
+    assert cfg.R - cfg.d > cfg.r
+
+
+def test_poncelet_config_overflow_is_a_value_error():
+    with pytest.raises(ValueError, match="closed configuration"):
+        PonceletConfig(0.5, 2.0, 1e200)
+
+
+@pytest.mark.parametrize("k", [-300, -200, -100, 0, 100, 200, 300])
+def test_poncelet_config_closes_at_every_scale(k):
+    lam = 10.0 ** k
+    cfg = PonceletConfig.from_radii(0.5 * lam, 2.0 * lam)
+    assert abs(cfg.d / lam - math.sqrt(2.0)) < 1e-12
+    # the bound is 1e-9 * max(1, R^2): relative above R = 1, absolute below
+    with pytest.raises(ValueError, match="closed configuration"):
+        PonceletConfig(0.5 * lam, 2.0 * lam, 1.5 * lam if k >= 0 else 1.0)
+
+
 def test_incircle_outcircle_equilateral():
     w = cmath.exp(2j * PI / 3)
     # side length |1 - w| = sqrt(3); rescale vertices so sides have length 1
@@ -69,6 +106,39 @@ def test_incircle_outcircle_homogeneity():
         assert abs(c2.r - lam * c1.r) < 1e-9 * lam
         assert abs(c2.R - lam * c1.R) < 1e-9 * lam
         assert abs(c2.d - lam * c1.d) < 1e-9 * lam
+
+
+def test_incircle_outcircle_at_every_scale():
+    rng = random.Random(43)
+    for _ in range(20):
+        pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+        T = from_vertices(*pts)
+        if classify(T) is not DegeneracyType.NONDEGENERATE:
+            continue
+        unit = incircle_outcircle(T)
+        for k in range(-200, 201, 50):
+            lam = 10.0 ** k * cmath.exp(1j * rng.uniform(0, 2 * PI))
+            shift = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** k
+            cfg = incircle_outcircle(from_vertices(*(lam * p + shift for p in pts)))
+            assert abs(cfg.r / cfg.R - unit.r / unit.R) < 1e-9
+            assert abs(cfg.d / cfg.R - unit.d / unit.R) < 1e-9
+            assert abs(cfg.R / abs(lam) - unit.R) < 1e-9 * unit.R
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-7, 1e-8, 1e-9])
+@pytest.mark.parametrize("lam", [1e-200, 1.0, 1e200])
+def test_incircle_outcircle_thin_triangle(eps, lam):
+    # isosceles, base 1 and height eps: base angles about 2 eps, and
+    # R - d - r about r^2 / (2R), far below the rounding error of d
+    T = from_vertices(0, lam, complex(0.5, eps) * lam)
+    assert classify(T) is DegeneracyType.NONDEGENERATE
+    cfg = incircle_outcircle(T)
+    legs2 = 0.25 + eps * eps
+    R = legs2 / (2.0 * eps)
+    r = eps / (1.0 + 2.0 * math.sqrt(legs2))
+    assert abs(cfg.R / (lam * R) - 1.0) < 1e-12
+    assert abs(cfg.r / (lam * r) - 1.0) < 1e-12
+    assert abs(cfg.d / (lam * math.sqrt(R * (R - 2.0 * r))) - 1.0) < 1e-12
 
 
 def test_incircle_outcircle_rejects_degenerate():

@@ -49,6 +49,29 @@ def test_proj_triple_rejects_bad_input():
         ProjTripleC(1, 1, 1)
 
 
+@pytest.mark.parametrize("sides, slot", [
+    ((math.nan, 1, -1), "a"),
+    ((1, complex(0, math.inf), -1), "b"),
+    ((1, -1, complex(math.nan, 0)), "c"),
+    ((math.inf, -math.inf, 0), "a"),
+])
+def test_proj_triple_rejects_non_finite(sides, slot):
+    with pytest.raises(ValueError, match=f"side {slot} must be finite"):
+        ProjTripleC(*sides)
+
+
+def test_proj_triple_keeps_huge_finite_sides():
+    # the three moduli sum to inf, but every side is finite
+    t = ProjTripleC(1e308, -1e308, 0)
+    assert t.as_tuple() == (1, -1, 0)
+
+
+def test_shape_class_from_json_rejects_nan_side():
+    with pytest.raises(ValueError, match="side a must be finite"):
+        ShapeClass.from_json({"sides": [[math.nan, 0.0], [1.0, 0.0], [-1.0, 0.0]],
+                              "angles": [0.0, 0.0, 0.0]})
+
+
 def test_proj_triple_scale_invariance():
     rng = random.Random(21)
     for _ in range(200):
