@@ -49,6 +49,7 @@ from .projections import (
     torus_inverse,
 )
 from .families import (
+    Family,
     Model,
     PonceletConfig,
     chord_tangency_residual,
@@ -57,6 +58,7 @@ from .families import (
     incircle_outcircle,
     inscribed_family,
     level_value,
+    limit_class,
     poncelet_family,
     separation_test,
 )
@@ -262,7 +264,8 @@ def check_torus_inverse() -> tuple[bool, str]:
 
 def check_fiber_directions() -> tuple[bool, str]:
     """Approach directions of the torus origin resolve to the matching real
-    side triple."""
+    side triple.  The oracle is ``limit_class`` along the inscribed
+    triangles whose angles are t * direction."""
     rng = random.Random(SEED + 6)
     worst = 0.0
     for _ in range(100):
@@ -271,9 +274,15 @@ def check_fiber_directions() -> tuple[bool, str]:
             b0 = rng.uniform(-1, 1)
             if max(abs(a0), abs(b0), abs(a0 + b0)) > 0.1:
                 break
-        direction = (a0, b0, -a0 - b0)
-        limit = torus_fiber_limit(direction)
-        worst = max(worst, proj_dist(ProjTripleC(*direction), ProjTripleC(*limit)))
+        ray = Family(
+            label=f"fiber-ray[{a0}, {b0}]",
+            eval=lambda t, a0=a0, b0=b0: from_vertices(
+                cmath.exp(2j * t * b0), cmath.exp(-2j * t * a0), 1.0),
+            domain=(0.0, PI / max(abs(a0), abs(b0))),
+            limit_end=0.0,
+        )
+        limit = torus_fiber_limit((a0, b0, -a0 - b0))
+        worst = max(worst, proj_dist(limit_class(ray).sides, ProjTripleC(*limit)))
     return worst < 1e-6, f"max projective error {worst:.3e} over 100 directions"
 
 

@@ -24,7 +24,6 @@ from .triangle import (
     from_vertices,
 )
 from .projections import (
-    DEFAULT_SCHEDULE,
     SpherePoint,
     TorusPoint,
     sphere_dist,
@@ -34,10 +33,13 @@ from .projections import (
 )
 
 
-#: Default limit tolerance for extrapolated family limits.
+#: Parameter offsets from ``limit_end`` at which ``limit_class`` samples.
+SCHEDULE = (1e-3, 1e-4, 1e-5, 1e-6)
+
+#: Last step distance above which a growing limit sequence is refused.
 LIMIT_TOL = 1e-6
 
-#: Default model-point distance above which limits count as separated.
+#: Model-point distance above which limits count as separated.
 SEPARATION_THRESHOLD = 1e-3
 
 
@@ -214,9 +216,13 @@ def level_curves(levels: Sequence[float], grid: int) -> list[tuple[float, ...]]:
 
 
 def _line_distance(P: complex, Q: complex, Z: complex) -> float:
-    """Distance from Z to the line through P and Q."""
+    """Distance from Z to the line through P and Q, taken in units of 2^e
+    near the points (exact) so that the product neither underflows nor
+    overflows."""
+    e = math.frexp(max(abs(x) for V in (P, Q, Z) for x in (V.real, V.imag)))[1]
+    P, Q, Z = _scaled(P, -e), _scaled(Q, -e), _scaled(Z, -e)
     w = Q - P
-    return abs(((Z - P) * w.conjugate()).imag) / abs(w)
+    return math.ldexp(abs(((Z - P) * w.conjugate()).imag) / abs(w), e)
 
 
 def poncelet_family(cfg: PonceletConfig, theta: float) -> TriangleVariable:
@@ -243,7 +249,7 @@ def poncelet_family(cfg: PonceletConfig, theta: float) -> TriangleVariable:
     C, B = others
     T = from_vertices(A, B, C)
     residual = abs(_line_distance(B, C, center) - cfg.r)
-    if residual > 1e-8 * max(1.0, cfg.R):
+    if residual > 1e-8 * cfg.R:
         raise ValueError(f"third chord failed tangency: residual {residual}")
     return T
 
@@ -346,21 +352,18 @@ def constant_ratio_family(ratio: float) -> Family:
     )
 
 
-def limit_class(
-    f: Family,
-    schedule: Sequence[float] = DEFAULT_SCHEDULE,
-    tol: float = LIMIT_TOL,
-) -> ShapeClass:
-    """Extrapolated limit of class_of(f.eval(t)) along a decreasing schedule.
+def limit_class(f: Family) -> ShapeClass:
+    """Extrapolated limit of class_of(f.eval(limit_end + t)) along SCHEDULE.
 
     Sides are tracked in a fixed affine chart of the projective triple and
     angles as unwrapped real sequences; both get a last-two-point Richardson
     step, which knocks the leading O(t) error down to O(t^2).
     """
-    ts = [float(t) for t in schedule]
-    if len(ts) < 2 or any(t2 >= t1 for t1, t2 in zip(ts, ts[1:])):
-        raise ValueError("schedule must be a decreasing sequence")
-    classes = [class_of(f.eval(f.limit_end + t)) for t in ts]
+    lo, hi = f.domain
+    for t in SCHEDULE:
+        if not lo < f.limit_end + t < hi:
+            raise ValueError(f"{f.label}: limit_end + {t} is outside the domain {f.domain}")
+    classes = [class_of(f.eval(f.limit_end + t)) for t in SCHEDULE]
     mods = classes[-1].sides.moduli()
     pivot = max(range(3), key=lambda i: (mods[i], -i))
     charts: list[tuple[complex, complex, complex]] = []
@@ -379,9 +382,9 @@ def limit_class(
             ]
         angle_seqs.append(reps)
     steps = [class_dist(c1, c2) for c1, c2 in zip(classes, classes[1:])]
-    if steps[-1] > tol and steps[-1] > steps[0]:
+    if steps[-1] > LIMIT_TOL and steps[-1] > steps[0]:
         raise ValueError(f"family limit not converging; step distances {steps}")
-    ratio = ts[-1] / ts[-2]
+    ratio = SCHEDULE[-1] / SCHEDULE[-2]
     sides = tuple(
         (x2 - ratio * x1) / (1.0 - ratio) for x1, x2 in zip(charts[-2], charts[-1])
     )
@@ -392,35 +395,22 @@ def limit_class(
     return ShapeClass(sides=ProjTripleC(*sides), angles=angles)
 
 
-def separation_test(
-    f1: Family,
-    f2: Family,
-    model: Model,
-    schedule: Sequence[float] = DEFAULT_SCHEDULE,
-    sep_threshold: float = SEPARATION_THRESHOLD,
-    tol: float = LIMIT_TOL,
-) -> SeparationReport:
+def separation_test(f1: Family, f2: Family, model: Model) -> SeparationReport:
     """Compare the degenerate limits of two families inside one model."""
-    c1 = limit_class(f1, schedule, tol)
-    c2 = limit_class(f2, schedule, tol)
+    c1, c2 = limit_class(f1), limit_class(f2)
     if model is Model.SPHERE:
         s1, s2 = to_sphere(c1), to_sphere(c2)
         p1, p2 = s1.as_tuple(), s2.as_tuple()
         distance = sphere_dist(s1, s2)
     elif model is Model.TORUS:
         t1, t2 = to_torus(c1), to_torus(c2)
-        p1 = tuple(float(x) for x in t1.as_tuple())
-        p2 = tuple(float(x) for x in t2.as_tuple())
+        p1, p2 = (tuple(map(float, t.as_tuple())) for t in (t1, t2))
         distance = torus_dist(t1, t2)
     else:
-        p1 = tuple(
-            v for z in c1.sides.as_tuple() for v in (z.real, z.imag)
-        ) + tuple(float(x) for x in c1.angles)
-        p2 = tuple(
-            v for z in c2.sides.as_tuple() for v in (z.real, z.imag)
-        ) + tuple(float(x) for x in c2.angles)
+        p1, p2 = (tuple(v for z in c.sides.as_tuple() for v in (z.real, z.imag))
+                  + tuple(map(float, c.angles)) for c in (c1, c2))
         distance = class_dist(c1, c2)
-    verdict = "Separated" if distance > sep_threshold else "Merged"
+    verdict = "Separated" if distance > SEPARATION_THRESHOLD else "Merged"
     return SeparationReport(
         model=model, limit1=p1, limit2=p2, distance=distance, verdict=verdict
     )

@@ -4,9 +4,10 @@
 change of side coordinates followed by the Hopf map; it separates simple
 points but collapses each double-point fiber to one of three landmarks.
 ``to_torus`` keeps only the interior angles; it separates double points but
-collapses every simple point to the origin.  ``torus_inverse`` and
-``torus_fiber_limit`` recover classes and approach directions near that
-collapsed point.
+collapses every simple point to the origin.  ``torus_inverse`` recovers the
+class away from that point, and ``torus_fiber_limit`` gives, in closed form,
+the simple point that an approach direction picks out of the collapsed
+fiber.
 """
 from __future__ import annotations
 
@@ -163,14 +164,14 @@ def _torus_sides(alpha: float, beta: float) -> tuple[complex, complex, complex]:
     return (1.0 - ea, eb - 1.0, ea - eb)
 
 
-def torus_inverse(t: TorusPoint, tol: float = DEFAULT_TOL) -> ShapeClass:
+def torus_inverse(t: TorusPoint) -> ShapeClass:
     """The class with interior angles t, for t away from the origin.
 
     Sides come from the triangle inscribed in the unit circle whose angles
     are t.  At the origin every simple point has been collapsed together,
     so no unique class exists there.
     """
-    if t.is_origin(tol):
+    if t.is_origin():
         raise ValueError("blown-down point: no unique class over the torus origin")
     raw = _torus_sides(t.p.value, t.q.value)
     zero = (t.p.is_zero(1e-12), t.q.is_zero(1e-12), t.r.is_zero(1e-12))
@@ -182,56 +183,25 @@ def torus_inverse(t: TorusPoint, tol: float = DEFAULT_TOL) -> ShapeClass:
     return ShapeClass(sides=ProjTripleC(*raw), angles=angles)
 
 
-DEFAULT_SCHEDULE = (1e-3, 1e-4, 1e-5, 1e-6)
-
-
-def torus_fiber_limit(
-    direction: Sequence[float],
-    schedule: Sequence[float] = DEFAULT_SCHEDULE,
-    tol: float = 1e-6,
-) -> tuple[float, float, float]:
+def torus_fiber_limit(direction: Sequence[float]) -> tuple[float, float, float]:
     """Approach direction of the torus origin, resolved into a side triple.
 
-    Walks toward the origin along t * direction, normalizes the side triple
-    of each intermediate class, and extrapolates.  The limit is the real
-    projective triple proportional to the direction itself.
+    Along t * direction the sides of :func:`torus_inverse`'s inscribed
+    triangle are 2i t (d_a, d_b, -d_a - d_b) + O(t^2), so the limit is that
+    real triple: largest modulus 1, first nonzero coordinate positive, mean
+    removed.  The third coordinate is read mod pi, so only d_a and d_b
+    enter.
     """
     d = tuple(float(v) for v in direction)
-    if len(d) != 3 or max(abs(v) for v in d) == 0.0:
+    if len(d) != 3:
         raise ValueError("direction must be a nonzero real triple")
     if angle_dist(sum(d), 0.0) > 1e-9:
         raise ValueError(f"direction must sum to 0 mod pi: sum = {sum(d)}")
-    ts = [float(t) for t in schedule]
-    if len(ts) < 2 or any(t2 >= t1 for t1, t2 in zip(ts, ts[1:])) or ts[-1] <= 0.0:
-        raise ValueError("schedule must be a decreasing sequence of positive values")
-    pivot = max(range(3), key=lambda i: (abs(d[i]), -i))
-    iterates: list[tuple[complex, complex, complex]] = []
-    residuals: list[float] = []
-    for t in ts:
-        raw = _torus_sides(t * d[0], t * d[1])
-        if abs(raw[pivot]) == 0.0:
-            raise ValueError(f"side {pivot} vanished along the schedule at t = {t}")
-        norm = tuple(s / raw[pivot] for s in raw)
-        if iterates:
-            residuals.append(max(abs(u - v) for u, v in zip(norm, iterates[-1])))
-        iterates.append(norm)
-    if len(residuals) >= 2 and residuals[-1] > residuals[0] and residuals[-1] > tol:
-        raise ValueError(f"fiber limit not converging; residuals {residuals}")
-    ratio = ts[-1] / ts[-2]
-    extrap = tuple(
-        (x2 - ratio * x1) / (1.0 - ratio)
-        for x1, x2 in zip(iterates[-2], iterates[-1])
-    )
-    if max(abs(v.imag) for v in extrap) > tol:
-        raise ValueError(
-            f"fiber limit has non-real residue {extrap}; residuals {residuals}"
-        )
-    vals = [v.real for v in extrap]
-    m = max(abs(v) for v in vals)
-    vals = [v / m for v in vals]
-    lead = next(v for v in vals if v != 0.0)
-    if lead < 0.0:
+    m = max(abs(d[0]), abs(d[1]), abs(d[0] + d[1]))
+    if m == 0.0:
+        raise ValueError("direction must be a nonzero real triple")
+    vals = [d[0] / m, d[1] / m, (-d[0] - d[1]) / m]
+    if (vals[0] or vals[1]) < 0.0:
         vals = [-v for v in vals]
     mean = sum(vals) / 3.0
     return tuple(v - mean for v in vals)
-

@@ -44,7 +44,12 @@ class ProjTripleC:
 
     def __post_init__(self) -> None:
         a, b, c = complex(self.a), complex(self.b), complex(self.c)
-        ma, mb, mc = abs(a), abs(b), abs(c)
+        try:
+            ma, mb, mc = abs(a), abs(b), abs(c)
+        except OverflowError:
+            slot = next(name for name, v in zip(SLOTS, (a, b, c))
+                        if math.hypot(v.real, v.imag) == math.inf)
+            raise ValueError(f"side {slot} is too long: its modulus overflows") from None
         if not math.isfinite(ma + mb + mc):
             # a NaN or infinite part, or three huge finite moduli whose sum
             # overflowed, which pass

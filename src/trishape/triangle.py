@@ -133,12 +133,11 @@ def from_sides(
     basepoint: complex = 0j,
     directions: Sequence[float] | None = None,
     free_arguments: dict[str, AngleModPi] | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> TriangleVariable:
     """Build a triangle variable from side-vectors.
 
-    The closure defect a + b + c is checked against ``tol`` and then removed
-    exactly by setting c = -a - b.  Zero sides get their argument from
+    The closure defect a + b + c is checked against ``DEFAULT_TOL`` and then
+    removed exactly by setting c = -a - b.  Zero sides get their argument from
     ``free_arguments``; unspecified free arguments default to the direction
     of the line through the remaining vertices.  Non-finite side-vectors,
     basepoint or directions, and side-vectors whose length overflows, raise
@@ -152,7 +151,7 @@ def from_sides(
         raise ValueError(f"basepoint must be finite: {basepoint}")
     try:
         scale = max(abs(a), abs(b), abs(c))
-        if scale > 0.0 and abs(a + b + c) > tol * scale:
+        if scale > 0.0 and abs(a + b + c) > DEFAULT_TOL * scale:
             raise ValueError(f"side-vectors do not close: a+b+c = {a + b + c}")
     except OverflowError:
         raise ValueError(f"side-vectors too long: a = {a}, b = {b}, c = {c}") from None
@@ -170,7 +169,7 @@ def from_sides(
             raise ValueError(f"directions must be finite: {tuple(directions)}")
         s1 = dirs[0] + dirs[2] + dirs[4]
         s2 = dirs[1] + dirs[3] + dirs[5]
-        if abs(s1) > tol or abs(s2) > tol:
+        if abs(s1) > DEFAULT_TOL or abs(s2) > DEFAULT_TOL:
             raise ValueError("direction triple violates a1+b1+c1 = a2+b2+c2 = 0")
     d0, d1, d2, d3, d4, d5 = dirs
     if (d0 or d1) and (d2 or d3) and (d4 or d5):
@@ -277,27 +276,28 @@ def interior_angles(T: TriangleVariable) -> tuple[AngleModPi, AngleModPi, AngleM
     return (AngleModPi(xb - xc), AngleModPi(xc - xa), AngleModPi(xa - xb))
 
 
-def validate(T: TriangleVariable, tol: float = DEFAULT_TOL) -> list[str]:
-    """Return a list of invariant violations (empty when consistent)."""
+def validate(T: TriangleVariable) -> list[str]:
+    """Return a list of invariant violations (empty when consistent), at
+    ``DEFAULT_TOL``."""
     problems: list[str] = []
     a, b, c = T.sides
     scale = max(abs(a), abs(b), abs(c))
     if scale > 0.0:
-        if abs(a + b + c) > tol * scale:
+        if abs(a + b + c) > DEFAULT_TOL * scale:
             problems.append("side-vectors do not sum to zero")
         expected = canonical_directions(
             (a.real, a.imag, b.real, b.imag, c.real, c.imag)
         )
-        if any(abs(u - v) > tol for u, v in zip(expected, T.directions)):
+        if any(abs(u - v) > DEFAULT_TOL for u, v in zip(expected, T.directions)):
             problems.append("direction sextuple inconsistent with side-vectors")
     s1 = T.directions[0] + T.directions[2] + T.directions[4]
     s2 = T.directions[1] + T.directions[3] + T.directions[5]
-    if abs(s1) > tol or abs(s2) > tol:
+    if abs(s1) > DEFAULT_TOL or abs(s2) > DEFAULT_TOL:
         problems.append("direction triple violates a1+b1+c1=0 or a2+b2+c2=0")
     for slot, pair, xi in zip(SLOTS, T.direction_pairs(), T.arguments):
-        if abs(pair) > tol:
+        if abs(pair) > DEFAULT_TOL:
             expected_xi = reduce_mod_pi(math.atan2(pair.imag, pair.real))
-            if angle_dist(expected_xi, xi) > tol:
+            if angle_dist(expected_xi, xi) > DEFAULT_TOL:
                 problems.append(f"argument xi_{slot} inconsistent with direction")
     return problems
 
@@ -331,14 +331,6 @@ class GroupElement:
         for i, p in enumerate(self.perm):
             inv[p] = i
         return GroupElement(tuple(inv), self.flip)
-
-    @property
-    def parity_odd(self) -> bool:
-        p = self.perm
-        inversions = sum(
-            1 for i, j in itertools.combinations(range(3), 2) if p[i] > p[j]
-        )
-        return inversions % 2 == 1
 
     @staticmethod
     def identity() -> "GroupElement":

@@ -350,6 +350,22 @@ def test_trace_failing_later_keeps_the_rows_written(capsys, monkeypatch):
     assert out == "".join(golden[:4])  # the header and the rows at k = 0, 1, 2
 
 
+@pytest.mark.parametrize("r, R", [("2e-300", "5e-300"), ("1e199", "1e200")])
+def test_poncelet_at_extreme_scales(capsys, r, R):
+    code, out, _ = run_cli(capsys, "poncelet", "--r", r, "--R", R, "--samples", "8")
+    assert code == 0
+    for row in json.loads(out)["orbit"]:
+        assert row["tangency_residual"] < 1e-12 * float(r)
+
+
+def test_separate_outside_a_family_domain_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "separate", "--pair", "constant-ratio:1e-6,2",
+                             "--model", "torus")
+    assert code == 1
+    assert out == ""
+    assert "outside the domain" in err
+
+
 @pytest.mark.parametrize("command", ["poncelet", "trace"])
 @pytest.mark.parametrize("radii", [
     ["--r", "1e-200", "--R", "1"], ["--r", "0.5", "--R", "1e200"], ["--r", "nan", "--R", "1"],

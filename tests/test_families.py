@@ -229,6 +229,24 @@ def test_poncelet_orbit_invariants():
         assert max(ratios) - min(ratios) < 1e-9
 
 
+@pytest.mark.parametrize("r, R", [(2e-300, 5e-300), (1e-20, 3e-20), (1e199, 1e200)])
+def test_poncelet_tangency_at_extreme_scales(r, R):
+    cfg = PonceletConfig.from_radii(r, R)
+    for k in range(8):
+        T = poncelet_family(cfg, 2 * PI * k / 8)
+        assert chord_tangency_residual(cfg, T) < 1e-12 * r
+
+
+def test_poncelet_tangency_test_is_relative():
+    # an incircle 1e-6 r too small misses the third chord by about 1.5e-6 R,
+    # which an absolute bound of 1e-8 passes below R of about 1e-2
+    for R in (1e-10, 1e-6):
+        cfg = PonceletConfig.from_radii(0.3 * R, R)
+        shifted = PonceletConfig(cfg.r * (1 - 1e-6), cfg.R, cfg.d)
+        with pytest.raises(ValueError, match="tangency"):
+            poncelet_family(shifted, 0.5)
+
+
 def test_inscribed_family_thales():
     fam = inscribed_family(-1.0, 1.0)
     for t in (0.5, 1.5, 2.5, 4.0):
@@ -307,6 +325,12 @@ def test_limit_class_constant_family_is_identity():
     T = from_vertices(0, 1, 0.3 + 0.8j)
     fam = Family("const", lambda t: T, (0.0, 1.0), 0.0)
     assert class_equal(limit_class(fam), class_of(T), 1e-9)
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 1e6])
+def test_limit_class_refuses_a_schedule_outside_the_domain(ratio):
+    with pytest.raises(ValueError, match=r"limit_end \+ 0\.001 is outside the domain"):
+        limit_class(constant_ratio_family(ratio))
 
 
 def test_separation_signature():

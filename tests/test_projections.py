@@ -218,6 +218,30 @@ def test_fiber_limit_rejects_bad_input():
     with pytest.raises(ValueError):
         torus_fiber_limit((0, 0, 0))
     with pytest.raises(ValueError):
-        torus_fiber_limit((1, 1, -2), schedule=(1e-3,))
-    with pytest.raises(ValueError):
         torus_fiber_limit((1, 2, 3))
+    with pytest.raises(ValueError):
+        torus_fiber_limit((0, 0, PI))
+    with pytest.raises(ValueError):
+        torus_fiber_limit((1, -1))
+
+
+@pytest.mark.parametrize("lam", [s * 10.0**k for k in range(-8, 9) for s in (1, -1)])
+def test_fiber_limit_ignores_the_scale_and_sign_of_the_direction(lam):
+    for d in ((1, -3, 2), (0.5, -0.25, -0.25), (-3, 1, 2), (0, 1, -1)):
+        want = torus_fiber_limit(d)
+        got = torus_fiber_limit(tuple(lam * v for v in d))
+        assert max(abs(u - v) for u, v in zip(got, want)) < 1e-15
+
+
+def test_fiber_limit_reads_the_third_coordinate_mod_pi():
+    assert torus_fiber_limit((1, 1, PI - 2)) == torus_fiber_limit((1, 1, -2))
+
+
+def test_fiber_limit_is_canonical():
+    rng = random.Random(35)
+    for _ in range(100):
+        a0, b0 = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+        limit = torus_fiber_limit((a0, b0, -a0 - b0))
+        assert max(abs(v) for v in limit) == pytest.approx(1.0, abs=1e-15)
+        assert next(v for v in limit if v != 0.0) > 0.0
+        assert proj_dist(ProjTripleC(a0, b0, -a0 - b0), ProjTripleC(*limit)) < 1e-15

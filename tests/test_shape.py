@@ -72,6 +72,15 @@ def test_shape_class_from_json_rejects_nan_side():
                               "angles": [0.0, 0.0, 0.0]})
 
 
+def test_shape_class_from_json_names_an_overflowing_side():
+    # finite parts whose modulus overflows: abs() raises OverflowError
+    with pytest.raises(ValueError, match="side a is too long"):
+        ShapeClass.from_json({"sides": [[1.5e308, 1.5e308], [-1.5e308, -1.5e308], [0, 0]],
+                              "angles": [0, 0, 0]})
+    with pytest.raises(ValueError, match="side c is too long"):
+        ProjTripleC(1, -1, complex(1.5e308, 1.5e308))
+
+
 def test_proj_triple_scale_invariance():
     rng = random.Random(21)
     for _ in range(200):
