@@ -1,9 +1,8 @@
-"""Arithmetic for angles modulo pi and points of the real projective line.
+"""Arithmetic for angles modulo pi.
 
-Directions of lines in the plane are angles mod pi.  The map ``rho`` sends a
-projective point [x, y] to the argument of x + yi mod pi and is the bridge
-between homogeneous direction coordinates and angle coordinates used
-throughout the package.
+Directions of lines in the plane are angles mod pi: a direction pair (x, y)
+of a side has the angle Arg(x + yi) mod pi, whichever of the two opposite
+representatives the side carries.
 """
 from __future__ import annotations
 
@@ -12,7 +11,13 @@ from dataclasses import dataclass
 
 PI = math.pi
 
-#: Default comparison tolerance of the package, shared by every module.
+#: The package's one comparison tolerance for unit-scale values (angles,
+#: canonical side triples, defects relative to a scale).  Other literals
+#: differ on purpose.  1e-12 and 1e-13 are rounding snaps: exact zero angles,
+#: zero sides, unit length and r = R/2 up to a few ulps.  1e-6 only refuses a
+#: ``ProjTripleC`` that does not close beyond input rounding, as closure is
+#: then restored exactly.  The Poncelet tangency allows 1e-8 R for the
+#: rounding of asin, exp and two chord intersections.
 DEFAULT_TOL = 1e-9
 
 
@@ -64,47 +69,6 @@ class AngleModPi:
 def reduce_mod_pi(x: float) -> AngleModPi:
     """Reduce a real number of radians to its class mod pi."""
     return AngleModPi(x)
-
-
-@dataclass(frozen=True)
-class ProjPoint1R:
-    """A point [x, y] of P^1(R) in canonical form.
-
-    Canonical form: max(|x|, |y|) == 1 and the first nonzero coordinate is
-    positive, so projective equality is plain coordinate comparison.
-    """
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        x, y = float(self.x), float(self.y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError("non-finite projective coordinates")
-        m = max(abs(x), abs(y))
-        if m == 0.0:
-            raise ValueError("(0, 0) is not a projective point")
-        x, y = x / m, y / m
-        lead = x if x != 0.0 else y
-        if lead < 0.0:
-            x, y = -x, -y
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-
-def rho(p: ProjPoint1R) -> AngleModPi:
-    """The direction angle of [x, y]: Arg(x + yi) mod pi.
-
-    Independent of the chosen representative, since scaling by a nonzero
-    real either fixes Arg or moves it by pi.
-    """
-    return AngleModPi(math.atan2(p.y, p.x))
-
-
-def lift(xi: AngleModPi | float) -> ProjPoint1R:
-    """The projective point [cos xi, sin xi]; inverse of rho."""
-    v = float(xi)
-    return ProjPoint1R(math.cos(v), math.sin(v))
 
 
 def angle_dist(a: AngleModPi | float, b: AngleModPi | float) -> float:

@@ -279,7 +279,6 @@ def check_fiber_directions() -> tuple[bool, str]:
             eval=lambda t, a0=a0, b0=b0: from_vertices(
                 cmath.exp(2j * t * b0), cmath.exp(-2j * t * a0), 1.0),
             domain=(0.0, PI / max(abs(a0), abs(b0))),
-            limit_end=0.0,
         )
         limit = torus_fiber_limit((a0, b0, -a0 - b0))
         worst = max(worst, proj_dist(limit_class(ray).sides, ProjTripleC(*limit)))
@@ -396,7 +395,7 @@ def check_angle_formula() -> tuple[bool, str]:
         )
     if worst >= 1e-9:
         return False, f"formula mismatch {worst:.3e}"
-    fam = inscribed_family(-1.0, 1.0)
+    fam = inscribed_family()
     eps = 1e-5
     around = [
         interior_angles(fam.eval(t)) for t in (eps, 0.0, 2 * PI - eps)

@@ -13,7 +13,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import random
 import sys
 from typing import Sequence
@@ -41,10 +40,6 @@ _TRACE_PARAMS = {"poncelet": 0, "inscribed": 0, "constant-angle": 1, "constant-r
 
 #: the families ``separate`` compares, with the number of --pair values each takes
 _PAIR_PARAMS = {"inscribed": 0, "constant-angle": 2, "constant-ratio": 2}
-
-
-def _tol() -> float:
-    return float(os.environ.get("SHAPE_TOL", "1e-9"))
 
 
 def _floats(text: str) -> list[float]:
@@ -120,15 +115,15 @@ def _family_from_spec(kind: str, params: Sequence[float]) -> Family:
     if kind == "constant-ratio":
         return constant_ratio_family(params[0])
     if kind == "inscribed":
-        return inscribed_family(-1.0, 1.0)
+        return inscribed_family()
     raise ValueError(f"unknown family kind: {kind}")
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     T = _triangle_from_args(args)
     out = {
-        "degeneracy": classify(T, _tol()).value,
-        "orientation": orientation(T, _tol()).value,
+        "degeneracy": classify(T).value,
+        "orientation": orientation(T).value,
         "angles": [float(x) for x in class_of(T).angles],
     }
     _emit(out, args.format, [[out["degeneracy"], out["orientation"], *out["angles"]]],
@@ -140,7 +135,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
     c = class_of(_triangle_from_args(args))
     if args.model == "sphere":
         s = to_sphere(c)
-        loci = sorted(f.value for f in classify_sphere_locus(s, max(_tol(), 1e-9)))
+        loci = sorted(f.value for f in classify_sphere_locus(s))
         out = {"x": s.x, "y": s.y, "z": s.z, "loci": loci}
         _emit(out, args.format, [[s.x, s.y, s.z, ";".join(loci)]],
               ["x", "y", "z", "loci"])
@@ -158,7 +153,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    images = class_orbit(class_of(_triangle_from_args(args)), max(_tol(), 1e-9))
+    images = class_orbit(class_of(_triangle_from_args(args)))
     out = {"size": len(images), "classes": [c.to_json() for c in images]}
     rows = [
         [i] + [v for pair in c.to_json()["sides"] for v in pair] + c.to_json()["angles"]

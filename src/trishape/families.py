@@ -1,9 +1,10 @@
 """Parametrized families of triangles and their degenerate limits.
 
 Poncelet families revolve a triangle between a fixed incircle and
-outcircle; inscribed-chord families move one vertex along a circle toward a
-double point; the constant-angle and constant-ratio families degenerate in
-ways that exactly one of the two blowdown models can still tell apart.
+outcircle.  The inscribed and constant-angle families move vertex A on the
+unit circle over a chord ending at C = 1, toward a double point at C.  The
+constant-angle and constant-ratio families degenerate in ways that exactly
+one of the two blowdown models can still tell apart.
 ``limit_class`` extracts numeric limits and ``separation_test`` compares
 them across models.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .angles import DEFAULT_TOL, AngleModPi, angle_dist, reduce_mod_pi
-from .shape import ProjTripleC, ShapeClass, class_dist, class_of
+from .shape import ProjTripleC, ShapeClass, _pivot, class_dist, class_of
 from .triangle import (
     DegeneracyType,
     TriangleVariable,
@@ -33,7 +34,7 @@ from .projections import (
 )
 
 
-#: Parameter offsets from ``limit_end`` at which ``limit_class`` samples.
+#: Parameters, approaching 0, at which ``limit_class`` samples a family.
 SCHEDULE = (1e-3, 1e-4, 1e-5, 1e-6)
 
 #: Last step distance above which a growing limit sequence is refused.
@@ -60,20 +61,20 @@ class PonceletConfig:
         for name, v in (("inradius r", r), ("circumradius R", R), ("center separation d", d)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite: {v}")
-        if not (0.0 < r <= R / 2.0 + 1e-12):
+        # r <= R/2 up to a rounding snap of 1e-12 R, so R > 0 below
+        if not (0.0 < r <= R * (0.5 + 1e-12)):
             raise ValueError(f"inradius must satisfy 0 < r <= R/2: r={r}, R={R}")
         if d < 0.0:
             raise ValueError(f"center separation must be nonnegative: {d}")
-        # |(R-r)^2 - r^2 - d^2| <= 1e-9 max(1, R^2), taken in units of
-        # max(1, R) so that nothing overflows: a huge d makes ds * ds
-        # infinite, which fails the test (ds ** 2 would raise)
-        u = max(1.0, R)
-        rs, Rs, ds = r / u, R / u, d / u
-        residual = abs((Rs - rs) ** 2 - rs**2 - ds * ds)
-        if residual > 1e-9:
+        # |(R-r)^2 - r^2 - d^2| <= DEFAULT_TOL R^2, taken in units of R so
+        # that nothing overflows: a huge d makes ds * ds infinite, which
+        # fails the test (ds ** 2 would raise)
+        rs, ds = r / R, d / R
+        residual = abs((1.0 - rs) ** 2 - rs**2 - ds * ds)
+        if residual > DEFAULT_TOL:
             raise ValueError(
                 f"radii and separation are not a closed configuration: "
-                f"|(R-r)^2 - r^2 - d^2| / max(1, R^2) = {residual:.3g} > 1e-9"
+                f"|(R-r)^2 - r^2 - d^2| / R^2 = {residual:.3g} > {DEFAULT_TOL:g}"
             )
 
     @staticmethod
@@ -100,14 +101,13 @@ class PonceletConfig:
 class Family:
     """A one-parameter family of triangles.
 
-    ``eval`` is total on the open ``domain``; the family degenerates as the
-    parameter approaches ``limit_end``.
+    ``eval`` is total on the open ``domain``, whose lower end is 0; the
+    family degenerates as the parameter approaches 0.
     """
 
     label: str
     eval: Callable[[float], TriangleVariable]
     domain: tuple[float, float]
-    limit_end: float
 
 
 class Model(enum.Enum):
@@ -261,64 +261,50 @@ def chord_tangency_residual(cfg: PonceletConfig, T: TriangleVariable) -> float:
     return abs(_line_distance(B, C, complex(cfg.d, 0.0)) - cfg.r)
 
 
-def inscribed_family(
-    chordB: complex,
-    chordC: complex,
-    circle_center: complex = 0j,
-    circle_radius: float = 1.0,
-) -> Family:
-    """Vertex A revolving on a circle over the fixed chord endpoints B, C.
+#: tangent direction of the unit circle at C = 1
+_TANGENT_AT_C = reduce_mod_pi(math.pi / 2.0)
 
-    The parameter is A's position angle measured from C.  As A reaches C
-    the triangle becomes a double point whose free argument is the tangent
-    direction of the circle at C.
+
+def _chord_triangle(A: complex, B: complex) -> TriangleVariable:
+    """Triangle (A, B, C = 1) with A and B on the unit circle.
+
+    When A reaches C the triangle is a double point whose free argument is
+    the circle's tangent at C.
     """
-    B, C = complex(chordB), complex(chordC)
-    center, radius = complex(circle_center), float(circle_radius)
-    for name, P in (("B", B), ("C", C)):
-        if abs(abs(P - center) - radius) > 1e-9 * max(1.0, radius):
-            raise ValueError(f"chord endpoint {name} is not on the circle")
-    theta_c = cmath.phase(C - center)
-    tangent = reduce_mod_pi(cmath.phase(1j * (C - center)))
+    if abs(A - 1.0) <= DEFAULT_TOL:
+        return from_vertices(1.0, B, 1.0, free_arguments={"b": _TANGENT_AT_C})
+    return from_vertices(A, B, 1.0)
 
-    def _eval(t: float) -> TriangleVariable:
-        A = center + radius * cmath.exp(1j * (theta_c + t))
-        if abs(A - C) <= 1e-9 * radius:
-            return from_vertices(C, B, C, free_arguments={"b": tangent})
-        return from_vertices(A, B, C)
 
+def inscribed_family() -> Family:
+    """Vertex A = e^{it} revolving on the unit circle over the diameter
+    from B = -1 to C = 1, so the angle at A is a right angle.
+
+    At t = 0 the triangle is the double point at C whose free argument is
+    the tangent direction there.
+    """
     return Family(
-        label=f"inscribed[B={B}, C={C}]",
-        eval=_eval,
+        label="inscribed",
+        eval=lambda t: _chord_triangle(cmath.exp(1j * t), -1.0),
         domain=(0.0, 2.0 * math.pi),
-        limit_end=0.0,
     )
 
 
 def constant_angle_family(alpha0: AngleModPi | float) -> Family:
     """Classes with fixed interior angle alpha0 at vertex A.
 
-    A revolves on the unit circle over the chord from B = e^{-2 i alpha0}
-    to C = 1; the inscribed-angle theorem keeps alpha constant.  At the
-    parameter's lower end A reaches C: a double point over [1, 0, -1].
+    A = e^{2it} revolves on the unit circle over the chord from
+    B = e^{-2 i alpha0} to C = 1; the inscribed-angle theorem keeps alpha
+    constant.  At t = 0 A reaches C: a double point over [1, 0, -1].
     """
     a0 = float(reduce_mod_pi(float(alpha0)))
     if a0 <= 0.0:
         raise ValueError("constant angle must be nonzero mod pi")
     B = cmath.exp(-2j * a0)
-    tangent = reduce_mod_pi(math.pi / 2.0)
-
-    def _eval(t: float) -> TriangleVariable:
-        A = cmath.exp(2j * t)
-        if abs(A - 1.0) <= 1e-9:
-            return from_vertices(1.0, B, 1.0, free_arguments={"b": tangent})
-        return from_vertices(A, B, 1.0)
-
     return Family(
         label=f"constant-angle[{a0}]",
-        eval=_eval,
+        eval=lambda t: _chord_triangle(cmath.exp(2j * t), B),
         domain=(0.0, math.pi - a0),
-        limit_end=0.0,
     )
 
 
@@ -348,12 +334,11 @@ def constant_ratio_family(ratio: float) -> Family:
         label=f"constant-ratio[{rr}]",
         eval=_eval,
         domain=(0.0, t_max),
-        limit_end=0.0,
     )
 
 
 def limit_class(f: Family) -> ShapeClass:
-    """Extrapolated limit of class_of(f.eval(limit_end + t)) along SCHEDULE.
+    """Extrapolated limit of class_of(f.eval(t)) as t -> 0 along SCHEDULE.
 
     Sides are tracked in a fixed affine chart of the projective triple and
     angles as unwrapped real sequences; both get a last-two-point Richardson
@@ -361,11 +346,10 @@ def limit_class(f: Family) -> ShapeClass:
     """
     lo, hi = f.domain
     for t in SCHEDULE:
-        if not lo < f.limit_end + t < hi:
-            raise ValueError(f"{f.label}: limit_end + {t} is outside the domain {f.domain}")
-    classes = [class_of(f.eval(f.limit_end + t)) for t in SCHEDULE]
-    mods = classes[-1].sides.moduli()
-    pivot = max(range(3), key=lambda i: (mods[i], -i))
+        if not lo < t < hi:
+            raise ValueError(f"{f.label}: sample point t = {t} is outside the domain {f.domain}")
+    classes = [class_of(f.eval(t)) for t in SCHEDULE]
+    pivot = _pivot(*classes[-1].sides.moduli())
     charts: list[tuple[complex, complex, complex]] = []
     angle_seqs: list[list[float]] = []
     for c in classes:

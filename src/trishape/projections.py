@@ -59,7 +59,7 @@ class TorusPoint:
 
     def __post_init__(self) -> None:
         total = self.p.value + self.q.value + self.r.value
-        if angle_dist(total, 0.0) > 1e-9:
+        if angle_dist(total, 0.0) > DEFAULT_TOL:
             raise ValueError(f"angle triple does not sum to 0 mod pi: {total}")
 
     def as_tuple(self) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
@@ -195,7 +195,7 @@ def torus_fiber_limit(direction: Sequence[float]) -> tuple[float, float, float]:
     d = tuple(float(v) for v in direction)
     if len(d) != 3:
         raise ValueError("direction must be a nonzero real triple")
-    if angle_dist(sum(d), 0.0) > 1e-9:
+    if angle_dist(sum(d), 0.0) > DEFAULT_TOL:
         raise ValueError(f"direction must sum to 0 mod pi: sum = {sum(d)}")
     m = max(abs(d[0]), abs(d[1]), abs(d[0] + d[1]))
     if m == 0.0:

@@ -184,13 +184,13 @@ def psi(b: BlowupCoord) -> ShapeClass:
     )
 
 
-def blowup_equal(b1: BlowupCoord, b2: BlowupCoord, tol: float = DEFAULT_TOL) -> bool:
-    """Equality of blowup coordinates: sides agree and the xi triples differ
-    by a constant diagonal shift."""
-    if proj_dist(b1.sides, b2.sides) > tol:
+def blowup_equal(b1: BlowupCoord, b2: BlowupCoord) -> bool:
+    """Equality of blowup coordinates within ``DEFAULT_TOL``: sides agree and
+    the xi triples differ by a constant diagonal shift."""
+    if proj_dist(b1.sides, b2.sides) > DEFAULT_TOL:
         return False
     diffs = [x - y for x, y in zip(b1.xi, b2.xi)]
-    return all(angle_dist(diffs[0], d) <= tol for d in diffs[1:])
+    return all(angle_dist(diffs[0], d) <= DEFAULT_TOL for d in diffs[1:])
 
 
 def lift_class(c: ShapeClass) -> TriangleVariable:
@@ -257,30 +257,30 @@ def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
     return out
 
 
-def _rep_key(c: ShapeClass, tol: float) -> tuple[float, ...]:
-    """Slot-ordered angles, with those within tol of pi read as near 0, then
-    the side moduli over their largest: independent of the stored side
-    representative."""
-    angles = tuple(v - PI if PI - v <= tol else v for v in map(float, c.angles))
+def _rep_key(c: ShapeClass) -> tuple[float, ...]:
+    """Slot-ordered angles, with those within DEFAULT_TOL of pi read as near
+    0, then the side moduli over their largest: independent of the stored
+    side representative."""
+    angles = tuple(v - PI if PI - v <= DEFAULT_TOL else v for v in map(float, c.angles))
     mods = c.sides.moduli()
     top = max(mods)
     return angles + tuple(m / top for m in mods)
 
 
-def _key_less(k1: tuple[float, ...], k2: tuple[float, ...], tol: float) -> bool:
-    """Lexicographic order in which components within tol count as equal."""
+def _key_less(k1: tuple[float, ...], k2: tuple[float, ...]) -> bool:
+    """Lexicographic order; components within DEFAULT_TOL count as equal."""
     for x, y in zip(k1, k2):
-        if abs(x - y) > tol:
+        if abs(x - y) > DEFAULT_TOL:
             return x < y
     return False
 
 
-def canonical_rep(c: ShapeClass, tol: float = DEFAULT_TOL) -> ShapeClass:
+def canonical_rep(c: ShapeClass) -> ShapeClass:
     """Deterministic orbit representative: the orbit member with the least
-    key (slot-ordered angles, then side moduli), compared with tolerance."""
+    key (slot-ordered angles, then side moduli) within ``DEFAULT_TOL``."""
     best, best_key = None, None
-    for img in orbit(c, tol):
-        key = _rep_key(img, tol)
-        if best is None or _key_less(key, best_key, tol):
+    for img in orbit(c):
+        key = _rep_key(img)
+        if best is None or _key_less(key, best_key):
             best, best_key = img, key
     return best

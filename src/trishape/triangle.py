@@ -226,45 +226,40 @@ _STRATA = {
 }
 
 
-def classify(T: TriangleVariable, tol: float = DEFAULT_TOL) -> DegeneracyType:
+def classify(T: TriangleVariable) -> DegeneracyType:
     """Degeneracy stratum of the triangle.
 
-    Three conditions are tested on the canonical (unit-scale) data:
-    all side-vectors zero; some direction pair zero; all three lines
-    parallel (equal arguments mod pi).  Their eight combinations name the
-    strata.
+    Three conditions are tested on the canonical (unit-scale) data, within
+    ``DEFAULT_TOL``: all side-vectors zero; some direction pair zero; all
+    three lines parallel (equal arguments mod pi).  Their eight combinations
+    name the strata.
     """
     a, b, c = T.sides
     tpl = not (a or b or c)
     pa, pb, pc = T.direction_pairs()
-    dbl = abs(pa) <= tol or abs(pb) <= tol or abs(pc) <= tol
+    dbl = abs(pa) <= DEFAULT_TOL or abs(pb) <= DEFAULT_TOL or abs(pc) <= DEFAULT_TOL
     xa, xb, xc = T.arguments
     smp = (
-        angle_dist(xa, xb) <= tol
-        and angle_dist(xb, xc) <= tol
-        and angle_dist(xa, xc) <= tol
+        angle_dist(xa, xb) <= DEFAULT_TOL
+        and angle_dist(xb, xc) <= DEFAULT_TOL
+        and angle_dist(xa, xc) <= DEFAULT_TOL
     )
     return _STRATA[tpl, dbl, smp]
 
 
-def signed_area2(T: TriangleVariable) -> float:
-    """Twice the signed area of the vertex triple (A, B, C)."""
-    a, b, _c = T.sides
-    return (a.conjugate() * b).imag
-
-
-def orientation(T: TriangleVariable, tol: float = DEFAULT_TOL) -> Orientation:
-    """Sign of the area, tested on the unit-scale direction pairs, so it does
-    not depend on the size of the triangle.  A triple point gets ZERO."""
+def orientation(T: TriangleVariable) -> Orientation:
+    """Sign of the area, tested within ``DEFAULT_TOL`` on the unit-scale
+    direction pairs, so it does not depend on the size of the triangle.  A
+    triple point gets ZERO."""
     a, b, c = T.sides
     if not (a or b or c):
         return Orientation.ZERO
     pa, pb, pc = T.direction_pairs()
     scale = max(abs(pa), abs(pb), abs(pc))
     s2 = (pa.conjugate() * pb).imag
-    if s2 > tol * scale * scale:
+    if s2 > DEFAULT_TOL * scale * scale:
         return Orientation.POSITIVE
-    if s2 < -tol * scale * scale:
+    if s2 < -DEFAULT_TOL * scale * scale:
         return Orientation.NEGATIVE
     return Orientation.ZERO
 

@@ -59,17 +59,17 @@ def test_criterion_10_angle_formula():
     _run("angle-formula")
 
 
-def test_criterion_11_cli_determinism():
+def test_criterion_11_cli_determinism(child_env):
     selftest = subprocess.run(
         [sys.executable, "-m", "trishape.cli", "selftest"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     ok = selftest.returncode == 0 and "FAIL" not in selftest.stdout
     emits = [
         subprocess.run(
             [sys.executable, "-m", "trishape.cli", "emit-figure",
              "--name", "torus-atlas", "--grid", "15"],
-            capture_output=True,
+            capture_output=True, env=child_env,
         ).stdout
         for _ in range(2)
     ]

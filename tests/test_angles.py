@@ -7,11 +7,8 @@ from hypothesis import given, strategies as st
 from trishape.angles import (
     PI,
     AngleModPi,
-    ProjPoint1R,
     angle_dist,
-    lift,
     reduce_mod_pi,
-    rho,
 )
 
 
@@ -62,43 +59,6 @@ def test_angle_dist_triangle_inequality():
     for _ in range(500):
         a, b, c = (rng.uniform(0, PI) for _ in range(3))
         assert angle_dist(a, c) <= angle_dist(a, b) + angle_dist(b, c) + 1e-12
-
-
-def test_proj_point_canonical_form():
-    p = ProjPoint1R(-2.0, 4.0)
-    assert max(abs(p.x), abs(p.y)) == 1.0
-    assert p.x > 0 or (p.x == 0 and p.y > 0)
-    q = ProjPoint1R(1.0, -2.0)
-    assert (p.x, p.y) == (q.x, q.y)
-
-
-def test_proj_point_rejects_origin():
-    with pytest.raises(ValueError):
-        ProjPoint1R(0.0, 0.0)
-
-
-def test_rho_representative_independence():
-    rng = random.Random(6)
-    for _ in range(300):
-        x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        if max(abs(x), abs(y)) < 1e-3:
-            continue
-        lam = rng.choice((1, -1)) * rng.uniform(0.1, 5.0)
-        d = angle_dist(rho(ProjPoint1R(x, y)), rho(ProjPoint1R(lam * x, lam * y)))
-        assert d < 1e-12
-
-
-def test_rho_lift_round_trip():
-    rng = random.Random(7)
-    for _ in range(300):
-        xi = reduce_mod_pi(rng.uniform(0, PI))
-        assert angle_dist(rho(lift(xi)), xi) < 1e-12
-
-
-def test_rho_axis_values():
-    assert angle_dist(rho(ProjPoint1R(1.0, 0.0)), 0.0) < 1e-15
-    assert angle_dist(rho(ProjPoint1R(0.0, 1.0)), PI / 2) < 1e-15
-    assert angle_dist(rho(ProjPoint1R(1.0, 1.0)), PI / 4) < 1e-15
 
 
 @pytest.mark.parametrize(

@@ -206,11 +206,11 @@ def test_emit_figure_torus_atlas_sheets(capsys):
     assert len(sheets) == 2
 
 
-def test_console_entry_point():
+def test_console_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "trishape.cli", "classify",
          "--vertices", "0,0", "1,0", "0,1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["degeneracy"] == "Nondegenerate"

@@ -12,7 +12,7 @@ from trishape.triangle import (
     interior_angles,
     orientation,
 )
-from trishape.shape import ProjTripleC, class_equal, class_of, proj_dist
+from trishape.shape import ProjTripleC, class_dist, class_equal, class_of, proj_dist
 from trishape.projections import DELTA_B, to_sphere, to_torus
 from trishape.families import (
     Model,
@@ -70,9 +70,18 @@ def test_poncelet_config_closes_at_every_scale(k):
     lam = 10.0 ** k
     cfg = PonceletConfig.from_radii(0.5 * lam, 2.0 * lam)
     assert abs(cfg.d / lam - math.sqrt(2.0)) < 1e-12
-    # the bound is 1e-9 * max(1, R^2): relative above R = 1, absolute below
+    # the bound is 1e-9 R^2, relative at every scale
     with pytest.raises(ValueError, match="closed configuration"):
-        PonceletConfig(0.5 * lam, 2.0 * lam, 1.5 * lam if k >= 0 else 1.0)
+        PonceletConfig(0.5 * lam, 2.0 * lam, 1.5 * lam)
+
+
+def test_poncelet_config_closure_is_relative():
+    # residual 3e-10 = R^2 / 3: an absolute bound of 1e-9 accepts it
+    with pytest.raises(ValueError, match="closed configuration"):
+        PonceletConfig(1e-5, 3e-5, 0)
+    # r <= R/2 is relative too: an absolute slack of 1e-12 accepts R = 0
+    with pytest.raises(ValueError, match="r <= R/2"):
+        PonceletConfig(1e-13, 0.0, 0.0)
 
 
 def test_incircle_outcircle_equilateral():
@@ -242,20 +251,23 @@ def test_poncelet_tangency_test_is_relative():
     # which an absolute bound of 1e-8 passes below R of about 1e-2
     for R in (1e-10, 1e-6):
         cfg = PonceletConfig.from_radii(0.3 * R, R)
-        shifted = PonceletConfig(cfg.r * (1 - 1e-6), cfg.R, cfg.d)
+        # the closure check refuses this config, so build it past __post_init__
+        shifted = object.__new__(PonceletConfig)
+        for name, v in (("r", cfg.r * (1 - 1e-6)), ("R", cfg.R), ("d", cfg.d)):
+            object.__setattr__(shifted, name, v)
         with pytest.raises(ValueError, match="tangency"):
             poncelet_family(shifted, 0.5)
 
 
 def test_inscribed_family_thales():
-    fam = inscribed_family(-1.0, 1.0)
+    fam = inscribed_family()
     for t in (0.5, 1.5, 2.5, 4.0):
         T = fam.eval(t)
         assert angle_dist(interior_angles(T)[0], PI / 2) < 1e-9
 
 
 def test_inscribed_family_tangent_limit():
-    fam = inscribed_family(-1.0, 1.0)
+    fam = inscribed_family()
     # free argument at the double point equals the circle's tangent at C
     T0 = fam.eval(0.0)
     assert classify(T0) is DegeneracyType.DOUBLE
@@ -267,13 +279,22 @@ def test_inscribed_family_tangent_limit():
 
 
 def test_inscribed_family_orientation_flip_continuity():
-    fam = inscribed_family(-1.0, 1.0)
+    fam = inscribed_family()
     eps = 1e-6
     before = fam.eval(2 * PI - eps)
     after = fam.eval(eps)
     assert orientation(before) is not orientation(after)
     for x, y in zip(interior_angles(before), interior_angles(after)):
         assert angle_dist(x, y) < 1e-3
+
+
+def test_inscribed_angle_theorem():
+    # A = e^{2it} sees the diameter from -1 to 1 at the angle pi/2
+    inscribed, right = inscribed_family(), constant_angle_family(PI / 2)
+    for k in range(102):
+        t = (PI / 2) * k / 102
+        c1, c2 = class_of(inscribed.eval(2 * t)), class_of(right.eval(t))
+        assert class_dist(c1, c2) < 1e-12
 
 
 def test_constant_angle_family_keeps_alpha():
@@ -323,13 +344,14 @@ def test_limit_class_constant_family_is_identity():
     from trishape.families import Family
 
     T = from_vertices(0, 1, 0.3 + 0.8j)
-    fam = Family("const", lambda t: T, (0.0, 1.0), 0.0)
+    fam = Family("const", lambda t: T, (0.0, 1.0))
     assert class_equal(limit_class(fam), class_of(T), 1e-9)
 
 
 @pytest.mark.parametrize("ratio", [1e-6, 1e6])
 def test_limit_class_refuses_a_schedule_outside_the_domain(ratio):
-    with pytest.raises(ValueError, match=r"limit_end \+ 0\.001 is outside the domain"):
+    with pytest.raises(ValueError,
+                       match=r"t = 0\.001 is outside the domain \(0\.0, 1\.0000000000\d*e-06\)"):
         limit_class(constant_ratio_family(ratio))
 
 
