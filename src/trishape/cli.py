@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from typing import Sequence
 
@@ -66,11 +67,15 @@ def _levels(text: str) -> list[float]:
     return levels
 
 
-def _grid(text: str) -> int:
-    grid = int(text)
-    if grid < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {grid}")
-    return grid
+def _at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
 
 
 def _pair(text: str) -> tuple[str, list[float]]:
@@ -271,13 +276,23 @@ def _cmd_emit_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token of "-" followed by a digit or "." as a value, so
+    ``-1,0``, ``-1e-3`` and ``-.5`` are numbers; argparse alone takes only
+    ``-N`` and ``-N.N``.  No option of this CLI starts that way."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trishape",
         description="Triangle similarity classes, their moduli surface, and "
         "its sphere/torus projections.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_triangle_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--vertices", nargs=3, type=_complex, required=True, metavar="RE,IM",
@@ -305,14 +320,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="family parameter: one for constant-angle and constant-ratio")
     p.add_argument("--r", type=float, default=0.5, help="inradius (poncelet)")
     p.add_argument("--R", type=float, default=2.0, help="circumradius (poncelet)")
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=_at_least(1), default=32, help="at least 1")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser("poncelet", help="one revolving orbit with closure residuals")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--R", type=float, required=True)
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=_at_least(1), default=32, help="at least 1")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_poncelet)
 
@@ -332,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "torus-atlas"), required=True)
     p.add_argument("--levels", type=_levels, default="0.1,0.2,0.3,0.4",
                    help="contour levels for poncelet-levels, each in (0, 0.5]")
-    p.add_argument("--grid", type=_grid, default=50, help="grid size, at least 2")
+    p.add_argument("--grid", type=_at_least(2), default=50, help="grid size, at least 2")
     p.set_defaults(fn=_cmd_emit_figure)
 
     return parser

@@ -13,14 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .angles import DEFAULT_TOL, PI, AngleModPi, _wrap_pi, angle_dist, reduce_mod_pi
-from .triangle import (
-    SLOTS,
-    GroupElement,
-    TriangleVariable,
-    act,
-    from_sides,
-    interior_angles,
-)
+from .triangle import SLOTS, GroupElement, TriangleVariable, from_sides, interior_angles
 
 
 def _pivot(ma: float, mb: float, mc: float) -> int:
@@ -224,29 +217,60 @@ def lift_class(c: ShapeClass) -> TriangleVariable:
     return from_sides(*snapped, free_arguments=free or None)
 
 
+#: (i, j, k, flip) of the 12 symmetries, in the order orbit lists their images
+_GROUP = tuple((*g.perm, g.flip) for g in GroupElement.all_elements())
+
+
+def _images(T: TriangleVariable, elements=_GROUP) -> list[ShapeClass]:
+    """class_of(act(g, T)) for each (i, j, k, flip), to the bit, built from
+    T's direction sextuple and arguments with no image triangle.
+
+    T.directions is canonical, so its largest |coordinate| is exactly 1.0,
+    also after the pairs are permuted and, under the flip, their imaginary
+    parts negated.  act's re-canonicalization then divides by +-1.0, which
+    is exact: it is one global negation when the first nonzero coordinate is
+    negative.  The flip negates every argument mod pi.
+    """
+    d = T.directions
+    x = (T.arguments[0].value, T.arguments[1].value, T.arguments[2].value)
+    nx = (_wrap_pi(-x[0]), _wrap_pi(-x[1]), _wrap_pi(-x[2]))
+    out = []
+    for i, j, k, flip in elements:
+        u0, v0 = d[2 * i], d[2 * i + 1]
+        u1, v1 = d[2 * j], d[2 * j + 1]
+        u2, v2 = d[2 * k], d[2 * k + 1]
+        w = x
+        if flip:
+            v0, v1, v2, w = -v0, -v1, -v2, nx
+        if (u0 or v0 or u1 or v1 or u2 or v2) < 0.0:
+            u0, v0, u1, v1, u2, v2 = -u0, -v0, -u1, -v1, -u2, -v2
+        wa, wb, wc = w[i], w[j], w[k]
+        out.append(ShapeClass(
+            sides=ProjTripleC(complex(u0, v0), complex(u1, v1), complex(u2, v2)),
+            angles=(AngleModPi(wb - wc), AngleModPi(wc - wa), AngleModPi(wa - wb)),
+        ))
+    return out
+
+
 def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
-    """Induced symmetry on classes, computed through any lift."""
-    return class_of(act(g, lift_class(c)))
-
-
-#: the 12 symmetries, in the order orbit lists their images
-_GROUP = tuple(GroupElement.all_elements())
+    """Induced symmetry on classes: the image of a lift of the class, read
+    off its direction data (``triangle.act`` is the independent path)."""
+    return _images(lift_class(c), ((*g.perm, g.flip),))[0]
 
 
 def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
     """Deduplicated images of the class under all 12 symmetries.
 
-    One lift serves every image.  An image is kept unless it is class_equal
-    to an earlier kept one; only kept images whose first angle lies in the
-    same or a neighbouring bucket of R/pi are compared, since buckets are at
-    least 2 tol wide and class_equal needs the first angles within tol.
+    One lift serves every image, and no image triangle is built.  An image
+    is kept unless it is class_equal to an earlier kept one; only kept
+    images whose first angle lies in the same or a neighbouring bucket of
+    R/pi are compared, since buckets are at least 2 tol wide and class_equal
+    needs the first angles within tol.
     """
-    T = lift_class(c)
     n = max(1, int(PI / max(2.0 * tol, 1e-18)))  # buckets of width pi/n >= 2 tol
     buckets: dict[int, list[ShapeClass]] = {}
     out: list[ShapeClass] = []
-    for g in _GROUP:
-        img = class_of(act(g, T))
+    for img in _images(lift_class(c)):
         b = int(img.angles[0].value * n / PI) % n
         near = {(b - 1) % n, b, (b + 1) % n}  # the wrap at pi joins buckets n-1 and 0
         if not any(

@@ -1,0 +1,30 @@
+"""The traced benchmark stays runnable.
+
+``perfbench/run.py --trace 1`` wraps every public function of the package
+and derives per-call figures from the counts, so a change inside the
+package can make it fail while every other test passes.  A zero-second
+run of each in-process workload must still end in a result line with
+``"correct": true``.  It writes only under the git-ignored
+``perfbench/out/``.
+"""
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["pipeline", "catalog"])
+def test_traced_workload_runs_and_is_correct(workload):
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+            "--seconds", "0", "--trace", "1"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

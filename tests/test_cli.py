@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from trishape.cli import _emit, main
+from trishape.shape import class_of, orbit
+from trishape.triangle import from_vertices
 
 DATA = Path(__file__).parent / "data"
 
@@ -145,6 +147,49 @@ def test_non_finite_vertices_are_a_usage_error(capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--vertices" in captured.err
+
+
+@pytest.mark.parametrize("command", [["classify"], ["orbit"], ["project", "--model", "dyck"]])
+def test_negative_vertex_coordinates_are_values(capsys, command):
+    """'-1,0' is a vertex, not an unknown option."""
+    code, out, _ = run_cli(capsys, *command, "--vertices", "0,0", "-1,0", "0,1")
+    assert code == 0
+    c = class_of(from_vertices(0, -1, 1j))
+    data = json.loads(out)
+    if command[0] == "classify":
+        assert data["angles"] == [float(x) for x in c.angles]
+    elif command[0] == "orbit":
+        assert data["classes"] == [img.to_json() for img in orbit(c)]
+    else:
+        assert data == c.to_json()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--vertices", "0,0", "0,0", "0,0", "--directions", "1", "0", "-1e-3", "0",
+     "0", "0"],
+    ["trace", "--family", "constant-ratio", "--param", "-1e-3"],
+    ["trace", "--family", "constant-ratio", "--param", "-0.001"],
+], ids=["directions", "param-exponent", "param-decimal"])
+def test_negative_values_in_exponent_form_reach_the_domain_check(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--family", "poncelet", "--samples", "-3"],
+    ["trace", "--family", "inscribed", "--samples", "0"],
+    ["poncelet", "--r", "0.5", "--R", "2.0", "--samples", "-1"],
+    ["poncelet", "--r", "0.5", "--R", "2.0", "--samples", "0"],
+], ids=["trace-negative", "trace-zero", "poncelet-negative", "poncelet-zero"])
+def test_samples_below_one_are_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples" in captured.err
 
 
 def test_overflowing_side_vectors_are_a_domain_error(capsys):

@@ -1,12 +1,14 @@
 import cmath
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from trishape.angles import PI, angle_dist, reduce_mod_pi
-from trishape.triangle import Orientation, from_sides, from_vertices, orientation
-from trishape.shape import ProjTripleC, ShapeClass, class_equal, class_of, proj_dist
+from trishape.triangle import GroupElement, Orientation, from_sides, from_vertices, orientation
+from trishape.shape import ProjTripleC, ShapeClass, act_class, class_equal, class_of, proj_dist
 from trishape.projections import (
     DELTA_A,
     DELTA_B,
@@ -245,3 +247,55 @@ def test_fiber_limit_is_canonical():
         assert max(abs(v) for v in limit) == pytest.approx(1.0, abs=1e-15)
         assert next(v for v in limit if v != 0.0) > 0.0
         assert proj_dist(ProjTripleC(a0, b0, -a0 - b0), ProjTripleC(*limit)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# similarity invariance and equivariance of both blowdowns
+
+_coord = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _vertices(draw):
+    """A well-conditioned nondegenerate, collinear or double shape of unit
+    size."""
+    P = complex(draw(_coord), draw(_coord))
+    u = cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    kind = draw(st.sampled_from(("nondegenerate", "collinear", "double")))
+    if kind == "nondegenerate":
+        height = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(0.1, 1.0))
+        B, C = P + u, P + complex(draw(_coord), height) * u
+        assume(min(abs(C - B), abs(C - P)) > 1e-2)
+        return (P, B, C)
+    if kind == "collinear":
+        t = [draw(_coord) for _ in range(3)]
+        assume(min(abs(t[0] - t[1]), abs(t[1] - t[2]), abs(t[0] - t[2])) > 1e-2)
+        return tuple(P + ti * u for ti in t)
+    Q = P + draw(st.floats(0.1, 1.0)) * u
+    return draw(st.sampled_from(((P, P, Q), (P, Q, P), (Q, P, P))))
+
+
+@given(_vertices(), st.integers(-300, 300), st.floats(0.0, 2 * math.pi), _coord, _coord)
+def test_blowdowns_are_similarity_invariant(verts, k, turn, tx, ty):
+    """Scale 10^k, rotation and translation move neither image."""
+    c = class_of(from_vertices(*verts))
+    f = 10.0**k * cmath.exp(1j * turn)
+    shift = 10.0**k * complex(tx, ty)
+    moved = class_of(from_vertices(*(f * v + shift for v in verts)))
+    assert sphere_dist(to_sphere(moved), to_sphere(c)) < 1e-12
+    assert torus_dist(to_torus(moved), to_torus(c)) < 1e-12
+
+
+def _odd(perm):
+    return sum(1 for i, j in itertools.combinations(range(3), 2) if perm[i] > perm[j]) % 2 == 1
+
+
+@given(_vertices(), st.sampled_from(GroupElement.all_elements()))
+def test_torus_image_moves_by_the_signed_permutation(verts, g):
+    """to_torus(act_class(g, c)) = (s t_i, s t_j, s t_k) mod pi, where s = -1
+    exactly when g flips orientation or permutes oddly, but not both."""
+    c = class_of(from_vertices(*verts))
+    t = [x.value for x in to_torus(c).as_tuple()]
+    s = -1.0 if g.flip ^ _odd(g.perm) else 1.0
+    got = to_torus(act_class(g, c)).as_tuple()
+    assert max(angle_dist(x, s * t[p]) for x, p in zip(got, g.perm)) < 1e-12

@@ -1,7 +1,9 @@
 import cmath
+import hashlib
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,12 @@ def _random_double(rng):
     z = cmath.exp(1j * rng.uniform(0, 2 * PI))
     free = {"b": reduce_mod_pi(rng.uniform(0, PI))}
     return class_of(from_sides(z, 0, -z, free_arguments=free))
+
+
+def _hex(c):
+    """float.hex of every number of a class, so the sign of a zero counts."""
+    return ([float.hex(v) for z in c.sides.as_tuple() for v in (z.real, z.imag)]
+            + [float.hex(x.value) for x in c.angles])
 
 
 def test_proj_triple_rejects_bad_input():
@@ -163,12 +171,15 @@ def test_lift_class_round_trip():
 
 
 def test_act_class_matches_action_on_lifts():
+    """act_class reads the image off the lift without building it, to the
+    bit of class_of(act(g, lift))."""
     rng = random.Random(25)
-    for _ in range(50):
-        c = _random_class(rng)
-        g = rng.choice(GroupElement.all_elements())
+    classes = [_random_class(rng) for _ in range(30)] + [_random_double(rng) for _ in range(10)]
+    classes.append(class_of(from_sides(0, 0, 0, directions=(1.0, 0.0, -0.5, 0.5, -0.5, -0.5))))
+    for c in classes:
         T = lift_class(c)
-        assert class_dist(act_class(g, c), class_of(act(g, T))) < 1e-9
+        for g in GroupElement.all_elements():
+            assert _hex(act_class(g, c)) == _hex(class_of(act(g, T)))
 
 
 def test_orbit_sizes():
@@ -216,14 +227,20 @@ def _base_shape(kind, rng):
     if kind == "isosceles":
         h = rng.choice((rng.uniform(0.2, 0.8), rng.uniform(0.95, 2.0)))
         return (complex(0.5, h), 0j, 1 + 0j), None
+    if kind == "right-isosceles":
+        return (complex(0.5, 0.5), 0j, 1 + 0j), None
     if kind == "equilateral":
         return (complex(0.5, math.sqrt(3) / 2), 0j, 1 + 0j), None
     if kind == "simple":
         return (0j, complex(rng.uniform(0.25, 0.4)), 1 + 0j), None
+    if kind == "midpoint-simple":  # A at the midpoint of BC
+        return (0.5 + 0j, 0j, 1 + 0j), None
     line = cmath.exp(1j * rng.uniform(0, 2 * PI))
     verts = (0j, line, line)
     if kind == "doubled-simple":
         return verts, None
+    if kind == "perpendicular-double":
+        return verts, cmath.phase(line) + PI / 2
     offset = rng.choice((rng.uniform(0.1, PI / 2 - 0.1), rng.uniform(PI / 2 + 0.1, PI - 0.1)))
     return verts, cmath.phase(line) + offset  # double with a free argument
 
@@ -246,10 +263,15 @@ def _copy(verts, free, rng):
     return class_of(from_vertices(*moved, free_arguments=args))
 
 
-@pytest.mark.parametrize("kind, size", [
-    ("scalene", 12), ("isosceles", 6), ("simple", 6), ("doubled-simple", 3),
-    ("double", 6), ("equilateral", 2),
-])
+#: every kind of base shape, with its orbit size under the 12 symmetries
+_ORBIT_SIZES = [
+    ("scalene", 12), ("isosceles", 6), ("right-isosceles", 6), ("simple", 6),
+    ("midpoint-simple", 3), ("doubled-simple", 3), ("double", 6),
+    ("perpendicular-double", 3), ("equilateral", 2),
+]
+
+
+@pytest.mark.parametrize("kind, size", _ORBIT_SIZES)
 def test_canonical_rep_agrees_across_copies(kind, size):
     rng = random.Random(28)
     for _ in range(30):
@@ -311,7 +333,7 @@ def test_orbit_matches_pairwise_dedup(tol):
     sizes = set()
     for c in classes:
         want = _pairwise_orbit(c, tol)
-        assert orbit(c, tol) == want
+        assert [_hex(img) for img in orbit(c, tol)] == [_hex(img) for img in want]
         sizes.add(len(want))
     if tol == 10.0:
         # every pair of classes is within 10 of each other
@@ -371,3 +393,52 @@ def test_scalene_orbit_tells_images_apart_by_angles(monkeypatch):
     assert calls == []
     assert len(orbit(_random_double(random.Random(3)))) == 6
     assert calls  # equal images are still confirmed on their sides
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the group action against recorded outputs
+#
+# Regenerate with ``PYTHONPATH=src python tests/test_shape.py``, and only for
+# an output change that is intended and documented.
+
+ORBIT_GOLDEN = Path(__file__).parent / "data" / "orbit_golden.json"
+
+def _golden_classes():
+    """(label, class) pairs: seeded copies of every kind of base shape, then
+    the edge classes at DEFAULT_TOL and at 1e-6."""
+    rng = random.Random(30)
+    out = []
+    for kind, _ in _ORBIT_SIZES:
+        for n in range(3):
+            out.append((f"{kind} {n}", _copy(*_base_shape(kind, rng), rng)))
+    for tol in (DEFAULT_TOL, 1e-6):
+        out += [(f"edge {tol:g} {n}", c) for n, c in enumerate(_edge_classes(tol))]
+    return out
+
+
+def _action_digest(c):
+    """sha256 of every number that orbit (at DEFAULT_TOL and 1e-6),
+    canonical_rep and act_class (for all 12 elements) give for the class."""
+    out = {
+        "orbit": [_hex(img) for img in orbit(c)],
+        "orbit_1e-6": [_hex(img) for img in orbit(c, 1e-6)],
+        "canonical_rep": _hex(canonical_rep(c)),
+        "act_class": [_hex(act_class(g, c)) for g in GroupElement.all_elements()],
+    }
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+def test_group_action_is_bit_identical():
+    data = json.loads(ORBIT_GOLDEN.read_text())
+    cases = _golden_classes()
+    assert [rec["label"] for rec in data] == [label for label, _ in cases]
+    for rec, (label, c) in zip(data, cases):
+        assert _hex(c) == rec["class"], f"input class {label} changed"
+        assert _action_digest(c) == rec["sha256"], f"{label}: {rec['class']}"
+
+
+if __name__ == "__main__":
+    records = [{"label": label, "class": _hex(c), "sha256": _action_digest(c)}
+               for label, c in _golden_classes()]
+    ORBIT_GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+    print(f"wrote {len(records)} classes to {ORBIT_GOLDEN}")
