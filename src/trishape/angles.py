@@ -66,6 +66,16 @@ class AngleModPi:
         return v < tol or PI - v < tol
 
 
+def _interior(xa: float, xb: float, xc: float) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
+    """(alpha, beta, gamma) = (xi_b - xi_c, xi_c - xi_a, xi_a - xi_b) mod pi."""
+    return (AngleModPi(xb - xc), AngleModPi(xc - xa), AngleModPi(xa - xb))
+
+
+def _scaled(z: complex, k: int) -> complex:
+    """z * 2^k, exact unless a part overflows or falls below the normal range."""
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
 def reduce_mod_pi(x: float) -> AngleModPi:
     """Reduce a real number of radians to its class mod pi."""
     return AngleModPi(x)

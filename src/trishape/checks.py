@@ -11,14 +11,12 @@ import math
 import random
 from typing import Callable
 
-from .angles import PI, AngleModPi, angle_dist, reduce_mod_pi
+from .angles import PI, angle_dist, reduce_mod_pi
 from .triangle import (
-    DegeneracyType,
     GroupElement,
     Orientation,
     TriangleVariable,
     act,
-    classify,
     from_sides,
     from_vertices,
     interior_angles,
@@ -26,10 +24,10 @@ from .triangle import (
     vertex_angle,
 )
 from .shape import (
-    BlowupCoord,
     ProjTripleC,
     ShapeClass,
     act_class,
+    blowup_dist,
     class_dist,
     class_of,
     orbit,
@@ -158,12 +156,6 @@ def random_torus_point(rng: random.Random) -> TorusPoint:
 # checks
 
 
-def _blowup_dist(b1: BlowupCoord, b2: BlowupCoord) -> float:
-    diffs = [x - y for x, y in zip(b1.xi, b2.xi)]
-    spread = max(angle_dist(diffs[0], d) for d in diffs[1:])
-    return proj_dist(b1.sides, b2.sides) + spread
-
-
 def check_bijection() -> tuple[bool, str]:
     """Round trips between classes and blowup coordinates are the identity."""
     rng = random.Random(SEED + 1)
@@ -173,7 +165,7 @@ def check_bijection() -> tuple[bool, str]:
     for c in classes:
         b = phi(c)
         worst = max(worst, class_dist(psi(b), c))
-        worst = max(worst, _blowup_dist(phi(psi(b)), b))
+        worst = max(worst, blowup_dist(phi(psi(b)), b))
     return worst < 1e-9, f"max round-trip error {worst:.3e} over {len(classes)} classes"
 
 

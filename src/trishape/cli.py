@@ -45,9 +45,12 @@ _PAIR_PARAMS = {"inscribed": 0, "constant-angle": 2, "constant-ratio": 2}
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
+    return values
 
 
 def _finite(text: str) -> float:
@@ -94,8 +97,6 @@ def _complex(text: str) -> complex:
     re_im = _floats(text)
     if len(re_im) != 2:
         raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
-    if not all(map(math.isfinite, re_im)):
-        raise argparse.ArgumentTypeError(f"coordinates must be finite, got {text!r}")
     return complex(*re_im)
 
 

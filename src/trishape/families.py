@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .angles import DEFAULT_TOL, AngleModPi, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, AngleModPi, _scaled, angle_dist, reduce_mod_pi
 from .shape import ProjTripleC, ShapeClass, _pivot, class_dist, class_of
 from .triangle import (
     DegeneracyType,
@@ -24,14 +24,7 @@ from .triangle import (
     classify,
     from_vertices,
 )
-from .projections import (
-    SpherePoint,
-    TorusPoint,
-    sphere_dist,
-    to_sphere,
-    to_torus,
-    torus_dist,
-)
+from .projections import sphere_dist, to_sphere, to_torus, torus_dist
 
 
 #: Parameters, approaching 0, at which ``limit_class`` samples a family.
@@ -141,10 +134,6 @@ def _circumcenter(A: complex, B: complex, C: complex) -> complex:
     ox = (na * (by - cy) + nb * (cy - ay) + nc * (ay - by)) / den
     oy = (na * (cx - bx) + nb * (ax - cx) + nc * (bx - ax)) / den
     return complex(ox, oy)
-
-
-def _scaled(z: complex, k: int) -> complex:
-    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
 
 
 def incircle_outcircle(T: TriangleVariable) -> PonceletConfig:
@@ -316,20 +305,24 @@ def constant_ratio_family(ratio: float) -> Family:
     proportional to [1 + ratio, -1, -ratio].
     """
     rr = float(ratio)
-    if rr <= 0.0:
-        raise ValueError("side ratio must be positive")
+    if not 0.0 < rr < math.inf:
+        raise ValueError(f"side ratio must be positive and finite, got {rr}")
+    try:
+        r2, r4 = rr**2, rr**4
+    except OverflowError:
+        raise ValueError(f"side ratio {rr} is too large: its fourth power overflows") from None
 
     def _apex_x(t: float) -> float:
         # |A| = ratio * |A - 1| with A = x + i t
         if rr == 1.0:
             return 0.5
-        disc = rr**4 + (1.0 - rr**2) * (rr**2 - (1.0 - rr**2) * t**2)
-        return (-(rr**2) + math.sqrt(disc)) / (1.0 - rr**2)
+        disc = r4 + (1.0 - r2) * (r2 - (1.0 - r2) * t**2)
+        return (-r2 + math.sqrt(disc)) / (1.0 - r2)
 
     def _eval(t: float) -> TriangleVariable:
         return from_vertices(complex(_apex_x(t), t), 0.0, 1.0)
 
-    t_max = 10.0 if rr == 1.0 else rr / abs(1.0 - rr**2)
+    t_max = 10.0 if rr == 1.0 else rr / abs(1.0 - r2)
     return Family(
         label=f"constant-ratio[{rr}]",
         eval=_eval,

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, AngleModPi, _wrap_pi, angle_dist
+from .angles import DEFAULT_TOL, AngleModPi, _interior, _scaled, _wrap_pi, angle_dist
 from .shape import ProjTripleC, ShapeClass
 
 _K = 2.0 - math.sqrt(3.0)
@@ -38,7 +38,7 @@ class SpherePoint:
 
     def __post_init__(self) -> None:
         n = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:  # NaN fails this test too
             raise ValueError(f"not a unit vector: |({self.x}, {self.y}, {self.z})| = {n}")
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -96,8 +96,15 @@ def hopf(u: complex, v: complex) -> SpherePoint:
     """The Hopf map on nonzero (u, v), scale-invariant for complex scalars.
 
     (u, v) -> (|u|^2 - |v|^2, -2 Im(conj(u) v), 2 Re(conj(u) v)) / (|u|^2 + |v|^2).
+
+    Computed in units of 2^e near the inputs, an exact rescaling, so tiny
+    and huge inputs neither underflow nor overflow.
     """
     u, v = complex(u), complex(v)
+    if not (cmath.isfinite(u) and cmath.isfinite(v)):
+        raise ValueError(f"hopf needs finite input, got ({u}, {v})")
+    e = math.frexp(max(abs(u.real), abs(u.imag), abs(v.real), abs(v.imag)))[1]
+    u, v = _scaled(u, -e), _scaled(v, -e)
     n = abs(u) ** 2 + abs(v) ** 2
     if n == 0.0:
         raise ValueError("hopf is undefined at (0, 0)")
@@ -178,8 +185,7 @@ def torus_inverse(t: TorusPoint) -> ShapeClass:
     if any(zero):
         sides = [0j if z else s for z, s in zip(zero, raw)]
         return ShapeClass(sides=ProjTripleC(*sides), angles=t.as_tuple())
-    xa, xb, xc = (_wrap_pi(cmath.phase(s)) for s in raw)
-    angles = (AngleModPi(xb - xc), AngleModPi(xc - xa), AngleModPi(xa - xb))
+    angles = _interior(*(_wrap_pi(cmath.phase(s)) for s in raw))
     return ShapeClass(sides=ProjTripleC(*raw), angles=angles)
 
 

@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, _wrap_pi, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _wrap_pi, angle_dist, reduce_mod_pi
 from .triangle import SLOTS, GroupElement, TriangleVariable, from_sides, interior_angles
 
 
@@ -104,9 +104,17 @@ class ShapeClass:
 
     @staticmethod
     def from_json(data: dict) -> "ShapeClass":
-        sides = ProjTripleC(*(complex(s[0], s[1]) for s in data["sides"]))
-        angles = tuple(reduce_mod_pi(v) for v in data["angles"])
-        return ShapeClass(sides=sides, angles=angles)
+        """Read back :meth:`to_json`; a malformed field raises ``ValueError``
+        that names it."""
+        try:
+            a, b, c = (complex(x, y) for x, y in data["sides"])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError("'sides' must be three [re, im] pairs") from None
+        try:
+            alpha, beta, gamma = (reduce_mod_pi(v) for v in data["angles"])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError("'angles' must be three finite numbers") from None
+        return ShapeClass(sides=ProjTripleC(a, b, c), angles=(alpha, beta, gamma))
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,13 +126,6 @@ class BlowupCoord:
 
     sides: ProjTripleC
     xi: tuple[AngleModPi, AngleModPi, AngleModPi]
-
-    def to_json(self) -> dict:
-        return {
-            "sides": self.sides.to_json(),
-            "xi": [float(x) for x in self.xi],
-            "gauge": "largest-side-zero",
-        }
 
 
 def _gauge_fix(
@@ -170,20 +171,17 @@ def psi(b: BlowupCoord) -> ShapeClass:
 
     Independent of the diagonal representative of [xi_a, xi_b, xi_c].
     """
-    xa, xb, xc = b.xi[0].value, b.xi[1].value, b.xi[2].value
-    return ShapeClass(
-        sides=b.sides,
-        angles=(AngleModPi(xb - xc), AngleModPi(xc - xa), AngleModPi(xa - xb)),
-    )
+    xi = b.xi
+    return ShapeClass(sides=b.sides, angles=_interior(xi[0].value, xi[1].value, xi[2].value))
 
 
-def blowup_equal(b1: BlowupCoord, b2: BlowupCoord) -> bool:
-    """Equality of blowup coordinates within ``DEFAULT_TOL``: sides agree and
-    the xi triples differ by a constant diagonal shift."""
-    if proj_dist(b1.sides, b2.sides) > DEFAULT_TOL:
-        return False
+def blowup_dist(b1: BlowupCoord, b2: BlowupCoord) -> float:
+    """Distance of blowup coordinates: chordal side distance plus the worst
+    spread of the xi differences, which is 0 exactly when the xi triples
+    differ by a constant diagonal shift."""
     diffs = [x - y for x, y in zip(b1.xi, b2.xi)]
-    return all(angle_dist(diffs[0], d) <= DEFAULT_TOL for d in diffs[1:])
+    spread = max(angle_dist(diffs[0], d) for d in diffs[1:])
+    return proj_dist(b1.sides, b2.sides) + spread
 
 
 def lift_class(c: ShapeClass) -> TriangleVariable:
@@ -192,28 +190,20 @@ def lift_class(c: ShapeClass) -> TriangleVariable:
     Free arguments at a zero side are reconstructed from the stored angles
     so that class_of(lift_class(c)) == c.
     """
-    a, b, cc = c.sides.as_tuple()
-    alpha, beta, gamma = c.angles
-    scale = max(abs(a), abs(b), abs(cc))
+    sides, mods = c.sides.as_tuple(), c.sides.moduli()
+    zero_tol = 1e-13 * max(mods)
     free: dict[str, AngleModPi] = {}
-    mods = [abs(a), abs(b), abs(cc)]
-    zero_tol = 1e-13 * scale
     for i, slot in enumerate(SLOTS):
         if mods[i] > zero_tol:
             continue
-        # solve the cross-product relation for the missing argument
-        others = [j for j in range(3) if j != i]
-        ref = others[0]
-        vref = (a, b, cc)[ref]
-        xi_ref = reduce_mod_pi(math.atan2(vref.imag, vref.real))
-        # alpha = xi_b - xi_c, beta = xi_c - xi_a, gamma = xi_a - xi_b
-        if i == 0:  # xi_a = xi_b + gamma = xi_c - beta
-            free["a"] = (xi_ref + gamma) if ref == 1 else (xi_ref - beta)
-        elif i == 1:  # xi_b = xi_a - gamma = xi_c + alpha
-            free["b"] = (xi_ref - gamma) if ref == 0 else (xi_ref + alpha)
-        else:  # xi_c = xi_a + beta = xi_b - alpha
-            free["c"] = (xi_ref + beta) if ref == 0 else (xi_ref - alpha)
-    snapped = [0j if mods[i] <= zero_tol else (a, b, cc)[i] for i in range(3)]
+        # theta_m = xi_(m+1) - xi_(m+2), indices mod 3, with r the first other
+        # slot and m the third; solved for the missing argument xi_i
+        r, m = (1, 2) if i == 0 else (0, 3 - i)
+        v = sides[r]
+        xi_r = reduce_mod_pi(math.atan2(v.imag, v.real))
+        theta = c.angles[m]
+        free[slot] = xi_r + theta if i == (m + 1) % 3 else xi_r - theta
+    snapped = [0j if mods[i] <= zero_tol else sides[i] for i in range(3)]
     return from_sides(*snapped, free_arguments=free or None)
 
 
@@ -244,10 +234,9 @@ def _images(T: TriangleVariable, elements=_GROUP) -> list[ShapeClass]:
             v0, v1, v2, w = -v0, -v1, -v2, nx
         if (u0 or v0 or u1 or v1 or u2 or v2) < 0.0:
             u0, v0, u1, v1, u2, v2 = -u0, -v0, -u1, -v1, -u2, -v2
-        wa, wb, wc = w[i], w[j], w[k]
         out.append(ShapeClass(
             sides=ProjTripleC(complex(u0, v0), complex(u1, v1), complex(u2, v2)),
-            angles=(AngleModPi(wb - wc), AngleModPi(wc - wa), AngleModPi(wa - wb)),
+            angles=_interior(w[i], w[j], w[k]),
         ))
     return out
 

@@ -13,9 +13,9 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, AngleModPi, _interior, angle_dist, reduce_mod_pi
 
 SLOTS = ("a", "b", "c")
 
@@ -54,14 +54,6 @@ def canonical_directions(coords: Sequence[float]) -> tuple[float, ...]:
     return (v0 / m, v1 / m, v2 / m, v3 / m, v4 / m, v5 / m)
 
 
-def _direction_pairs(directions: Sequence[float]) -> tuple[complex, complex, complex]:
-    return (
-        complex(directions[0], directions[1]),
-        complex(directions[2], directions[3]),
-        complex(directions[4], directions[5]),
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class TriangleVariable:
     """Full geometric variable of a labeled, oriented triangle.
@@ -85,45 +77,8 @@ class TriangleVariable:
         return (self.basepoint - c, self.basepoint, self.basepoint + a)
 
     def direction_pairs(self) -> tuple[complex, complex, complex]:
-        return _direction_pairs(self.directions)
-
-    def to_json(self) -> dict:
-        return {
-            "basepoint": [self.basepoint.real, self.basepoint.imag],
-            "sides": [[s.real, s.imag] for s in self.sides],
-            "directions": list(self.directions),
-            "arguments": [float(x) for x in self.arguments],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "TriangleVariable":
-        try:
-            sides = [complex(s[0], s[1]) for s in data["sides"]]
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ValueError(f"malformed triangle JSON at 'sides': {exc}") from exc
-        if len(sides) != 3:
-            raise ValueError(f"malformed triangle JSON at 'sides': expected 3 "
-                             f"side-vectors, got {len(sides)}")
-        bp = data.get("basepoint", [0.0, 0.0])
-        try:
-            basepoint = complex(bp[0], bp[1])
-        except (TypeError, IndexError) as exc:
-            raise ValueError(f"malformed triangle JSON at 'basepoint': {exc}") from exc
-        directions = data.get("directions")
-        free = None
-        if "arguments" in data:
-            if len(data["arguments"]) != 3:
-                raise ValueError(f"malformed triangle JSON at 'arguments': expected 3 "
-                                 f"values, got {len(data['arguments'])}")
-            free = {slot: reduce_mod_pi(v) for slot, v in zip(SLOTS, data["arguments"])}
-        return from_sides(
-            sides[0],
-            sides[1],
-            sides[2],
-            basepoint=basepoint,
-            directions=tuple(directions) if directions is not None else None,
-            free_arguments=free,
-        )
+        d = self.directions
+        return (complex(d[0], d[1]), complex(d[2], d[3]), complex(d[4], d[5]))
 
 
 def from_sides(
@@ -265,10 +220,10 @@ def orientation(T: TriangleVariable) -> Orientation:
 
 
 def interior_angles(T: TriangleVariable) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
-    """(alpha, beta, gamma) = (xi_b - xi_c, xi_c - xi_a, xi_a - xi_b) mod pi."""
+    """Interior angles (alpha, beta, gamma) mod pi: differences of the side
+    arguments, as ``angles._interior`` gives them."""
     args = T.arguments
-    xa, xb, xc = args[0].value, args[1].value, args[2].value
-    return (AngleModPi(xb - xc), AngleModPi(xc - xa), AngleModPi(xa - xb))
+    return _interior(args[0].value, args[1].value, args[2].value)
 
 
 def validate(T: TriangleVariable) -> list[str]:
@@ -321,16 +276,6 @@ class GroupElement:
         perm = tuple(other.perm[self.perm[i]] for i in range(3))
         return GroupElement(perm, self.flip ^ other.flip)
 
-    def inverse(self) -> "GroupElement":
-        inv = [0, 0, 0]
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return GroupElement(tuple(inv), self.flip)
-
-    @staticmethod
-    def identity() -> "GroupElement":
-        return GroupElement((0, 1, 2), False)
-
     @staticmethod
     def all_elements() -> list["GroupElement"]:
         return [
@@ -370,6 +315,8 @@ def vertex_angle(T: TriangleVariable, slot: int) -> AngleModPi:
     """
     A, B, C = T.vertices
     corners = {0: (A, B, C), 1: (B, C, A), 2: (C, A, B)}
+    if slot not in corners:
+        raise ValueError(f"slot must be 0, 1 or 2, got {slot!r}")
     P, Q, R = corners[slot]
     u, v = Q - P, R - P
     if abs(u) == 0.0 or abs(v) == 0.0:

@@ -2,9 +2,10 @@
 
 ``perfbench/run.py --trace 1`` wraps every public function of the package
 and derives per-call figures from the counts, so a change inside the
-package can make it fail while every other test passes.  A zero-second
-run of each in-process workload must still end in a result line with
-``"correct": true``.  It writes only under the git-ignored
+package can make it fail while every other test passes.  The traced
+``cli`` run also looks up names such as ``triangle.act`` and the ``checks``
+registry.  A zero-second run of each workload must still end in a result
+line with ``"correct": true``.  It writes only under the git-ignored
 ``perfbench/out/``.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["pipeline", "catalog"])
+@pytest.mark.parametrize("workload", ["pipeline", "catalog", "cli"])
 def test_traced_workload_runs_and_is_correct(workload):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
             "--seconds", "0", "--trace", "1"]

@@ -320,10 +320,28 @@ def test_trace_param_count_is_a_usage_error(capsys, argv):
     assert "--param" in captured.err
 
 
+@pytest.mark.parametrize("family", ["constant-angle", "constant-ratio"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_trace_param_is_a_usage_error(capsys, family, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--family", family, "--param", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--param" in captured.err
+
+
+def test_huge_constant_ratio_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "trace", "--family", "constant-ratio", "--param", "1e100")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: side ratio 1e+100")
+
+
 @pytest.mark.parametrize("pair", [
     "inscribed:1,2", "constant-angle:1", "constant-ratio:1,2,3", "constant-angle:1,x",
-    "no-such-family:1,2",
-], ids=["inscribed-extra", "missing", "extra", "not-a-number", "unknown"])
+    "no-such-family:1,2", "constant-ratio:nan,2", "constant-angle:1,inf",
+], ids=["inscribed-extra", "missing", "extra", "not-a-number", "unknown", "nan", "inf"])
 def test_separate_bad_pair_is_a_usage_error(capsys, pair):
     with pytest.raises(SystemExit) as exc:
         main(["separate", "--pair", pair, "--model", "torus"])

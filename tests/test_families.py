@@ -331,6 +331,13 @@ def test_constant_ratio_family_keeps_ratio():
             assert abs(abs(c) - ratio * abs(b)) < 1e-9
 
 
+@pytest.mark.parametrize("ratio", [math.nan, math.inf, 0.0, -1.0, 1e100])
+def test_constant_ratio_family_refuses_a_bad_ratio(ratio):
+    with pytest.raises(ValueError, match="side ratio") as exc:
+        constant_ratio_family(ratio)
+    assert str(ratio) in str(exc.value)
+
+
 def test_constant_ratio_limits():
     c1 = limit_class(constant_ratio_family(1.0))
     c2 = limit_class(constant_ratio_family(2.0))

@@ -86,9 +86,26 @@ def test_hopf_scale_invariance():
         assert sphere_dist(hopf(lam * u, lam * v), base) < 1e-12
 
 
+@pytest.mark.parametrize("u, v", [
+    (complex("inf"), 1), (complex("nan"), 0), (1, complex(0, -math.inf)),
+])
+def test_hopf_refuses_non_finite_input(u, v):
+    with pytest.raises(ValueError, match="finite"):
+        hopf(u, v)
+
+
+@pytest.mark.parametrize("k", [-300, -200, 200, 300])
+def test_hopf_at_extreme_scales(k):
+    u, v = 0.3 + 0.7j, -1.1 + 0.2j
+    assert sphere_dist(hopf(u * 10.0**k, v * 10.0**k), hopf(u, v)) < 1e-15
+    assert hopf(10.0**k, 0).as_tuple() == (1.0, 0.0, 0.0)
+
+
 def test_sphere_point_must_be_unit():
     with pytest.raises(ValueError):
         SpherePoint(1.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        SpherePoint(math.nan, 0.0, 0.0)
 
 
 def test_double_point_landmarks():

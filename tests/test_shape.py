@@ -16,7 +16,7 @@ from trishape.shape import (
     ProjTripleC,
     ShapeClass,
     act_class,
-    blowup_equal,
+    blowup_dist,
     canonical_rep,
     class_dist,
     class_equal,
@@ -89,6 +89,18 @@ def test_shape_class_from_json_names_an_overflowing_side():
         ProjTripleC(1, -1, complex(1.5e308, 1.5e308))
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"sides": [[1, 0], [-1, 0]], "angles": [0, 0, 0]}, "sides"),
+    ({"sides": [[1], [-1, 0], [0, 0]], "angles": [0, 0, 0]}, "sides"),
+    ({"sides": [[1, 0], [-1, 0], [0, 0]]}, "angles"),
+    ({"sides": [[1, 0], [-1, 0], [0, 0]], "angles": [0, 0, 0, 0]}, "angles"),
+    ([[1, 0], [-1, 0], [0, 0]], "sides"),
+])
+def test_shape_class_from_json_names_a_malformed_field(data, field):
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        ShapeClass.from_json(data)
+
+
 def test_proj_triple_scale_invariance():
     rng = random.Random(21)
     for _ in range(200):
@@ -133,7 +145,7 @@ def test_round_trip_phi_psi():
     rng = random.Random(23)
     for _ in range(200):
         b = phi(_random_class(rng))
-        assert blowup_equal(phi(psi(b)), b)
+        assert blowup_dist(phi(psi(b)), b) <= DEFAULT_TOL
 
 
 def test_blowup_equal_ignores_diagonal_shift():
@@ -142,9 +154,9 @@ def test_blowup_equal_ignores_diagonal_shift():
     shifted = BlowupCoord(
         sides=b.sides, xi=tuple(x + 0.37 for x in b.xi)
     )
-    assert blowup_equal(b, shifted)
+    assert blowup_dist(b, shifted) <= DEFAULT_TOL
     bad = BlowupCoord(sides=b.sides, xi=(b.xi[0] + 0.3, b.xi[1], b.xi[2]))
-    assert not blowup_equal(b, bad)
+    assert blowup_dist(b, bad) > DEFAULT_TOL
 
 
 def test_double_point_fiber_coordinates():
@@ -157,7 +169,7 @@ def test_double_point_fiber_coordinates():
             sides=ProjTripleC(1, 0, -1),
             xi=(reduce_mod_pi(0.0), reduce_mod_pi(val), reduce_mod_pi(0.0)),
         )
-        assert blowup_equal(b, expected)
+        assert blowup_dist(b, expected) <= DEFAULT_TOL
 
 
 def test_lift_class_round_trip():
