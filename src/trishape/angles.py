@@ -66,9 +66,15 @@ class AngleModPi:
         return v < tol or PI - v < tol
 
 
+def _interior_values(xa: float, xb: float, xc: float) -> tuple[float, float, float]:
+    """(alpha, beta, gamma) = (xi_b - xi_c, xi_c - xi_a, xi_a - xi_b), each in [0, pi)."""
+    return (_wrap_pi(xb - xc), _wrap_pi(xc - xa), _wrap_pi(xa - xb))
+
+
 def _interior(xa: float, xb: float, xc: float) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
-    """(alpha, beta, gamma) = (xi_b - xi_c, xi_c - xi_a, xi_a - xi_b) mod pi."""
-    return (AngleModPi(xb - xc), AngleModPi(xc - xa), AngleModPi(xa - xb))
+    """:func:`_interior_values` as angles mod pi, which keep the same bits."""
+    alpha, beta, gamma = _interior_values(xa, xb, xc)
+    return (AngleModPi(alpha), AngleModPi(beta), AngleModPi(gamma))
 
 
 def _scaled(z: complex, k: int) -> complex:

@@ -159,11 +159,11 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    images = class_orbit(class_of(_triangle_from_args(args)))
-    out = {"size": len(images), "classes": [c.to_json() for c in images]}
+    classes = [c.to_json() for c in class_orbit(class_of(_triangle_from_args(args)))]
+    out = {"size": len(classes), "classes": classes}
     rows = [
-        [i] + [v for pair in c.to_json()["sides"] for v in pair] + c.to_json()["angles"]
-        for i, c in enumerate(images)
+        [i] + [v for pair in c["sides"] for v in pair] + c["angles"]
+        for i, c in enumerate(classes)
     ]
     _emit(out, args.format, rows,
           ["index", "a_re", "a_im", "b_re", "b_im", "c_re", "c_im", "alpha", "beta", "gamma"])

@@ -12,7 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _wrap_pi, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _interior_values, _wrap_pi
+from .angles import angle_dist, reduce_mod_pi
 from .triangle import SLOTS, GroupElement, TriangleVariable, from_sides, interior_angles
 
 
@@ -77,16 +78,17 @@ def proj_dist(t1: ProjTripleC, t2: ProjTripleC) -> float:
 
     sin of the Fubini-Study angle: 0 for equal points, 1 for orthogonal ones.
     """
-    v, w = t1.as_tuple(), t2.as_tuple()
-    nv = math.sqrt(sum(abs(x) ** 2 for x in v))
-    nw = math.sqrt(sum(abs(y) ** 2 for y in w))
-    v = [x / nv for x in v]
-    w = [y / nw for y in w]
-    inner = sum(y.conjugate() * x for x, y in zip(v, w))
-    # norm of the component of v orthogonal to w: sin of the angle, computed
+    # each sum starts from the int 0, as sum() does: a -0.0 first term adds as 0.0
+    (x0, x1, x2), (y0, y1, y2) = t1.as_tuple(), t2.as_tuple()
+    nx = math.sqrt(0 + abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2)
+    ny = math.sqrt(0 + abs(y0) ** 2 + abs(y1) ** 2 + abs(y2) ** 2)
+    x0, x1, x2 = x0 / nx, x1 / nx, x2 / nx
+    y0, y1, y2 = y0 / ny, y1 / ny, y2 / ny
+    inner = 0 + y0.conjugate() * x0 + y1.conjugate() * x1 + y2.conjugate() * x2
+    # norm of the component of x orthogonal to y: sin of the angle, computed
     # without the cancellation that sqrt(1 - cos^2) suffers near zero
-    residual = [x - inner * y for x, y in zip(v, w)]
-    return min(1.0, math.sqrt(sum(abs(x) ** 2 for x in residual)))
+    r0, r1, r2 = x0 - inner * y0, x1 - inner * y1, x2 - inner * y2
+    return min(1.0, math.sqrt(0 + abs(r0) ** 2 + abs(r1) ** 2 + abs(r2) ** 2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,73 +213,100 @@ def lift_class(c: ShapeClass) -> TriangleVariable:
 _GROUP = tuple((*g.perm, g.flip) for g in GroupElement.all_elements())
 
 
-def _images(T: TriangleVariable, elements=_GROUP) -> list[ShapeClass]:
-    """class_of(act(g, T)) for each (i, j, k, flip), to the bit, built from
-    T's direction sextuple and arguments with no image triangle.
+def _image_angles(T: TriangleVariable, elements=_GROUP) -> list[tuple[float, float, float]]:
+    """T's image angles under each (i, j, k, flip) as floats; a flip negates the arguments."""
+    x = (T.arguments[0].value, T.arguments[1].value, T.arguments[2].value)
+    nx = (_wrap_pi(-x[0]), _wrap_pi(-x[1]), _wrap_pi(-x[2]))
+    out = []
+    for i, j, k, flip in elements:
+        w = nx if flip else x
+        out.append(_interior_values(w[i], w[j], w[k]))
+    return out
+
+
+def _image(T: TriangleVariable, g: tuple, angles: tuple[float, float, float]) -> ShapeClass:
+    """class_of(act(g, T)) for g = (i, j, k, flip), to the bit, built from
+    T's direction sextuple and g's _image_angles, with no image triangle.
 
     T.directions is canonical, so its largest |coordinate| is exactly 1.0,
     also after the pairs are permuted and, under the flip, their imaginary
     parts negated.  act's re-canonicalization then divides by +-1.0, which
     is exact: it is one global negation when the first nonzero coordinate is
-    negative.  The flip negates every argument mod pi.
+    negative.
     """
+    i, j, k, flip = g
     d = T.directions
-    x = (T.arguments[0].value, T.arguments[1].value, T.arguments[2].value)
-    nx = (_wrap_pi(-x[0]), _wrap_pi(-x[1]), _wrap_pi(-x[2]))
-    out = []
-    for i, j, k, flip in elements:
-        u0, v0 = d[2 * i], d[2 * i + 1]
-        u1, v1 = d[2 * j], d[2 * j + 1]
-        u2, v2 = d[2 * k], d[2 * k + 1]
-        w = x
-        if flip:
-            v0, v1, v2, w = -v0, -v1, -v2, nx
-        if (u0 or v0 or u1 or v1 or u2 or v2) < 0.0:
-            u0, v0, u1, v1, u2, v2 = -u0, -v0, -u1, -v1, -u2, -v2
-        out.append(ShapeClass(
-            sides=ProjTripleC(complex(u0, v0), complex(u1, v1), complex(u2, v2)),
-            angles=_interior(w[i], w[j], w[k]),
-        ))
-    return out
+    u0, v0 = d[2 * i], d[2 * i + 1]
+    u1, v1 = d[2 * j], d[2 * j + 1]
+    u2, v2 = d[2 * k], d[2 * k + 1]
+    if flip:
+        v0, v1, v2 = -v0, -v1, -v2
+    if (u0 or v0 or u1 or v1 or u2 or v2) < 0.0:
+        u0, v0, u1, v1, u2, v2 = -u0, -v0, -u1, -v1, -u2, -v2
+    alpha, beta, gamma = angles
+    return ShapeClass(sides=ProjTripleC(complex(u0, v0), complex(u1, v1), complex(u2, v2)),
+                      angles=(AngleModPi(alpha), AngleModPi(beta), AngleModPi(gamma)))
 
 
 def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
     """Induced symmetry on classes: the image of a lift of the class, read
     off its direction data (``triangle.act`` is the independent path)."""
-    return _images(lift_class(c), ((*g.perm, g.flip),))[0]
+    T, g4 = lift_class(c), (*g.perm, g.flip)
+    return _image(T, g4, _image_angles(T, (g4,))[0])
+
+
+def _members(T: TriangleVariable, tol: float):
+    """(kept, angles, image): the _GROUP indices of the images orbit keeps,
+    the _image_angles of all 12, and image(e), which builds image e once.
+    An image is kept unless it is class_equal to an earlier kept one whose
+    first angle lies in the same or a neighbouring bucket of R/pi (buckets
+    are at least 2 tol wide); sides are built only when all angles agree."""
+    angles = _image_angles(T)
+    built: dict[int, ShapeClass] = {}
+
+    def image(e: int) -> ShapeClass:
+        if e not in built:
+            built[e] = _image(T, _GROUP[e], angles[e])
+        return built[e]
+
+    def equal(e: int, s: int) -> bool:
+        a, o = angles[e], angles[s]
+        return (angle_dist(a[0], o[0]) <= tol and angle_dist(a[1], o[1]) <= tol
+                and angle_dist(a[2], o[2]) <= tol
+                and proj_dist(image(e).sides, image(s).sides) <= tol)
+
+    n = max(1, int(PI / max(2.0 * tol, 1e-18)))  # buckets of width pi/n >= 2 tol
+    buckets: dict[int, list[int]] = {}
+    kept = []
+    for e, a in enumerate(angles):
+        b = int(a[0] * n / PI) % n
+        near = {(b - 1) % n, b, (b + 1) % n}  # the wrap at pi joins buckets n-1 and 0
+        if not any(equal(e, s) for k in near for s in buckets.get(k, ())):
+            buckets.setdefault(b, []).append(e)
+            kept.append(e)
+    return kept, angles, image
 
 
 def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
-    """Deduplicated images of the class under all 12 symmetries.
+    """Deduplicated images of the class under all 12 symmetries, in group
+    order: one lift serves every image, and no image triangle is built."""
+    kept, _, image = _members(lift_class(c), tol)
+    return [image(e) for e in kept]
 
-    One lift serves every image, and no image triangle is built.  An image
-    is kept unless it is class_equal to an earlier kept one; only kept
-    images whose first angle lies in the same or a neighbouring bucket of
-    R/pi are compared, since buckets are at least 2 tol wide and class_equal
-    needs the first angles within tol.
-    """
-    n = max(1, int(PI / max(2.0 * tol, 1e-18)))  # buckets of width pi/n >= 2 tol
-    buckets: dict[int, list[ShapeClass]] = {}
-    out: list[ShapeClass] = []
-    for img in _images(lift_class(c)):
-        b = int(img.angles[0].value * n / PI) % n
-        near = {(b - 1) % n, b, (b + 1) % n}  # the wrap at pi joins buckets n-1 and 0
-        if not any(
-            class_equal(img, seen, tol) for k in near for seen in buckets.get(k, ())
-        ):
-            buckets.setdefault(b, []).append(img)
-            out.append(img)
-    return out
+
+def _angle_key(angles: tuple[float, float, float]) -> tuple[float, float, float]:
+    """Slot-ordered angles, with those within DEFAULT_TOL of pi read as near 0."""
+    a, b, c = angles
+    return (a - PI if PI - a <= DEFAULT_TOL else a,
+            b - PI if PI - b <= DEFAULT_TOL else b,
+            c - PI if PI - c <= DEFAULT_TOL else c)
 
 
 def _rep_key(c: ShapeClass) -> tuple[float, ...]:
-    """Slot-ordered angles, with those within DEFAULT_TOL of pi read as near
-    0, then the side moduli over their largest: independent of the stored
-    side representative."""
-    angles = tuple(v - PI if PI - v <= DEFAULT_TOL else v for v in map(float, c.angles))
+    """The angle key, then the side moduli over the largest: free of the representative."""
     mods = c.sides.moduli()
     top = max(mods)
-    return angles + tuple(m / top for m in mods)
+    return _angle_key(tuple(map(float, c.angles))) + tuple(m / top for m in mods)
 
 
 def _key_less(k1: tuple[float, ...], k2: tuple[float, ...]) -> bool:
@@ -290,10 +319,15 @@ def _key_less(k1: tuple[float, ...], k2: tuple[float, ...]) -> bool:
 
 def canonical_rep(c: ShapeClass) -> ShapeClass:
     """Deterministic orbit representative: the orbit member with the least
-    key (slot-ordered angles, then side moduli) within ``DEFAULT_TOL``."""
-    best, best_key = None, None
-    for img in orbit(c):
-        key = _rep_key(img)
-        if best is None or _key_less(key, best_key):
-            best, best_key = img, key
-    return best
+    key (slot-ordered angles, then side moduli) within ``DEFAULT_TOL``.  An
+    image is built only for the winner and where angles tie and moduli decide."""
+    kept, angles, image = _members(lift_class(c), DEFAULT_TOL)
+    best = kept[0]
+    best_key = _angle_key(angles[best])
+    for e in kept[1:]:
+        key = _angle_key(angles[e])
+        if _key_less(key, best_key) or (
+            not _key_less(best_key, key) and _key_less(_rep_key(image(e)), _rep_key(image(best)))
+        ):
+            best, best_key = e, key
+    return image(best)

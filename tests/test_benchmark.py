@@ -29,3 +29,10 @@ def test_traced_workload_runs_and_is_correct(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    if workload == "catalog":
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+        assert metrics["triangle.from_sides.calls"] > 0, (
+            "the traced catalog op no longer calls triangle.from_sides: "
+            "perfbench/workloads.py:553 divides its self time by its call count")
+        # one canonical_rep per op: 3 blocks of 60 entries
+        assert metrics["shape.canonical_rep.calls"] == metrics["traced_ops"] == 180

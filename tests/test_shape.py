@@ -407,6 +407,113 @@ def test_scalene_orbit_tells_images_apart_by_angles(monkeypatch):
     assert calls  # equal images are still confirmed on their sides
 
 
+def _proj_dist_by_generators(t1, t2):
+    """proj_dist written with sum() over generators and lists."""
+    v, w = (t1.a, t1.b, t1.c), (t2.a, t2.b, t2.c)
+    nv = math.sqrt(sum(abs(x) ** 2 for x in v))
+    nw = math.sqrt(sum(abs(y) ** 2 for y in w))
+    v = [x / nv for x in v]
+    w = [y / nw for y in w]
+    inner = sum(y.conjugate() * x for x, y in zip(v, w))
+    residual = [x - inner * y for x, y in zip(v, w)]
+    return min(1.0, math.sqrt(sum(abs(x) ** 2 for x in residual)))
+
+
+def _outcome(f, t1, t2):
+    """float.hex of the result, or the name of the arithmetic error raised."""
+    try:
+        return float.hex(f(t1, t2))
+    except ArithmeticError as exc:  # squares overflow, or all underflow to 0
+        return type(exc).__name__
+
+
+def test_proj_dist_keeps_the_bits_of_the_generator_form():
+    """Seeded triples, canonical and raw (any three coordinates, as stored
+    without canonicalization), with +-0.0 parts, at scales 1e-200..1e200."""
+    rng = random.Random(31)
+
+    def part(scale):
+        r = rng.random()
+        return 0.0 if r < 0.1 else -0.0 if r < 0.2 else rng.gauss(0, 1) * scale
+
+    def triple():
+        scale = 10.0 ** rng.uniform(-200, 200)
+        a, b, c = (complex(part(scale), part(scale)) for _ in range(3))
+        if rng.random() < 0.5:
+            raw = object.__new__(ProjTripleC)
+            for name, v in zip("abc", (a, b, c)):
+                object.__setattr__(raw, name, v)
+            return raw
+        return ProjTripleC(a, b, -(a + b)) if a or b else ProjTripleC(1, 0, -1)
+
+    outcomes = set()
+    for _ in range(5000):
+        t1, t2 = triple(), triple()
+        for u, v in ((t1, t2), (t2, t1), (t1, t1)):
+            got = _outcome(proj_dist, u, v)
+            assert got == _outcome(_proj_dist_by_generators, u, v)
+            outcomes.add(got)
+    assert {"OverflowError", "ZeroDivisionError"} < outcomes and len(outcomes) > 1000
+
+
+def _canonical_rep_by_scan(c):
+    """The least _rep_key under _key_less over orbit(c), in orbit order."""
+    best = best_key = None
+    for img in orbit(c):
+        key = shape._rep_key(img)
+        if best is None or shape._key_less(key, best_key):
+            best, best_key = img, key
+    return best
+
+
+def test_canonical_rep_matches_a_scan_of_the_orbit():
+    # The scan runs over the deduplicated orbit, not over all 12 images: the
+    # tolerance order is not transitive, and over all 12 the least key of the
+    # edge classes 8, 9, 13 and 14 at 1e-9 (double points whose free argument
+    # is 0.5 and 0.99 tol off the line) is another member.
+    rng = random.Random(32)
+    classes = _edge_classes(DEFAULT_TOL) + _edge_classes(1e-6)
+    for kind in ("scalene", "isosceles", "simple", "double", "doubled-simple", "equilateral"):
+        classes += [_copy(*_base_shape(kind, rng), rng) for _ in range(10)]
+    for c in classes:
+        assert _hex(canonical_rep(c)) == _hex(_canonical_rep_by_scan(c))
+
+
+def _count_images(monkeypatch):
+    """The list of every image shape._image builds from now on."""
+    built = []
+
+    def counting(T, g, angles, _orig=shape._image):
+        built.append(_orig(T, g, angles))
+        return built[-1]
+
+    monkeypatch.setattr(shape, "_image", counting)
+    return built
+
+
+def test_canonical_rep_of_a_scalene_class_builds_only_the_winner(monkeypatch):
+    c = class_of(from_vertices(0, 1, 0.3 + 0.8j))
+    built = _count_images(monkeypatch)
+    canonical_rep(c)
+    assert len(built) == 1
+    built.clear()
+    assert len(orbit(c)) == 12
+    canonical_rep(c)
+    assert len(built) == 13  # not 24: canonical_rep does not rebuild the orbit
+
+
+def test_member_angles_are_the_image_angles():
+    """The float angles the orbit dedup compares are, to the bit, those of
+    the images it builds and those class_of(act(g, T)) gives."""
+    for label, c in _golden_classes():
+        T = lift_class(c)
+        _, angles, image = shape._members(T, DEFAULT_TOL)
+        for e, g in enumerate(GroupElement.all_elements()):
+            want = [float.hex(x.value) for x in class_of(act(g, T)).angles]
+            assert [float.hex(x.value) for x in image(e).angles] == want, label
+            assert [float.hex(v) for v in angles[e]] == want, label
+
+
 # ---------------------------------------------------------------------------
 # bit-identity of the group action against recorded outputs
 #
