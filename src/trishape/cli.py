@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import itertools
 import json
 import math
@@ -20,12 +19,13 @@ from typing import Sequence
 
 from .angles import PI
 from .triangle import TriangleVariable, classify, from_vertices, orientation
-from .shape import class_of, orbit as class_orbit
+from .shape import ShapeClass, class_of, class_of_vertices, orbit as class_orbit
 from .projections import classify_sphere_locus, to_sphere, to_torus
 from .families import (
     Family,
     Model,
     PonceletConfig,
+    _poncelet_vertices,
     chord_tangency_residual,
     constant_angle_family,
     constant_ratio_family,
@@ -115,6 +115,14 @@ def _emit(obj, fmt: str, csv_rows=None, csv_header=None) -> None:
         print(json.dumps(obj, indent=2, allow_nan=False))
 
 
+def _class_text(c: ShapeClass) -> str:
+    """``json.dumps(c.to_json())``, written directly: the floats by repr."""
+    (a, b, cc), (alpha, beta, gamma) = c.sides.as_tuple(), c.angles
+    return (f'{{"sides": [[{a.real!r}, {a.imag!r}], [{b.real!r}, {b.imag!r}], '
+            f'[{cc.real!r}, {cc.imag!r}]], '
+            f'"angles": [{alpha.value!r}, {beta.value!r}, {gamma.value!r}]}}')
+
+
 def _family_from_spec(kind: str, params: Sequence[float]) -> Family:
     if kind == "constant-angle":
         return constant_angle_family(params[0])
@@ -178,29 +186,39 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.family == "poncelet":
         cfg = PonceletConfig.from_radii(args.r, args.R)
         params = (2.0 * PI * k / args.samples for k in range(args.samples))
-        triangle_at = functools.partial(poncelet_family, cfg)
+
+        def class_at(theta: float) -> ShapeClass:
+            return class_of_vertices(*_poncelet_vertices(cfg, theta))
     else:
         fam = _family_from_spec(args.family, args.param)
         lo, hi = fam.domain
         params = (lo + (hi - lo) * k / (args.samples + 1) for k in range(1, args.samples + 1))
-        triangle_at = fam.eval
+
+        def class_at(t: float) -> ShapeClass:
+            return class_of(fam.eval(t))
 
     def rows():
         for t_par in params:
-            c = class_of(triangle_at(t_par))
+            c = class_at(t_par)
             s, t = to_sphere(c), to_torus(c)
-            yield ([t_par, json.dumps(c.to_json()), s.x, s.y, s.z]
-                   + [float(x) for x in t.as_tuple()])
+            p, q, r = t.as_tuple()
+            yield t_par, _class_text(c), s.x, s.y, s.z, p.value, q.value, r.value
 
     header = ["t", "class", "x", "y", "z", "p", "q", "r"]
     if args.format == "json":
         _emit([dict(zip(header, row)) for row in rows()], "json")
         return 0
     # rows stream to stdout as they come; the header waits for the first,
-    # so a family that fails on its first sample leaves stdout empty
+    # so a family that fails on its first sample leaves stdout empty.  Each
+    # line is what csv.writer writes: floats by repr, and the class quoted
+    # with its quotes doubled.
     it = rows()
     first = list(itertools.islice(it, 1))
-    _emit(None, "csv", itertools.chain(first, it), header)
+    write = sys.stdout.write
+    write(",".join(header) + "\n")
+    for t_par, text, x, y, z, p, q, r in itertools.chain(first, it):
+        quoted = text.replace('"', '""')
+        write(f'{t_par!r},"{quoted}",{x!r},{y!r},{z!r},{p!r},{q!r},{r!r}\n')
     return 0
 
 

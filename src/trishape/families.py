@@ -94,8 +94,9 @@ class PonceletConfig:
 class Family:
     """A one-parameter family of triangles.
 
-    ``eval`` is total on the open ``domain``, whose lower end is 0; the
-    family degenerates as the parameter approaches 0.
+    ``eval`` is defined on the open ``domain``, whose lower end is 0, and
+    raises ``ValueError`` where rounding leaves the family; the family
+    degenerates as the parameter approaches 0.
     """
 
     label: str
@@ -214,13 +215,14 @@ def _line_distance(P: complex, Q: complex, Z: complex) -> float:
     return math.ldexp(abs(((Z - P) * w.conjugate()).imag) / abs(w), e)
 
 
-def poncelet_family(cfg: PonceletConfig, theta: float) -> TriangleVariable:
-    """The triangle of the revolving family whose vertex A sits at angle
-    theta on the outcircle.
+def _poncelet_vertices(cfg: PonceletConfig, theta: float) -> tuple[complex, complex, complex]:
+    """Vertices (A, B, C) of the revolving-family triangle whose vertex A
+    sits at angle theta on the outcircle.
 
     Outcircle: center 0, radius R.  Incircle: center (d, 0), radius r.
     B and C are the second outcircle intersections of the two tangent lines
-    from A to the incircle; the closure theorem makes BC tangent as well.
+    from A to the incircle; the closure theorem makes BC tangent as well,
+    which is checked.
     """
     A = cfg.R * cmath.exp(1j * theta)
     center = complex(cfg.d, 0.0)
@@ -236,11 +238,16 @@ def poncelet_family(cfg: PonceletConfig, theta: float) -> TriangleVariable:
     # the +phi tangent meets the outcircle counterclockwise of the -phi one;
     # naming them (C, B) keeps the triangle positively oriented
     C, B = others
-    T = from_vertices(A, B, C)
     residual = abs(_line_distance(B, C, center) - cfg.r)
     if residual > 1e-8 * cfg.R:
         raise ValueError(f"third chord failed tangency: residual {residual}")
-    return T
+    return A, B, C
+
+
+def poncelet_family(cfg: PonceletConfig, theta: float) -> TriangleVariable:
+    """The triangle of the revolving family whose vertex A sits at angle
+    theta on the outcircle: the vertices of :func:`_poncelet_vertices`."""
+    return from_vertices(*_poncelet_vertices(cfg, theta))
 
 
 def chord_tangency_residual(cfg: PonceletConfig, T: TriangleVariable) -> float:
@@ -302,7 +309,9 @@ def constant_ratio_family(ratio: float) -> Family:
 
     B = 0 and C = 1 are pinned; A = x(t) + i t descends to the segment,
     flattening to a simple point as t -> 0.  The limiting side triple is
-    proportional to [1 + ratio, -1, -ratio].
+    proportional to [1 + ratio, -1, -ratio].  ``eval`` raises
+    ``ValueError`` where the built |c| / (ratio |b|) is off 1 by more than
+    ``DEFAULT_TOL``, as at large ratios.
     """
     rr = float(ratio)
     if not 0.0 < rr < math.inf:
@@ -320,7 +329,14 @@ def constant_ratio_family(ratio: float) -> Family:
         return (-r2 + math.sqrt(disc)) / (1.0 - r2)
 
     def _eval(t: float) -> TriangleVariable:
-        return from_vertices(complex(_apex_x(t), t), 0.0, 1.0)
+        T = from_vertices(complex(_apex_x(t), t), 0.0, 1.0)
+        # _apex_x cancels ever more bits as the ratio grows, so the
+        # triangle it gives is checked to be in the family
+        _, b, c = T.sides
+        if abs(abs(c) - rr * abs(b)) > DEFAULT_TOL * rr * abs(b):
+            raise ValueError(f"side ratio {rr} is lost to rounding at t = {t}: "
+                             f"|c| = {abs(c)!r} and |b| = {abs(b)!r}")
+        return T
 
     t_max = 10.0 if rr == 1.0 else rr / abs(1.0 - r2)
     return Family(

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _interior_values, _wrap_pi
 from .angles import angle_dist, reduce_mod_pi
-from .triangle import SLOTS, GroupElement, TriangleVariable, from_sides, interior_angles
+from .triangle import SLOTS, GroupElement, TriangleVariable, canonical_directions, from_sides
+from .triangle import from_vertices, interior_angles
 
 
 def _pivot(ma: float, mb: float, mc: float) -> int:
@@ -142,6 +143,35 @@ def class_of(T: TriangleVariable) -> ShapeClass:
     """Quotient map: forget the basepoint and projectivize the directions."""
     pa, pb, pc = T.direction_pairs()
     return ShapeClass(sides=ProjTripleC(pa, pb, pc), angles=interior_angles(T))
+
+
+def class_of_vertices(A: complex, B: complex, C: complex) -> ShapeClass:
+    """``class_of(from_vertices(A, B, C))`` to the bit, with no triangle built.
+
+    It does from_sides' arithmetic: a = C - B and b = A - C, the closure
+    test, c = -a - b, the canonical directions and their arguments.  Input
+    that from_sides refuses, and a triple point or zero direction pair, whose
+    arguments need its free-argument rules, take the triangle path, so those
+    rules and their errors keep one home.
+    """
+    A, B, C = complex(A), complex(B), complex(C)
+    a, b, c = C - B, A - C, B - A
+    try:
+        scale = max(abs(a), abs(b), abs(c))
+        # an infinite part fails the scale test, a NaN part the closure test
+        closes = 0.0 < scale < math.inf and abs(a + b + c) <= DEFAULT_TOL * scale
+    except OverflowError:
+        closes = False
+    if closes:
+        c = -a - b
+        d0, d1, d2, d3, d4, d5 = canonical_directions(
+            (a.real, a.imag, b.real, b.imag, c.real, c.imag))
+        if (d0 or d1) and (d2 or d3) and (d4 or d5):
+            return ShapeClass(
+                sides=ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5)),
+                angles=_interior(_wrap_pi(math.atan2(d1, d0)), _wrap_pi(math.atan2(d3, d2)),
+                                 _wrap_pi(math.atan2(d5, d4))))
+    return class_of(from_vertices(A, B, C))
 
 
 def class_dist(c1: ShapeClass, c2: ShapeClass) -> float:

@@ -11,6 +11,7 @@ line with ``"correct": true``.  It writes only under the git-ignored
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,10 +30,16 @@ def test_traced_workload_runs_and_is_correct(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    if workload == "catalog":
-        metrics = {name: m["value"] for name, m in result["metrics"].items()}
-        assert metrics["triangle.from_sides.calls"] > 0, (
-            "the traced catalog op no longer calls triangle.from_sides: "
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    for name in ("shape.class_of", "triangle.from_sides"):
+        assert metrics[f"{name}.calls"] > 0, (
+            f"the traced {workload} op no longer calls {name}: "
             "perfbench/workloads.py:553 divides its self time by its call count")
+    if workload == "catalog":
         # one canonical_rep per op: 3 blocks of 60 entries
         assert metrics["shape.canonical_rep.calls"] == metrics["traced_ops"] == 180
+    if workload == "cli":
+        # one class_of_vertices per row of `trace --family poncelet --samples 10000`
+        calls = re.search(r"^shape\.class_of_vertices\.self_us .* \((\d+) calls, 0 failed\)$",
+                          proc.stdout, re.MULTILINE)
+        assert calls is not None and int(calls.group(1)) == 10_000

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -8,7 +9,16 @@ from pathlib import Path
 
 import pytest
 
+from trishape.angles import PI
 from trishape.cli import _emit, main
+from trishape.families import (
+    PonceletConfig,
+    constant_angle_family,
+    constant_ratio_family,
+    inscribed_family,
+    poncelet_family,
+)
+from trishape.projections import to_sphere, to_torus
 from trishape.shape import class_of, orbit
 from trishape.triangle import from_vertices
 
@@ -386,6 +396,65 @@ def test_trace_families_match_golden(capsys, name, argv, fmt):
     assert out == golden
 
 
+def _trace_by_triangles(family, samples, fmt, r=0.5, R=2.0, param=None):
+    """trace's output rebuilt from the triangle path: class_of of each
+    family triangle, json.dumps of its class, and csv.writer or json.dumps
+    for the rows."""
+    if family == "poncelet":
+        cfg = PonceletConfig.from_radii(r, R)
+        ts = [2.0 * PI * k / samples for k in range(samples)]
+        classes = [class_of(poncelet_family(cfg, t)) for t in ts]
+    else:
+        fam = {"inscribed": inscribed_family, "constant-angle": constant_angle_family,
+               "constant-ratio": constant_ratio_family}[family](*([] if param is None else [param]))
+        lo, hi = fam.domain
+        ts = [lo + (hi - lo) * k / (samples + 1) for k in range(1, samples + 1)]
+        classes = [class_of(fam.eval(t)) for t in ts]
+    header = ["t", "class", "x", "y", "z", "p", "q", "r"]
+    rows = []
+    for t, c in zip(ts, classes):
+        s, tp = to_sphere(c), to_torus(c)
+        rows.append([t, json.dumps(c.to_json()), s.x, s.y, s.z]
+                    + [float(x) for x in tp.as_tuple()])
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("family, samples, options", [
+    ("poncelet", 2000, {}),
+    ("poncelet", 2000, {"r": 2e-300, "R": 5e-300}),
+    ("poncelet", 2000, {"r": 1e199, "R": 1e200}),
+    ("inscribed", 500, {}),
+    ("constant-angle", 500, {"param": 1.0}),
+    ("constant-ratio", 500, {"param": 0.7}),
+], ids=["poncelet", "poncelet-tiny", "poncelet-huge", "inscribed", "constant-angle",
+        "constant-ratio"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trace_matches_the_triangle_path(capsys, family, samples, options, fmt):
+    argv = ["trace", "--family", family, "--samples", str(samples), "--format", fmt]
+    for name, value in options.items():
+        argv += [f"--{name}", repr(value)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    want = _trace_by_triangles(family, samples, fmt, **options)
+    # the first differing line, not pytest's diff of two megabyte strings
+    pairs = itertools.zip_longest(out.splitlines(), want.splitlines())
+    assert next(((k, g, w) for k, (g, w) in enumerate(pairs) if g != w), None) is None
+
+
+def test_trace_refuses_a_constant_ratio_the_family_loses(capsys):
+    code, out, err = run_cli(capsys, "trace", "--family", "constant-ratio", "--param", "1e60",
+                             "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: side ratio 1e+60 is lost to rounding at t = ")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_trace_failing_on_its_first_sample_writes_nothing(capsys, fmt):
     # at r = 1e-9 the third chord misses tangency at theta = 0, and only there
@@ -399,12 +468,12 @@ def test_trace_failing_on_its_first_sample_writes_nothing(capsys, fmt):
 def test_trace_failing_later_keeps_the_rows_written(capsys, monkeypatch):
     from trishape import cli
 
-    def failing_at_third(cfg, theta, _real=cli.poncelet_family):
+    def failing_at_third(cfg, theta, _real=cli._poncelet_vertices):
         if theta > 0.3:
             raise ValueError("planted failure")
         return _real(cfg, theta)
 
-    monkeypatch.setattr(cli, "poncelet_family", failing_at_third)
+    monkeypatch.setattr(cli, "_poncelet_vertices", failing_at_third)
     code, out, err = run_cli(capsys, "trace", "--family", "poncelet", "--samples", "50",
                              "--format", "csv")
     assert code == 1

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from trishape.angles import PI, angle_dist, reduce_mod_pi
+from trishape.angles import DEFAULT_TOL, PI, angle_dist, reduce_mod_pi
 from trishape.triangle import (
     DegeneracyType,
     classify,
@@ -329,6 +329,24 @@ def test_constant_ratio_family_keeps_ratio():
             assert classify(T) is DegeneracyType.NONDEGENERATE
             _, b, c = T.sides
             assert abs(abs(c) - ratio * abs(b)) < 1e-9
+
+
+def test_constant_ratio_family_keeps_ratio_0_7_across_its_domain():
+    fam = constant_ratio_family(0.7)
+    lo, hi = fam.domain
+    for k in range(1, 1000):
+        _, b, c = fam.eval(lo + (hi - lo) * k / 1000).sides
+        assert abs(abs(c) / (0.7 * abs(b)) - 1.0) <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("ratio", [1e60, 1e5, 1e-30])
+def test_constant_ratio_family_refuses_a_triangle_off_its_ratio(ratio):
+    # _apex_x cancels the bits of the ratio at these sizes
+    fam = constant_ratio_family(ratio)
+    t = fam.domain[1] / 3.0
+    with pytest.raises(ValueError, match=r"side ratio .* is lost to rounding") as exc:
+        fam.eval(t)
+    assert f"side ratio {ratio} " in str(exc.value) and f"t = {t}:" in str(exc.value)
 
 
 @pytest.mark.parametrize("ratio", [math.nan, math.inf, 0.0, -1.0, 1e100])

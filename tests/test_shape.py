@@ -21,6 +21,7 @@ from trishape.shape import (
     class_dist,
     class_equal,
     class_of,
+    class_of_vertices,
     lift_class,
     orbit,
     phi,
@@ -48,6 +49,73 @@ def _hex(c):
     """float.hex of every number of a class, so the sign of a zero counts."""
     return ([float.hex(v) for z in c.sides.as_tuple() for v in (z.real, z.imag)]
             + [float.hex(x.value) for x in c.angles])
+
+
+def _outcome_of(f, *vertices):
+    """_hex of the class f gives, or the text of the ValueError it raises."""
+    try:
+        return _hex(f(*vertices))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _class_by_triangle(A, B, C):
+    return class_of(from_vertices(A, B, C))
+
+
+def _signed_zero_parts(rng, z):
+    """z with each part, at random, replaced by 0.0 or -0.0."""
+    x, y = (rng.choice((0.0, -0.0)) if rng.random() < 0.3 else v for v in (z.real, z.imag))
+    return complex(x, y)
+
+
+def test_class_of_vertices_keeps_the_bits_of_the_triangle_path():
+    rng = random.Random(20241)
+    for k in range(20_000):
+        scale = 10.0 ** rng.uniform(-150.0, 150.0)
+        verts = [scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+        if k % 4 == 0:  # axis-aligned sides and +-0.0 parts
+            verts = [_signed_zero_parts(rng, z) for z in verts]
+        assert _outcome_of(class_of_vertices, *verts) == _outcome_of(_class_by_triangle, *verts)
+
+
+def test_class_of_vertices_keeps_the_bits_on_collinear_triangles():
+    rng = random.Random(20242)
+    for _ in range(2_000):
+        scale = 10.0 ** rng.uniform(-150.0, 150.0)
+        P = scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        D = scale * cmath.exp(1j * rng.choice((0.0, PI / 2, rng.uniform(0, 2 * PI))))
+        verts = [P + rng.uniform(-1, 1) * D for _ in range(3)]
+        assert _outcome_of(class_of_vertices, *verts) == _outcome_of(_class_by_triangle, *verts)
+
+
+_INF, _NAN, _BIG = math.inf, math.nan, 1.5e308
+
+
+@pytest.mark.parametrize("verts", [
+    (0.3 + 0.8j, 0.3 + 0.8j, 1.0), (0.0, 1.0, 1.0), (2j, -1.0, 2j), (-0.0, 0.0, 1.0),
+    (1e-300j, 1e-300j, 0.0), (1.0, 1.0, 1.0), (0j, -0j, complex(-0.0, 0.0)),
+    (complex(_INF, 0.0), 0.0, 1.0), (0.0, complex(0.0, _NAN), 1.0), (_NAN, _NAN, _NAN),
+    (complex(_INF, _INF), 1.0, 0.0), (_BIG, -_BIG, 0.0), (0.0, -_BIG, _BIG),
+    (complex(0.0, _BIG), complex(-_BIG, 0.0), complex(_BIG, -_BIG)),
+    (complex(_BIG, _BIG), 0.0, 1.0), (complex(_BIG, _BIG), complex(-_BIG, -_BIG), 0.0),
+    (0, 1, 0.3 + 0.8j),
+], ids=["double-AB", "double-BC", "double-CA", "double-signed-zeros", "double-tiny",
+        "triple", "triple-zeros", "inf-part", "nan-part", "nan", "inf", "overflowing-side",
+        "one-overflowing-side", "two-overflowing-sides", "overflowing-modulus",
+        "overflowing-both", "real-input"])
+def test_class_of_vertices_matches_the_triangle_path_off_the_fast_path(verts):
+    assert _outcome_of(class_of_vertices, *verts) == _outcome_of(_class_by_triangle, *verts)
+
+
+def test_class_of_vertices_builds_no_triangle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a triangle was built")
+
+    monkeypatch.setattr(shape, "from_vertices", refuse)
+    monkeypatch.setattr(shape, "class_of", refuse)
+    c = class_of_vertices(0.3 + 0.8j, 0.0, 1.0)
+    assert _hex(c) == _hex(class_of(from_vertices(0.3 + 0.8j, 0.0, 1.0)))
 
 
 def test_proj_triple_rejects_bad_input():
