@@ -22,7 +22,8 @@ DEFAULT_TOL = 1e-9
 
 
 def _wrap_pi(x: float) -> float:
-    """Map x into [0, pi)."""
+    """Map x into [0, pi).  A -0.0 passes unchanged (0.0 <= -0.0) and is
+    kept, as the golden files pin the sign of every zero angle."""
     if 0.0 <= x < PI:  # fmod would return x itself; NaN and inf fail this test
         return x
     if not math.isfinite(x):
@@ -38,7 +39,8 @@ def _wrap_pi(x: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class AngleModPi:
-    """An angle modulo pi, stored by its representative in [0, pi)."""
+    """An angle modulo pi, stored by its representative in [0, pi), or -0.0
+    (see :func:`_wrap_pi`)."""
 
     value: float
 
@@ -66,15 +68,9 @@ class AngleModPi:
         return v < tol or PI - v < tol
 
 
-def _interior_values(xa: float, xb: float, xc: float) -> tuple[float, float, float]:
-    """(alpha, beta, gamma) = (xi_b - xi_c, xi_c - xi_a, xi_a - xi_b), each in [0, pi)."""
-    return (_wrap_pi(xb - xc), _wrap_pi(xc - xa), _wrap_pi(xa - xb))
-
-
 def _interior(xa: float, xb: float, xc: float) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
-    """:func:`_interior_values` as angles mod pi, which keep the same bits."""
-    alpha, beta, gamma = _interior_values(xa, xb, xc)
-    return (AngleModPi(alpha), AngleModPi(beta), AngleModPi(gamma))
+    """(alpha, beta, gamma) = (xi_b - xi_c, xi_c - xi_a, xi_a - xi_b) mod pi."""
+    return (AngleModPi(xb - xc), AngleModPi(xc - xa), AngleModPi(xa - xb))
 
 
 def _scaled(z: complex, k: int) -> complex:

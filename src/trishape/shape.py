@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _interior_values, _wrap_pi
+from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _wrap_pi
 from .angles import angle_dist, reduce_mod_pi
 from .triangle import SLOTS, GroupElement, TriangleVariable, canonical_directions, from_sides
 from .triangle import from_vertices, interior_angles
@@ -145,14 +145,24 @@ def class_of(T: TriangleVariable) -> ShapeClass:
     return ShapeClass(sides=ProjTripleC(pa, pb, pc), angles=interior_angles(T))
 
 
+def _sides_data(a: complex, b: complex):
+    """from_sides' directions and arguments for the sides (a, b, -a - b), to
+    the bit, or None at a zero direction pair, which needs its free rules."""
+    c = -a - b
+    d = canonical_directions((a.real, a.imag, b.real, b.imag, c.real, c.imag))
+    d0, d1, d2, d3, d4, d5 = d
+    if (d0 or d1) and (d2 or d3) and (d4 or d5):
+        return d, (_wrap_pi(math.atan2(d1, d0)), _wrap_pi(math.atan2(d3, d2)),
+                   _wrap_pi(math.atan2(d5, d4)))
+    return None
+
+
 def class_of_vertices(A: complex, B: complex, C: complex) -> ShapeClass:
     """``class_of(from_vertices(A, B, C))`` to the bit, with no triangle built.
 
-    It does from_sides' arithmetic: a = C - B and b = A - C, the closure
-    test, c = -a - b, the canonical directions and their arguments.  Input
-    that from_sides refuses, and a triple point or zero direction pair, whose
-    arguments need its free-argument rules, take the triangle path, so those
-    rules and their errors keep one home.
+    a = C - B and b = A - C pass from_sides' closure test, then go to
+    _sides_data.  Other input takes the triangle path, so from_sides'
+    free-argument rules and errors keep one home.
     """
     A, B, C = complex(A), complex(B), complex(C)
     a, b, c = C - B, A - C, B - A
@@ -162,15 +172,10 @@ def class_of_vertices(A: complex, B: complex, C: complex) -> ShapeClass:
         closes = 0.0 < scale < math.inf and abs(a + b + c) <= DEFAULT_TOL * scale
     except OverflowError:
         closes = False
-    if closes:
-        c = -a - b
-        d0, d1, d2, d3, d4, d5 = canonical_directions(
-            (a.real, a.imag, b.real, b.imag, c.real, c.imag))
-        if (d0 or d1) and (d2 or d3) and (d4 or d5):
-            return ShapeClass(
-                sides=ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5)),
-                angles=_interior(_wrap_pi(math.atan2(d1, d0)), _wrap_pi(math.atan2(d3, d2)),
-                                 _wrap_pi(math.atan2(d5, d4))))
+    if closes and (data := _sides_data(a, b)):
+        (d0, d1, d2, d3, d4, d5), x = data
+        return ShapeClass(sides=ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5)),
+                          angles=_interior(*x))
     return class_of(from_vertices(A, B, C))
 
 
@@ -183,9 +188,7 @@ def class_dist(c1: ShapeClass, c2: ShapeClass) -> float:
 
 def class_equal(c1: ShapeClass, c2: ShapeClass, tol: float = DEFAULT_TOL) -> bool:
     """Equality in P(X) x T: projective sides and all three angles agree.
-
-    The angles are tested first: they are cheaper, and in an orbit they
-    tell most unequal images apart."""
+    The cheaper angles are tested first."""
     if not all(angle_dist(x, y) <= tol for x, y in zip(c1.angles, c2.angles)):
         return False
     return proj_dist(c1.sides, c2.sides) <= tol
@@ -239,33 +242,35 @@ def lift_class(c: ShapeClass) -> TriangleVariable:
     return from_sides(*snapped, free_arguments=free or None)
 
 
+def _lift_data(c: ShapeClass) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """lift_class(c)'s directions and argument values, to the bit; only a
+    class with a side at lift_class's zero snap is lifted."""
+    mods = c.sides.moduli()
+    if min(mods) > 1e-13 * max(mods) and (data := _sides_data(c.sides.a, c.sides.b)):
+        return data
+    T = lift_class(c)
+    return T.directions, tuple(x.value for x in T.arguments)
+
+
 #: (i, j, k, flip) of the 12 symmetries, in the order orbit lists their images
 _GROUP = tuple((*g.perm, g.flip) for g in GroupElement.all_elements())
+#: (p, q) of the differences w_p - w_q in _angle_table
+_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+#: table slots of each image's angles: _interior(w_i, w_j, w_k), w negated if flip
+_SLOTS = tuple(tuple(6 * flip + _PAIRS.index(pq) for pq in ((j, k), (k, i), (i, j)))
+               for i, j, k, flip in _GROUP)
 
 
-def _image_angles(T: TriangleVariable, elements=_GROUP) -> list[tuple[float, float, float]]:
-    """T's image angles under each (i, j, k, flip) as floats; a flip negates the arguments."""
-    x = (T.arguments[0].value, T.arguments[1].value, T.arguments[2].value)
-    nx = (_wrap_pi(-x[0]), _wrap_pi(-x[1]), _wrap_pi(-x[2]))
-    out = []
-    for i, j, k, flip in elements:
-        w = nx if flip else x
-        out.append(_interior_values(w[i], w[j], w[k]))
-    return out
+def _angle_table(x: tuple[float, float, float]) -> list[float]:
+    """Every image angle: w_p - w_q in [0, pi), for w = x, then w = -x."""
+    n = (_wrap_pi(-x[0]), _wrap_pi(-x[1]), _wrap_pi(-x[2]))
+    return [_wrap_pi(w[p] - w[q]) for w in (x, n) for p, q in _PAIRS]
 
 
-def _image(T: TriangleVariable, g: tuple, angles: tuple[float, float, float]) -> ShapeClass:
-    """class_of(act(g, T)) for g = (i, j, k, flip), to the bit, built from
-    T's direction sextuple and g's _image_angles, with no image triangle.
-
-    T.directions is canonical, so its largest |coordinate| is exactly 1.0,
-    also after the pairs are permuted and, under the flip, their imaginary
-    parts negated.  act's re-canonicalization then divides by +-1.0, which
-    is exact: it is one global negation when the first nonzero coordinate is
-    negative.
-    """
+def _image(d: tuple[float, ...], g: tuple, angles: tuple) -> ShapeClass:
+    """class_of(act(g, T)) for g = (i, j, k, flip), to the bit, from the lift
+    T's directions d: act divides the moved, canonical d by +-1.0, exactly."""
     i, j, k, flip = g
-    d = T.directions
     u0, v0 = d[2 * i], d[2 * i + 1]
     u1, v1 = d[2 * j], d[2 * j + 1]
     u2, v2 = d[2 * k], d[2 * k + 1]
@@ -273,54 +278,63 @@ def _image(T: TriangleVariable, g: tuple, angles: tuple[float, float, float]) ->
         v0, v1, v2 = -v0, -v1, -v2
     if (u0 or v0 or u1 or v1 or u2 or v2) < 0.0:
         u0, v0, u1, v1, u2, v2 = -u0, -v0, -u1, -v1, -u2, -v2
-    alpha, beta, gamma = angles
     return ShapeClass(sides=ProjTripleC(complex(u0, v0), complex(u1, v1), complex(u2, v2)),
-                      angles=(AngleModPi(alpha), AngleModPi(beta), AngleModPi(gamma)))
+                      angles=angles)
 
 
 def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
     """Induced symmetry on classes: the image of a lift of the class, read
     off its direction data (``triangle.act`` is the independent path)."""
-    T, g4 = lift_class(c), (*g.perm, g.flip)
-    return _image(T, g4, _image_angles(T, (g4,))[0])
+    d, x = _lift_data(c)
+    e = _GROUP.index((*g.perm, bool(g.flip)))
+    table = _angle_table(x)
+    return _image(d, _GROUP[e], tuple(AngleModPi(table[s]) for s in _SLOTS[e]))
 
 
-def _members(T: TriangleVariable, tol: float):
+def _members(c: ShapeClass, tol: float):
     """(kept, angles, image): the _GROUP indices of the images orbit keeps,
-    the _image_angles of all 12, and image(e), which builds image e once.
-    An image is kept unless it is class_equal to an earlier kept one whose
-    first angle lies in the same or a neighbouring bucket of R/pi (buckets
-    are at least 2 tol wide); sides are built only when all angles agree."""
-    angles = _image_angles(T)
+    the float angles of all 12, and image(e), which builds image e once.
+    An image is kept unless class_equal to an earlier kept one; sides are
+    built only when all angles agree.  Angle objects are shared by slot,
+    not by value, which would merge 0.0 and -0.0."""
+    d, x = _lift_data(c)
+    table = _angle_table(x)
+    angles = [(table[p], table[q], table[r]) for p, q, r in _SLOTS]
+    made: list = [None] * 12
     built: dict[int, ShapeClass] = {}
 
     def image(e: int) -> ShapeClass:
         if e not in built:
-            built[e] = _image(T, _GROUP[e], angles[e])
+            for s in _SLOTS[e]:
+                if made[s] is None:
+                    made[s] = AngleModPi(table[s])
+            p, q, r = _SLOTS[e]
+            built[e] = _image(d, _GROUP[e], (made[p], made[q], made[r]))
         return built[e]
 
-    def equal(e: int, s: int) -> bool:
-        a, o = angles[e], angles[s]
-        return (angle_dist(a[0], o[0]) <= tol and angle_dist(a[1], o[1]) <= tol
-                and angle_dist(a[2], o[2]) <= tol
-                and proj_dist(image(e).sides, image(s).sides) <= tol)
-
-    n = max(1, int(PI / max(2.0 * tol, 1e-18)))  # buckets of width pi/n >= 2 tol
-    buckets: dict[int, list[int]] = {}
-    kept = []
-    for e, a in enumerate(angles):
-        b = int(a[0] * n / PI) % n
-        near = {(b - 1) % n, b, (b + 1) % n}  # the wrap at pi joins buckets n-1 and 0
-        if not any(equal(e, s) for k in near for s in buckets.get(k, ())):
-            buckets.setdefault(b, []).append(e)
+    kept: list[int] = []
+    for e, (a0, a1, a2) in enumerate(angles):
+        for s in kept:
+            # angle_dist: min(t, pi - t) on values already in [0, pi)
+            b0, b1, b2 = angles[s]
+            t = abs(a0 - b0)
+            if not (t <= tol or PI - t <= tol):
+                continue
+            t1, t2 = abs(a1 - b1), abs(a2 - b2)
+            if ((t1 <= tol or PI - t1 <= tol) and (t2 <= tol or PI - t2 <= tol)
+                    and proj_dist(image(e).sides, image(s).sides) <= tol):
+                break
+        else:
             kept.append(e)
     return kept, angles, image
 
 
 def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
     """Deduplicated images of the class under all 12 symmetries, in group
-    order: one lift serves every image, and no image triangle is built."""
-    kept, _, image = _members(lift_class(c), tol)
+    order, all read off one angle table of the lift."""
+    if math.isnan(tol):
+        raise ValueError("orbit tolerance must not be NaN")
+    kept, _, image = _members(c, tol)
     return [image(e) for e in kept]
 
 
@@ -351,7 +365,7 @@ def canonical_rep(c: ShapeClass) -> ShapeClass:
     """Deterministic orbit representative: the orbit member with the least
     key (slot-ordered angles, then side moduli) within ``DEFAULT_TOL``.  An
     image is built only for the winner and where angles tie and moduli decide."""
-    kept, angles, image = _members(lift_class(c), DEFAULT_TOL)
+    kept, angles, image = _members(c, DEFAULT_TOL)
     best = kept[0]
     best_key = _angle_key(angles[best])
     for e in kept[1:]:

@@ -475,6 +475,14 @@ def test_scalene_orbit_tells_images_apart_by_angles(monkeypatch):
     assert calls  # equal images are still confirmed on their sides
 
 
+def test_orbit_refuses_a_nan_tolerance():
+    """A NaN tolerance would merge no images; it is refused by name."""
+    c = class_of(from_vertices(0, 1, 0.3 + 0.8j))
+    with pytest.raises(ValueError, match="orbit tolerance"):
+        orbit(c, math.nan)
+    assert [len(orbit(c, t)) for t in (math.inf, 0.0, -1.0)] == [1, 12, 12]
+
+
 def _proj_dist_by_generators(t1, t2):
     """proj_dist written with sum() over generators and lists."""
     v, w = (t1.a, t1.b, t1.c), (t2.a, t2.b, t2.c)
@@ -551,8 +559,8 @@ def _count_images(monkeypatch):
     """The list of every image shape._image builds from now on."""
     built = []
 
-    def counting(T, g, angles, _orig=shape._image):
-        built.append(_orig(T, g, angles))
+    def counting(d, g, angles, _orig=shape._image):
+        built.append(_orig(d, g, angles))
         return built[-1]
 
     monkeypatch.setattr(shape, "_image", counting)
@@ -572,10 +580,10 @@ def test_canonical_rep_of_a_scalene_class_builds_only_the_winner(monkeypatch):
 
 def test_member_angles_are_the_image_angles():
     """The float angles the orbit dedup compares are, to the bit, those of
-    the images it builds and those class_of(act(g, T)) gives."""
+    the images it builds and those class_of(act(g, lift_class(c))) gives."""
     for label, c in _golden_classes():
         T = lift_class(c)
-        _, angles, image = shape._members(T, DEFAULT_TOL)
+        _, angles, image = shape._members(c, DEFAULT_TOL)
         for e, g in enumerate(GroupElement.all_elements()):
             want = [float.hex(x.value) for x in class_of(act(g, T)).angles]
             assert [float.hex(x.value) for x in image(e).angles] == want, label
@@ -613,6 +621,64 @@ def _action_digest(c):
         "act_class": [_hex(act_class(g, c)) for g in GroupElement.all_elements()],
     }
     return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+def _has_zero_side(c):
+    """A side at lift_class's zero snap: the class needs its free arguments."""
+    mods = c.sides.moduli()
+    return min(mods) <= 1e-13 * max(mods)
+
+
+def test_action_lifts_only_a_class_with_a_zero_side(monkeypatch):
+    """orbit, canonical_rep and act_class read a class with three nonzero
+    sides without a triangle; a double or doubled-simple class still goes
+    through lift_class.  Both keep their golden bits."""
+    golden = {rec["label"]: rec["sha256"] for rec in json.loads(ORBIT_GOLDEN.read_text())}
+    cases = _golden_classes()
+    direct = [(label, c) for label, c in cases if not _has_zero_side(c)]
+    lifted = [(label, c) for label, c in cases if _has_zero_side(c)]
+    assert {label.split()[0] for label, _ in lifted} == {
+        "double", "perpendicular-double", "doubled-simple", "edge"}
+    assert {"scalene 0", "simple 0", "midpoint-simple 0", "equilateral 0"} <= dict(direct).keys()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a triangle was built")
+
+    monkeypatch.setattr(shape, "from_sides", refuse)
+    monkeypatch.setattr(shape, "lift_class", refuse)
+    for label, c in direct:
+        assert _action_digest(c) == golden[label], label
+    monkeypatch.undo()
+    calls = []
+
+    def counting(c, _orig=shape.lift_class):
+        calls.append(c)
+        return _orig(c)
+
+    monkeypatch.setattr(shape, "lift_class", counting)
+    for label, c in lifted:
+        calls.clear()
+        assert _action_digest(c) == golden[label], label
+        assert calls, label
+
+
+def test_orbit_keeps_the_sign_of_a_zero_angle():
+    """The images of a simple class hold 0.0 and -0.0 angles side by side.
+    The two compare and hash alike, so an angle cache keyed by value would
+    hand one image the other's zero; each image must keep the sign that
+    class_of(act(g, lift_class(c))) gives it."""
+    c = class_of(from_vertices(0, 1, 0.25))
+    T = lift_class(c)
+    elements = GroupElement.all_elements()
+    kept, _, _ = shape._members(c, DEFAULT_TOL)
+    images = orbit(c)
+    assert len(images) == len(kept) == 6
+    angles = {float.hex(x.value) for img in images for x in img.angles}
+    assert angles == {"0x0.0p+0", "-0x0.0p+0"}
+    for e, img in zip(kept, images):
+        assert _hex(img) == _hex(class_of(act(elements[e], T)))
+        assert _hex(act_class(elements[e], c)) == _hex(img)
+    assert _hex(canonical_rep(c)) in [_hex(img) for img in images]
 
 
 def test_group_action_is_bit_identical():
