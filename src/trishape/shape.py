@@ -239,6 +239,9 @@ def lift_class(c: ShapeClass) -> TriangleVariable:
         theta = c.angles[m]
         free[slot] = xi_r + theta if i == (m + 1) % 3 else xi_r - theta
     snapped = [0j if mods[i] <= zero_tol else sides[i] for i in range(3)]
+    if "c" in free and snapped[0] + snapped[1]:
+        # from_sides resets c = -a - b, which must stay the snapped 0j
+        snapped[1] = -snapped[0]
     return from_sides(*snapped, free_arguments=free or None)
 
 
@@ -267,49 +270,79 @@ def _angle_table(x: tuple[float, float, float]) -> list[float]:
     return [_wrap_pi(w[p] - w[q]) for w in (x, n) for p, q in _PAIRS]
 
 
-def _image(d: tuple[float, ...], g: tuple, angles: tuple) -> ShapeClass:
-    """class_of(act(g, T)) for g = (i, j, k, flip), to the bit, from the lift
-    T's directions d: act divides the moved, canonical d by +-1.0, exactly."""
-    i, j, k, flip = g
-    u0, v0 = d[2 * i], d[2 * i + 1]
-    u1, v1 = d[2 * j], d[2 * j + 1]
-    u2, v2 = d[2 * k], d[2 * k + 1]
-    if flip:
-        v0, v1, v2 = -v0, -v1, -v2
-    if (u0 or v0 or u1 or v1 or u2 or v2) < 0.0:
-        u0, v0, u1, v1, u2, v2 = -u0, -v0, -u1, -v1, -u2, -v2
-    return ShapeClass(sides=ProjTripleC(complex(u0, v0), complex(u1, v1), complex(u2, v2)),
-                      angles=angles)
+def _images(d: tuple[float, ...], table: list[float]):
+    """make(e) = class_of(act(g, T)) for g = _GROUP[e], to the bit, from the
+    lift T's directions d and its _angle_table.  act permutes the pairs z of
+    d, conjugates them on a flip and negates them if the first nonzero part
+    is negative; ProjTripleC divides by the first largest and subtracts the
+    mean.  The quotients depend only on (flip, sign, pivot), so each triple
+    of them is divided once per class; each image sums its own mean."""
+    z = (complex(d[0], d[1]), complex(d[2], d[3]), complex(d[4], d[5]))
+    ProjTripleC(*z)  # its finite, zero and closure tests, once per class
+    zs = (z, (z[0].conjugate(), z[1].conjugate(), z[2].conjugate()))
+    # act's sign test: the first nonzero part of each pair, as is and conjugated
+    lead = ((d[0] or d[1], d[2] or d[3], d[4] or d[5]),
+            (d[0] or -d[1], d[2] or -d[3], d[4] or -d[5]))
+    m = (abs(z[0]), abs(z[1]), abs(z[2]))
+    # one per table slot, not per value, which would merge 0.0 and -0.0; the
+    # values are wrapped already, so AngleModPi would keep their bits
+    angles = [object.__new__(AngleModPi) for _ in table]
+    for a, v in zip(angles, table):
+        object.__setattr__(a, "value", v)
+    quots: dict[tuple, tuple] = {}
+
+    def make(e: int) -> ShapeClass:
+        i, j, k, flip = _GROUP[e]
+        f = lead[flip]
+        key = (flip, (f[i] or f[j] or f[k]) < 0.0, (i, j, k)[_pivot(m[i], m[j], m[k])])
+        if key not in quots:
+            w0, w1, w2 = (-x for x in zs[flip]) if key[1] else zs[flip]
+            p = (w0, w1, w2)[key[2]]
+            quots[key] = (w0 / p, w1 / p, w2 / p)
+        q = quots[key]
+        a, b, c = q[i], q[j], q[k]
+        mean = (0 + a + b + c) / 3.0  # from the int 0, as in ProjTripleC
+        sides = object.__new__(ProjTripleC)
+        object.__setattr__(sides, "a", a - mean)
+        object.__setattr__(sides, "b", b - mean)
+        object.__setattr__(sides, "c", c - mean)
+        s0, s1, s2 = _SLOTS[e]
+        return ShapeClass(sides, (angles[s0], angles[s1], angles[s2]))
+
+    return make
 
 
 def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
     """Induced symmetry on classes: the image of a lift of the class, read
     off its direction data (``triangle.act`` is the independent path)."""
     d, x = _lift_data(c)
-    e = _GROUP.index((*g.perm, bool(g.flip)))
-    table = _angle_table(x)
-    return _image(d, _GROUP[e], tuple(AngleModPi(table[s]) for s in _SLOTS[e]))
+    return _images(d, _angle_table(x))(_GROUP.index((*g.perm, bool(g.flip))))
+
+
+#: (c, tol, result) of the last _members call; matched by identity, since
+#: equal classes may differ in the sign of a zero
+_last: tuple = (None, None, None)
 
 
 def _members(c: ShapeClass, tol: float):
     """(kept, angles, image): the _GROUP indices of the images orbit keeps,
     the float angles of all 12, and image(e), which builds image e once.
     An image is kept unless class_equal to an earlier kept one; sides are
-    built only when all angles agree.  Angle objects are shared by slot,
-    not by value, which would merge 0.0 and -0.0."""
+    built only when all angles agree.  The result for the last (c, tol) is
+    kept, so canonical_rep after orbit of the same object reuses it."""
+    global _last
+    last = _last  # read once: another thread may replace it
+    if last[0] is c and last[1] == tol:
+        return last[2]
     d, x = _lift_data(c)
     table = _angle_table(x)
     angles = [(table[p], table[q], table[r]) for p, q, r in _SLOTS]
-    made: list = [None] * 12
-    built: dict[int, ShapeClass] = {}
+    make = _images(d, table)
+    built: list = [None] * 12
 
     def image(e: int) -> ShapeClass:
-        if e not in built:
-            for s in _SLOTS[e]:
-                if made[s] is None:
-                    made[s] = AngleModPi(table[s])
-            p, q, r = _SLOTS[e]
-            built[e] = _image(d, _GROUP[e], (made[p], made[q], made[r]))
+        if built[e] is None:
+            built[e] = make(e)
         return built[e]
 
     kept: list[int] = []
@@ -326,7 +359,9 @@ def _members(c: ShapeClass, tol: float):
                 break
         else:
             kept.append(e)
-    return kept, angles, image
+    result = kept, angles, image
+    _last = (c, tol, result)
+    return result
 
 
 def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:

@@ -38,9 +38,11 @@ def test_traced_workload_runs_and_is_correct(workload):
     if workload == "catalog":
         # one canonical_rep per op: 3 blocks of 60 entries
         assert metrics["shape.canonical_rep.calls"] == metrics["traced_ops"] == 180
-        # only the 18 doubled-simple ops have a zero side: orbit and
-        # canonical_rep lift each of them once
-        assert metrics["shape.lift_class.calls"] == 36
+        # only the 18 doubled-simple ops have a zero side, and canonical_rep
+        # reuses the orbit of its class: each is lifted once
+        assert metrics["shape.lift_class.calls"] == 18
+        # 21 per doubled-simple orbit, whose images all share their angles
+        assert metrics["shape.proj_dist.calls"] == 378
     if workload == "cli":
         # one class_of_vertices per row of `trace --family poncelet --samples 10000`
         calls = re.search(r"^shape\.class_of_vertices\.self_us .* \((\d+) calls, 0 failed\)$",
