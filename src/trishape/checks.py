@@ -347,11 +347,13 @@ def check_group_action() -> tuple[bool, str]:
     rng = random.Random(SEED + 9)
     elements = GroupElement.all_elements()
     triangles = [random_nondegenerate(rng) for _ in range(20)]
+    images = [[act(h, T) for T in triangles] for h in elements]
     for g in elements:
-        for h in elements:
-            for T in triangles[:20]:
-                left = act(g * h, T)
-                right = act(g, act(h, T))
+        for h, h_images in zip(elements, images):
+            gh = g * h
+            for T, hT in zip(triangles, h_images):
+                left = act(gh, T)
+                right = act(g, hT)
                 if max(abs(u - v) for u, v in zip(left.sides, right.sides)) > 1e-12:
                     return False, f"composition failed for {g}, {h}"
                 if any(

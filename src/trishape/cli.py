@@ -12,29 +12,19 @@ import csv
 import itertools
 import json
 import math
+import os
 import random
 import re
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .angles import PI
 from .triangle import TriangleVariable, classify, from_vertices, orientation
 from .shape import ShapeClass, class_of, class_of_vertices, orbit as class_orbit
 from .projections import classify_sphere_locus, to_sphere, to_torus
-from .families import (
-    Family,
-    Model,
-    PonceletConfig,
-    _poncelet_vertices,
-    chord_tangency_residual,
-    constant_angle_family,
-    constant_ratio_family,
-    incircle_outcircle,
-    inscribed_family,
-    level_curves,
-    poncelet_family,
-    separation_test,
-)
+
+if TYPE_CHECKING:
+    from .families import Family
 
 #: the families ``trace`` samples, with the number of --param values each takes
 _TRACE_PARAMS = {"poncelet": 0, "inscribed": 0, "constant-angle": 1, "constant-ratio": 1}
@@ -124,6 +114,8 @@ def _class_text(c: ShapeClass) -> str:
 
 
 def _family_from_spec(kind: str, params: Sequence[float]) -> Family:
+    from .families import constant_angle_family, constant_ratio_family, inscribed_family
+
     if kind == "constant-angle":
         return constant_angle_family(params[0])
     if kind == "constant-ratio":
@@ -184,6 +176,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise argparse.ArgumentError(None, f"argument --param: --family {args.family} "
                                      f"takes {wanted} value(s), got {len(args.param)}")
     if args.family == "poncelet":
+        from .families import PonceletConfig, _poncelet_vertices
+
         cfg = PonceletConfig.from_radii(args.r, args.R)
         params = (2.0 * PI * k / args.samples for k in range(args.samples))
 
@@ -223,6 +217,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_poncelet(args: argparse.Namespace) -> int:
+    from .families import (
+        PonceletConfig, chord_tangency_residual, incircle_outcircle, poncelet_family)
+
     cfg = PonceletConfig.from_radii(args.r, args.R)
     rows = []
     for k in range(args.samples):
@@ -240,6 +237,8 @@ def _cmd_poncelet(args: argparse.Namespace) -> int:
 
 
 def _cmd_separate(args: argparse.Namespace) -> int:
+    from .families import Model, separation_test
+
     kind, params = args.pair
     f1 = _family_from_spec(kind, params[:1])
     f2 = _family_from_spec(kind, params[1:])
@@ -267,6 +266,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 def _cmd_emit_figure(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.name == "poncelet-levels":
+        from .families import level_curves
+
         writer.writerow(["level", "alpha", "beta", "gamma"])
         writer.writerows(level_curves(args.levels, args.grid))
     elif args.name == "sphere-atlas":
@@ -376,11 +377,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except argparse.ArgumentError as exc:
         parser.error(str(exc))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): point it at devnull so the
+        # flush at exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

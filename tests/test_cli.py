@@ -271,6 +271,23 @@ def test_console_entry_point(child_env):
     assert json.loads(proc.stdout)["degeneracy"] == "Nondegenerate"
 
 
+def test_closed_stdout_exits_1_without_a_traceback(child_env):
+    # the reader takes the header and closes the pipe, as `| head -1` does;
+    # the rows left to write are far more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trishape.cli", "trace", "--family", "poncelet",
+         "--samples", "2000", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"t,class,x,y,z,p,q,r\n"
+    assert err == b""
+
+
 def test_emit_figure_poncelet_levels_benchmark_command(capsys):
     code, out, _ = run_cli(
         capsys, "emit-figure", "--name", "poncelet-levels", "--grid", "400"
@@ -466,14 +483,14 @@ def test_trace_failing_on_its_first_sample_writes_nothing(capsys, fmt):
 
 
 def test_trace_failing_later_keeps_the_rows_written(capsys, monkeypatch):
-    from trishape import cli
+    from trishape import families
 
-    def failing_at_third(cfg, theta, _real=cli._poncelet_vertices):
+    def failing_at_third(cfg, theta, _real=families._poncelet_vertices):
         if theta > 0.3:
             raise ValueError("planted failure")
         return _real(cfg, theta)
 
-    monkeypatch.setattr(cli, "_poncelet_vertices", failing_at_third)
+    monkeypatch.setattr(families, "_poncelet_vertices", failing_at_third)
     code, out, err = run_cli(capsys, "trace", "--family", "poncelet", "--samples", "50",
                              "--format", "csv")
     assert code == 1
