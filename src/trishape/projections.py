@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .angles import DEFAULT_TOL, AngleModPi, _interior, _scaled, _wrap_pi, angle_dist
 from .shape import ProjTripleC, ShapeClass
+from .triangle import canonical_directions
 
 _K = 2.0 - math.sqrt(3.0)
 
@@ -203,11 +204,8 @@ def torus_fiber_limit(direction: Sequence[float]) -> tuple[float, float, float]:
         raise ValueError("direction must be a nonzero real triple")
     if angle_dist(sum(d), 0.0) > DEFAULT_TOL:
         raise ValueError(f"direction must sum to 0 mod pi: sum = {sum(d)}")
-    m = max(abs(d[0]), abs(d[1]), abs(d[0] + d[1]))
-    if m == 0.0:
+    if not (d[0] or d[1]):
         raise ValueError("direction must be a nonzero real triple")
-    vals = [d[0] / m, d[1] / m, (-d[0] - d[1]) / m]
-    if (vals[0] or vals[1]) < 0.0:
-        vals = [-v for v in vals]
+    vals = canonical_directions((d[0], 0.0, d[1], 0.0, -d[0] - d[1], 0.0))[::2]
     mean = sum(vals) / 3.0
     return tuple(v - mean for v in vals)

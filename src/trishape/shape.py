@@ -14,8 +14,13 @@ from dataclasses import dataclass
 
 from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _wrap_pi
 from .angles import angle_dist, reduce_mod_pi
-from .triangle import SLOTS, GroupElement, TriangleVariable, canonical_directions, from_sides
-from .triangle import from_vertices, interior_angles
+from .triangle import SLOTS, GroupElement, TriangleVariable, _side_data, _side_record
+from .triangle import from_sides, interior_angles
+from .triangle import from_vertices  # unused: tests patch it to show class_of_vertices skips it
+
+#: a class's side at or below this fraction of its largest is zero to
+#: lift_class, which then takes its argument from the stored angles
+_ZERO_SNAP = 1e-13
 
 
 def _pivot(ma: float, mb: float, mc: float) -> int:
@@ -145,38 +150,15 @@ def class_of(T: TriangleVariable) -> ShapeClass:
     return ShapeClass(sides=ProjTripleC(pa, pb, pc), angles=interior_angles(T))
 
 
-def _sides_data(a: complex, b: complex):
-    """from_sides' directions and arguments for the sides (a, b, -a - b), to
-    the bit, or None at a zero direction pair, which needs its free rules."""
-    c = -a - b
-    d = canonical_directions((a.real, a.imag, b.real, b.imag, c.real, c.imag))
-    d0, d1, d2, d3, d4, d5 = d
-    if (d0 or d1) and (d2 or d3) and (d4 or d5):
-        return d, (_wrap_pi(math.atan2(d1, d0)), _wrap_pi(math.atan2(d3, d2)),
-                   _wrap_pi(math.atan2(d5, d4)))
-    return None
-
-
 def class_of_vertices(A: complex, B: complex, C: complex) -> ShapeClass:
-    """``class_of(from_vertices(A, B, C))`` to the bit, with no triangle built.
-
-    a = C - B and b = A - C pass from_sides' closure test, then go to
-    _sides_data.  Other input takes the triangle path, so from_sides'
-    free-argument rules and errors keep one home.
-    """
+    """``class_of(from_vertices(A, B, C))`` to the bit, with no triangle built:
+    the sides a = C - B, b = A - C, c = B - A go through from_sides' own
+    record, its tests and errors included."""
     A, B, C = complex(A), complex(B), complex(C)
-    a, b, c = C - B, A - C, B - A
-    try:
-        scale = max(abs(a), abs(b), abs(c))
-        # an infinite part fails the scale test, a NaN part the closure test
-        closes = 0.0 < scale < math.inf and abs(a + b + c) <= DEFAULT_TOL * scale
-    except OverflowError:
-        closes = False
-    if closes and (data := _sides_data(a, b)):
-        (d0, d1, d2, d3, d4, d5), x = data
-        return ShapeClass(sides=ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5)),
-                          angles=_interior(*x))
-    return class_of(from_vertices(A, B, C))
+    # finite sides imply a finite B, so the basepoint needs no test
+    _, (d0, d1, d2, d3, d4, d5), x = _side_record(C - B, A - C, B - A)
+    return ShapeClass(sides=ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5)),
+                      angles=_interior(_wrap_pi(x[0]), _wrap_pi(x[1]), _wrap_pi(x[2])))
 
 
 def class_dist(c1: ShapeClass, c2: ShapeClass) -> float:
@@ -226,7 +208,7 @@ def lift_class(c: ShapeClass) -> TriangleVariable:
     so that class_of(lift_class(c)) == c.
     """
     sides, mods = c.sides.as_tuple(), c.sides.moduli()
-    zero_tol = 1e-13 * max(mods)
+    zero_tol = _ZERO_SNAP * max(mods)
     free: dict[str, AngleModPi] = {}
     for i, slot in enumerate(SLOTS):
         if mods[i] > zero_tol:
@@ -247,10 +229,12 @@ def lift_class(c: ShapeClass) -> TriangleVariable:
 
 def _lift_data(c: ShapeClass) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """lift_class(c)'s directions and argument values, to the bit; only a
-    class with a side at lift_class's zero snap is lifted."""
+    class with a side at the zero snap is lifted.  The others close and have
+    no zero direction pair, so they skip from_sides' tests and free rules."""
     mods = c.sides.moduli()
-    if min(mods) > 1e-13 * max(mods) and (data := _sides_data(c.sides.a, c.sides.b)):
-        return data
+    if min(mods) > _ZERO_SNAP * max(mods):
+        _, d, x = _side_data(c.sides.a, c.sides.b)
+        return d, (_wrap_pi(x[0]), _wrap_pi(x[1]), _wrap_pi(x[2]))
     T = lift_class(c)
     return T.directions, tuple(x.value for x in T.arguments)
 
@@ -316,7 +300,7 @@ def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
     """Induced symmetry on classes: the image of a lift of the class, read
     off its direction data (``triangle.act`` is the independent path)."""
     d, x = _lift_data(c)
-    return _images(d, _angle_table(x))(_GROUP.index((*g.perm, bool(g.flip))))
+    return _images(d, _angle_table(x))(_GROUP.index((*g.perm, g.flip)))
 
 
 #: (c, tol, result) of the last _members call; matched by identity, since

@@ -12,6 +12,7 @@ import cmath
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,6 +82,61 @@ class TriangleVariable:
         return (complex(d[0], d[1]), complex(d[2], d[3]), complex(d[4], d[5]))
 
 
+def _side_data(a: complex, b: complex):
+    """(c, directions, arguments) of the sides (a, b, c = -a - b): the exact
+    closure, the canonical direction sextuple and the three atan2 values,
+    not yet wrapped, or None for them at a zero direction pair."""
+    c = -a - b
+    d = canonical_directions((a.real, a.imag, b.real, b.imag, c.real, c.imag))
+    d0, d1, d2, d3, d4, d5 = d
+    if (d0 or d1) and (d2 or d3) and (d4 or d5):
+        return c, d, (math.atan2(d1, d0), math.atan2(d3, d2), math.atan2(d5, d4))
+    return c, d, None
+
+
+def _side_record(a: complex, b: complex, c: complex, basepoint: complex = 0j,
+                 directions=None, free_arguments=None):
+    """:func:`from_sides`' tests, then its (c, directions, arguments), the
+    arguments not yet wrapped."""
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
+        raise ValueError(f"side-vectors must be finite: a = {a}, b = {b}, c = {c}")
+    if not cmath.isfinite(basepoint):
+        raise ValueError(f"basepoint must be finite: {basepoint}")
+    try:
+        scale = max(abs(a), abs(b), abs(c))
+        if scale > 0.0 and abs(a + b + c) > DEFAULT_TOL * scale:
+            raise ValueError(f"side-vectors do not close: a+b+c = {a + b + c}")
+    except OverflowError:
+        raise ValueError(f"side-vectors too long: a = {a}, b = {b}, c = {c}") from None
+    if scale > 0.0:
+        c, dirs, xi = _side_data(a, b)
+    else:
+        if directions is None:
+            raise ValueError(
+                "underdetermined triple point: zero side-vectors need an "
+                "explicit direction sextuple"
+            )
+        dirs = canonical_directions(directions)
+        if not all(map(math.isfinite, dirs)):
+            raise ValueError(f"directions must be finite: {tuple(directions)}")
+        s1 = dirs[0] + dirs[2] + dirs[4]
+        s2 = dirs[1] + dirs[3] + dirs[5]
+        if abs(s1) > DEFAULT_TOL or abs(s2) > DEFAULT_TOL:
+            raise ValueError("direction triple violates a1+b1+c1 = a2+b2+c2 = 0")
+        xi = None
+    if xi is None:
+        # a zero pair takes its free argument, else the line through the two
+        # distinct vertices; the nonzero pairs of a double point are
+        # opposite, so the first one gives the angle
+        xi = [math.atan2(dirs[k + 1], dirs[k]) if dirs[k] or dirs[k + 1] else None
+              for k in (0, 2, 4)]
+        free = free_arguments or {}
+        line = next(x for x in xi if x is not None)
+        xi = [x if x is not None else float(free[slot]) if slot in free else line
+              for slot, x in zip(SLOTS, xi)]
+    return c, dirs, xi
+
+
 def from_sides(
     a: complex,
     b: complex,
@@ -100,47 +156,7 @@ def from_sides(
     """
     a, b, c = complex(a), complex(b), complex(c)
     basepoint = complex(basepoint)
-    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
-        raise ValueError(f"side-vectors must be finite: a = {a}, b = {b}, c = {c}")
-    if not cmath.isfinite(basepoint):
-        raise ValueError(f"basepoint must be finite: {basepoint}")
-    try:
-        scale = max(abs(a), abs(b), abs(c))
-        if scale > 0.0 and abs(a + b + c) > DEFAULT_TOL * scale:
-            raise ValueError(f"side-vectors do not close: a+b+c = {a + b + c}")
-    except OverflowError:
-        raise ValueError(f"side-vectors too long: a = {a}, b = {b}, c = {c}") from None
-    if scale > 0.0:
-        c = -a - b
-        dirs = canonical_directions((a.real, a.imag, b.real, b.imag, c.real, c.imag))
-    else:
-        if directions is None:
-            raise ValueError(
-                "underdetermined triple point: zero side-vectors need an "
-                "explicit direction sextuple"
-            )
-        dirs = canonical_directions(directions)
-        if not all(map(math.isfinite, dirs)):
-            raise ValueError(f"directions must be finite: {tuple(directions)}")
-        s1 = dirs[0] + dirs[2] + dirs[4]
-        s2 = dirs[1] + dirs[3] + dirs[5]
-        if abs(s1) > DEFAULT_TOL or abs(s2) > DEFAULT_TOL:
-            raise ValueError("direction triple violates a1+b1+c1 = a2+b2+c2 = 0")
-    d0, d1, d2, d3, d4, d5 = dirs
-    if (d0 or d1) and (d2 or d3) and (d4 or d5):
-        xi = (math.atan2(d1, d0), math.atan2(d3, d2), math.atan2(d5, d4))
-    else:
-        # a zero pair takes its free argument, else the line through the two
-        # distinct vertices; the nonzero pairs of a double point are
-        # opposite, so the first one gives the angle
-        xi = [math.atan2(dirs[k + 1], dirs[k]) if dirs[k] or dirs[k + 1] else None
-              for k in (0, 2, 4)]
-        free = free_arguments or {}
-        line = next(x for x in xi if x is not None)
-        xi = [
-            x if x is not None else float(free[slot]) if slot in free else line
-            for slot, x in zip(SLOTS, xi)
-        ]
+    c, dirs, xi = _side_record(a, b, c, basepoint, directions, free_arguments)
     return TriangleVariable(
         basepoint=basepoint,
         sides=(a, b, c),
@@ -268,8 +284,16 @@ class GroupElement:
     flip: bool
 
     def __post_init__(self) -> None:
-        if sorted(self.perm) != [0, 1, 2]:
-            raise ValueError(f"not a permutation of (0, 1, 2): {self.perm}")
+        try:
+            perm = tuple(map(operator.index, self.perm))
+        except TypeError:
+            perm = ()
+        if sorted(perm) != [0, 1, 2]:
+            raise ValueError(f"perm is not a permutation of (0, 1, 2): {self.perm!r}")
+        if self.flip not in (False, True):
+            raise ValueError(f"flip must be True or False: {self.flip!r}")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "flip", bool(self.flip))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         # act(self * other, T) == act(self, act(other, T))

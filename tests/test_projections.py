@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -264,6 +265,38 @@ def test_fiber_limit_is_canonical():
         assert max(abs(v) for v in limit) == pytest.approx(1.0, abs=1e-15)
         assert next(v for v in limit if v != 0.0) > 0.0
         assert proj_dist(ProjTripleC(a0, b0, -a0 - b0), ProjTripleC(*limit)) < 1e-15
+
+
+#: directions whose limits carry signed zeros, subnormals and 1e+-300
+_FIBER_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1e-300, 1e300, -1e300, 1.0, -2.5, 7.0)
+
+
+def _fiber_directions():
+    for a in _FIBER_SPECIALS:
+        for b in _FIBER_SPECIALS:
+            yield (a, b, -a - b)
+    rng = random.Random(3501)
+    for k in range(40_000):
+        a, b = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 300.0) for _ in range(2))
+        if k % 5 == 0:
+            a = rng.choice((0.0, -0.0))
+        elif k % 5 == 1:
+            b = rng.uniform(-1.0, 1.0) * a
+        yield (a, b, -a - b + (PI if k % 2 else 0.0))  # the third is read mod pi
+
+
+def test_fiber_limit_keeps_its_bits():
+    """float.hex of every limit, or the refusal, over 40,121 directions, as
+    the max-abs, first-nonzero-positive rule gave them before it was shared
+    with canonical_directions."""
+    lines = []
+    for d in _fiber_directions():
+        try:
+            lines.append(" ".join(float.hex(v) for v in torus_fiber_limit(d)))
+        except ValueError as exc:
+            lines.append(f"ValueError: {exc}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "44ea7fe75c9644ae40456123d4f6829c8478cdff296afc016e73977cfcabc12f"
 
 
 # ---------------------------------------------------------------------------

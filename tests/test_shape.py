@@ -92,7 +92,8 @@ def test_class_of_vertices_keeps_the_bits_on_collinear_triangles():
 _INF, _NAN, _BIG = math.inf, math.nan, 1.5e308
 
 
-@pytest.mark.parametrize("verts", [
+#: doubles, triple points, refused input and real input: each branch of from_sides' record
+_OFF_FAST_PATH = pytest.mark.parametrize("verts", [
     (0.3 + 0.8j, 0.3 + 0.8j, 1.0), (0.0, 1.0, 1.0), (2j, -1.0, 2j), (-0.0, 0.0, 1.0),
     (1e-300j, 1e-300j, 0.0), (1.0, 1.0, 1.0), (0j, -0j, complex(-0.0, 0.0)),
     (complex(_INF, 0.0), 0.0, 1.0), (0.0, complex(0.0, _NAN), 1.0), (_NAN, _NAN, _NAN),
@@ -104,6 +105,9 @@ _INF, _NAN, _BIG = math.inf, math.nan, 1.5e308
         "triple", "triple-zeros", "inf-part", "nan-part", "nan", "inf", "overflowing-side",
         "one-overflowing-side", "two-overflowing-sides", "overflowing-modulus",
         "overflowing-both", "real-input"])
+
+
+@_OFF_FAST_PATH
 def test_class_of_vertices_matches_the_triangle_path_off_the_fast_path(verts):
     assert _outcome_of(class_of_vertices, *verts) == _outcome_of(_class_by_triangle, *verts)
 
@@ -116,6 +120,20 @@ def test_class_of_vertices_builds_no_triangle(monkeypatch):
     monkeypatch.setattr(shape, "class_of", refuse)
     c = class_of_vertices(0.3 + 0.8j, 0.0, 1.0)
     assert _hex(c) == _hex(class_of(from_vertices(0.3 + 0.8j, 0.0, 1.0)))
+
+
+@_OFF_FAST_PATH
+def test_class_of_vertices_builds_no_triangle_off_the_fast_path(monkeypatch, verts):
+    """Doubles and refused input get from_sides' arguments and errors without
+    a triangle, too."""
+    expected = _outcome_of(_class_by_triangle, *verts)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a triangle was built")
+
+    monkeypatch.setattr(shape, "from_vertices", refuse)
+    monkeypatch.setattr(shape, "class_of", refuse)
+    assert _outcome_of(class_of_vertices, *verts) == expected
 
 
 def test_proj_triple_rejects_bad_input():

@@ -192,6 +192,28 @@ def test_permutation_relabels_slots():
         assert U.sides[i] == T.sides[g.perm[i]]
 
 
+@pytest.mark.parametrize("perm, flip, field", [
+    ((0.0, 1.0, 2.0), False, "perm"),  # float slots would reach act as indices
+    ("012", False, "perm"),
+    (3, False, "perm"),
+    ((0, 1, 1), False, "perm"),
+    ((0, 1, 2), "yes", "flip"),
+    ((0, 1, 2), 2, "flip"),
+    ((0, 1, 2), None, "flip"),
+], ids=["float-slots", "string", "not-iterable", "repeated-slot", "string-flip", "int-flip",
+        "none-flip"])
+def test_group_element_refuses_fields_it_cannot_use(perm, flip, field):
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        GroupElement(perm, flip)
+
+
+def test_group_element_stores_a_hashable_tuple_and_a_bool():
+    g = GroupElement([1, 0, 2], 1)
+    assert g.perm == (1, 0, 2) and g.flip is True
+    assert g == GroupElement((1, 0, 2), True) and hash(g) == hash(GroupElement((1, 0, 2), True))
+    assert g * g == GroupElement((0, 1, 2), False)
+
+
 def test_action_preserves_validity():
     rng = random.Random(17)
     for _ in range(50):
@@ -223,6 +245,16 @@ def test_non_finite_basepoint_and_directions_raise():
         from_sides(0, 0, 0, directions=(1, 0, -0.5, math.nan, -0.5, -0.5))
     with pytest.raises(ValueError, match="directions"):
         from_sides(0, 0, 0, directions=(1, 0, -0.5, 0.5, -math.inf, -0.5))
+
+
+@pytest.mark.parametrize("sides, basepoint, message", [
+    ((math.nan, 1, -1), complex(math.inf, 0), "side-vectors must be finite"),
+    ((1, 1, 1), complex(0, math.nan), "basepoint must be finite"),
+    ((1.7e308, 1.7e308j, 0), 0j, "side-vectors too long"),  # |a + b + c| overflows
+])
+def test_from_sides_tests_its_input_in_order(sides, basepoint, message):
+    with pytest.raises(ValueError, match=message):
+        from_sides(*sides, basepoint=basepoint)
 
 
 def test_orientation_agrees_with_classify_at_tiny_scale():
