@@ -1,8 +1,10 @@
 """Self-contained verification suite for the package's headline guarantees.
 
-Every check is a pure function returning (passed, detail).  The test suite
-and the command-line ``selftest`` both run this registry, so there is a
-single source of truth for what the package promises numerically.
+Every check is a pure function returning (passed, detail).  It measures
+every figure it compares against a bound before it returns, so ``detail``
+gives all of them, on a failure too.  The test suite and the command-line
+``selftest`` both run this registry, so there is a single source of truth
+for what the package promises numerically.
 """
 from __future__ import annotations
 
@@ -77,16 +79,20 @@ def random_nondegenerate(rng: random.Random) -> TriangleVariable:
             return T
 
 
+def _double_class(slot: int, z: complex, free: float) -> ShapeClass:
+    """The class over double-point divisor ``slot``: that side zero with
+    argument ``free``, the next z and the last -z."""
+    sides = [z, z, z]
+    sides[slot] = 0j
+    sides[(slot + 2) % 3] = -z
+    return class_of(from_sides(*sides, free_arguments={"abc"[slot]: reduce_mod_pi(free)}))
+
+
 def random_double_class(rng: random.Random) -> ShapeClass:
     """A class over one of the three double-point divisors."""
     slot = rng.randrange(3)
     z = cmath.exp(1j * rng.uniform(0, 2 * PI)) * rng.uniform(0.5, 2.0)
-    free = {("a", "b", "c")[slot]: reduce_mod_pi(rng.uniform(0, PI))}
-    sides = [z, z, z]
-    sides[slot] = 0j
-    sides[(slot + 1) % 3] = z
-    sides[(slot + 2) % 3] = -z
-    return class_of(from_sides(*sides, free_arguments=free))
+    return _double_class(slot, z, rng.uniform(0, PI))
 
 
 def random_simple(rng: random.Random) -> TriangleVariable:
@@ -97,6 +103,14 @@ def random_simple(rng: random.Random) -> TriangleVariable:
     return from_vertices(base + u * direction, base + v * direction, base)
 
 
+def _placed(slot: int, special: complex, P: complex, Q: complex) -> TriangleVariable:
+    """The triangle with ``special`` at vertex ``slot`` and P, Q at the other
+    two in order, so the side opposite ``special`` is side ``slot``."""
+    vertices = [P, Q]
+    vertices.insert(slot, special)
+    return from_vertices(*vertices)
+
+
 def random_isosceles(rng: random.Random) -> tuple[TriangleVariable, int]:
     """Triangle with the two sides at one odd slot equal; returns (T, slot)."""
     slot = rng.randrange(3)
@@ -104,15 +118,9 @@ def random_isosceles(rng: random.Random) -> tuple[TriangleVariable, int]:
     height = rng.uniform(0.1, 2.0) * rng.choice((1.0, -1.0))
     spin = cmath.exp(1j * rng.uniform(0, 2 * PI))
     shift = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    # apex over the midpoint of the odd side
-    P = shift
-    Q = shift + base * spin
+    # apex over the midpoint of the odd side, from shift to shift + base * spin
     apex = shift + (base / 2.0 + 1j * height) * spin
-    if slot == 0:  # |b| = |c|: odd side a = C - B
-        return from_vertices(apex, P, Q), 0
-    if slot == 1:  # |c| = |a|: odd side b = A - C
-        return from_vertices(P, apex, Q), 1
-    return from_vertices(P, Q, apex), 2
+    return _placed(slot, apex, shift, shift + base * spin), slot
 
 
 def random_right(rng: random.Random) -> tuple[TriangleVariable, int]:
@@ -122,12 +130,8 @@ def random_right(rng: random.Random) -> tuple[TriangleVariable, int]:
     shift = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     leg1 = rng.uniform(0.3, 2.0)
     leg2 = rng.uniform(0.3, 2.0) * rng.choice((1.0, -1.0))
-    corner = shift
-    P = shift + leg1 * spin
-    Q = shift + 1j * leg2 * spin
-    # right angle at the corner; the hypotenuse is the side opposite it
-    verts = {0: (corner, P, Q), 1: (P, corner, Q), 2: (P, Q, corner)}[slot]
-    return from_vertices(*verts), slot
+    # right angle at the corner ``shift``; the hypotenuse is the side opposite it
+    return _placed(slot, shift, shift + leg1 * spin, shift + 1j * leg2 * spin), slot
 
 
 def random_obtuse(rng: random.Random) -> tuple[TriangleVariable, int]:
@@ -174,40 +178,38 @@ def check_sphere_landmarks() -> tuple[bool, str]:
     to the poles of the orientation axis."""
     rng = random.Random(SEED + 2)
     worst = 0.0
-    landmarks = {0: DELTA_A, 1: DELTA_B, 2: DELTA_C}
+    landmarks = (DELTA_A, DELTA_B, DELTA_C)
     for _ in range(300):
         slot = rng.randrange(3)
-        z = cmath.exp(1j * rng.uniform(0, 2 * PI))
-        sides = [z, z, z]
-        sides[slot] = 0j
-        sides[(slot + 2) % 3] = -z
-        free = {("a", "b", "c")[slot]: reduce_mod_pi(rng.uniform(0, PI))}
-        c = class_of(from_sides(*sides, free_arguments=free))
-        s = to_sphere(c)
-        worst = max(worst, math.dist(s.as_tuple(), landmarks[slot]))
+        c = _double_class(slot, cmath.exp(1j * rng.uniform(0, 2 * PI)), rng.uniform(0, PI))
+        worst = max(worst, math.dist(to_sphere(c).as_tuple(), landmarks[slot]))
     w = cmath.exp(2j * PI / 3)
-    plus = class_of(from_vertices(w, w.conjugate(), 1.0))
+    T_plus = from_vertices(w, w.conjugate(), 1.0)
+    positive = orientation(T_plus) is Orientation.POSITIVE
+    plus = class_of(T_plus)
     minus = class_of(from_vertices(w.conjugate(), w, 1.0))
-    assert orientation(from_vertices(w, w.conjugate(), 1.0)) is Orientation.POSITIVE
     worst = max(worst, math.dist(to_sphere(plus).as_tuple(), (0.0, -1.0, 0.0)))
     worst = max(worst, math.dist(to_sphere(minus).as_tuple(), (0.0, 1.0, 0.0)))
-    return worst < 1e-12, f"max landmark error {worst:.3e}"
+    return positive and worst < 1e-12, (
+        f"max landmark error {worst:.3e}; equilateral (w, w*, 1) positive {positive}"
+    )
 
 
 def check_hemispheres() -> tuple[bool, str]:
     """Orientation picks the hemisphere; degenerate classes sit on Y = 0."""
     rng = random.Random(SEED + 3)
+    mismatches = 0
     for _ in range(1000):
         T = random_nondegenerate(rng)
         y = to_sphere(class_of(T)).y
-        want_neg = orientation(T) is Orientation.POSITIVE
-        if want_neg != (y < 0.0):
-            return False, f"hemisphere sign violated: y={y}, orientation {orientation(T)}"
+        mismatches += (orientation(T) is Orientation.POSITIVE) != (y < 0.0)
     worst = 0.0
     for _ in range(200):
         worst = max(worst, abs(to_sphere(class_of(random_simple(rng))).y))
         worst = max(worst, abs(to_sphere(random_double_class(rng)).y))
-    return worst < 1e-9, f"1000 oriented classes split; degenerate |Y| max {worst:.3e}"
+    return mismatches == 0 and worst < 1e-9, (
+        f"1000 oriented classes, {mismatches} sign mismatches; degenerate |Y| max {worst:.3e}"
+    )
 
 
 def check_sphere_loci() -> tuple[bool, str]:
@@ -219,22 +221,19 @@ def check_sphere_loci() -> tuple[bool, str]:
     for _ in range(500):
         T, slot = random_isosceles(rng)
         x, _, z = to_sphere(class_of(T)).as_tuple()
-        residual = {0: x + s3 * z, 1: x - s3 * z, 2: x}[slot]
-        worst = max(worst, abs(residual))
+        worst = max(worst, abs((x + s3 * z, x - s3 * z, x)[slot]))
     for _ in range(500):
         T, slot = random_right(rng)
         x, _, z = to_sphere(class_of(T)).as_tuple()
-        residual = {0: -s3 * x + z + 1.0, 1: s3 * x + z + 1.0, 2: z - 0.5}[slot]
-        worst = max(worst, abs(residual))
-    if worst >= 1e-9:
-        return False, f"circle residual {worst:.3e}"
+        worst = max(worst, abs((-s3 * x + z + 1.0, s3 * x + z + 1.0, z - 0.5)[slot]))
+    held = 0
     for _ in range(500):
         T, slot = random_obtuse(rng)
         x, _, z = to_sphere(class_of(T)).as_tuple()
-        inside = {0: -s3 * x + z < -1.0, 1: s3 * x + z < -1.0, 2: z > 0.5}[slot]
-        if not inside:
-            return False, f"obtuse class escaped its cap (slot {slot})"
-    return True, f"1000 circle residuals < 1e-9 (max {worst:.3e}); 500 caps hold"
+        held += (-s3 * x + z < -1.0, s3 * x + z < -1.0, z > 0.5)[slot]
+    return worst < 1e-9 and held == 500, (
+        f"1000 circle residuals, max {worst:.3e}; {held} of 500 obtuse caps hold"
+    )
 
 
 def check_torus_inverse() -> tuple[bool, str]:
@@ -244,14 +243,14 @@ def check_torus_inverse() -> tuple[bool, str]:
     for _ in range(1000):
         t = random_torus_point(rng)
         worst = max(worst, torus_dist(to_torus(torus_inverse(t)), t))
-    if worst >= 1e-9:
-        return False, f"round-trip error {worst:.3e}"
     try:
         torus_inverse(TorusPoint(reduce_mod_pi(0), reduce_mod_pi(0), reduce_mod_pi(0)))
-        return False, "origin was not rejected"
+        rejected = False
     except ValueError:
-        pass
-    return True, f"1000 round trips, max error {worst:.3e}; origin rejected"
+        rejected = True
+    return worst < 1e-9 and rejected, (
+        f"1000 round trips, max error {worst:.3e}; origin rejected {rejected}"
+    )
 
 
 def check_fiber_directions() -> tuple[bool, str]:
@@ -291,8 +290,6 @@ def check_poncelet() -> tuple[bool, str]:
         )
         lv = level_value(interior_angles(T))
         worst_level = max(worst_level, abs(lv - cfg.r / cfg.R))
-    if worst_chapple >= 1e-9 or worst_level >= 1e-9:
-        return False, f"chapple {worst_chapple:.3e}, level {worst_level:.3e}"
     worst_var = 0.0
     worst_tan = 0.0
     for _ in range(20):
@@ -305,7 +302,7 @@ def check_poncelet() -> tuple[bool, str]:
             ratios.append(got.r / got.R)
             worst_tan = max(worst_tan, chord_tangency_residual(cfg, T))
         worst_var = max(worst_var, max(ratios) - min(ratios))
-    ok = worst_var < 1e-9 and worst_tan < 1e-8
+    ok = worst_chapple < 1e-9 and worst_level < 1e-9 and worst_var < 1e-9 and worst_tan < 1e-8
     return ok, (
         f"chapple {worst_chapple:.3e}, level {worst_level:.3e}, "
         f"orbit r/R variation {worst_var:.3e}, tangency {worst_tan:.3e}"
@@ -315,28 +312,22 @@ def check_poncelet() -> tuple[bool, str]:
 def check_missing_degenerates() -> tuple[bool, str]:
     """Each blowdown model merges exactly one of the two benchmark family
     pairs that the full surface keeps apart."""
-    fa1 = constant_angle_family(PI / 2)
-    fa2 = constant_angle_family(2 * PI / 3)
-    fr1 = constant_ratio_family(1.0)
-    fr2 = constant_ratio_family(2.0)
-    results = []
-    r = separation_test(fa1, fa2, Model.SPHERE)
-    results.append(("angle/sphere", r.verdict == "Merged" and r.distance < 1e-6, r))
-    r = separation_test(fa1, fa2, Model.TORUS)
-    results.append(("angle/torus", r.verdict == "Separated" and r.distance > 0.5, r))
-    r = separation_test(fa1, fa2, Model.DYCK)
-    results.append(("angle/dyck", r.verdict == "Separated", r))
-    r = separation_test(fr1, fr2, Model.TORUS)
-    results.append(("ratio/torus", r.verdict == "Merged" and r.distance < 1e-6, r))
-    r = separation_test(fr1, fr2, Model.SPHERE)
-    results.append(("ratio/sphere", r.verdict == "Separated" and r.distance > 0.05, r))
-    r = separation_test(fr1, fr2, Model.DYCK)
-    results.append(("ratio/dyck", r.verdict == "Separated", r))
-    bad = [f"{name}: {rep.verdict} at {rep.distance:.3e}" for name, ok, rep in results if not ok]
-    if bad:
-        return False, "; ".join(bad)
-    detail = ", ".join(f"{name} {rep.distance:.2e}" for name, _, rep in results)
-    return True, detail
+    angle = (constant_angle_family(PI / 2), constant_angle_family(2 * PI / 3))
+    ratio = (constant_ratio_family(1.0), constant_ratio_family(2.0))
+    held = 0
+    rows = []
+    for name, pair, model, verdict, distance_holds in (
+        ("angle/sphere", angle, Model.SPHERE, "Merged", lambda d: d < 1e-6),
+        ("angle/torus", angle, Model.TORUS, "Separated", lambda d: d > 0.5),
+        ("angle/dyck", angle, Model.DYCK, "Separated", lambda d: True),
+        ("ratio/torus", ratio, Model.TORUS, "Merged", lambda d: d < 1e-6),
+        ("ratio/sphere", ratio, Model.SPHERE, "Separated", lambda d: d > 0.05),
+        ("ratio/dyck", ratio, Model.DYCK, "Separated", lambda d: True),
+    ):
+        r = separation_test(*pair, model)
+        held += r.verdict == verdict and distance_holds(r.distance)
+        rows.append(f"{name} {r.verdict} {r.distance:.2e}")
+    return held == len(rows), f"{', '.join(rows)}; {held} of {len(rows)} as expected"
 
 
 def check_group_action() -> tuple[bool, str]:
@@ -348,34 +339,34 @@ def check_group_action() -> tuple[bool, str]:
     elements = GroupElement.all_elements()
     triangles = [random_nondegenerate(rng) for _ in range(20)]
     images = [[act(h, T) for T in triangles] for h in elements]
+    worst_law = 0.0
     for g in elements:
         for h, h_images in zip(elements, images):
             gh = g * h
             for T, hT in zip(triangles, h_images):
                 left = act(gh, T)
                 right = act(g, hT)
-                if max(abs(u - v) for u, v in zip(left.sides, right.sides)) > 1e-12:
-                    return False, f"composition failed for {g}, {h}"
-                if any(
-                    angle_dist(x, y) > 1e-12
-                    for x, y in zip(left.arguments, right.arguments)
-                ):
-                    return False, f"argument composition failed for {g}, {h}"
+                worst_law = max(
+                    worst_law,
+                    *(abs(u - v) for u, v in zip(left.sides, right.sides)),
+                    *(angle_dist(x, y) for x, y in zip(left.arguments, right.arguments)),
+                )
     # scalene with all angles distinct -> free orbit
     scalene = class_of(from_vertices(0.0, 1.0, 0.3 + 0.9j))
     iso = class_of(from_vertices(0.5 + 1.1j, 0.0, 1.0))  # |b| = |c|, not equilateral
     w = cmath.exp(2j * PI / 3)
     equi = class_of(from_vertices(w.conjugate(), w, 1.0))
     sizes = (len(orbit(scalene, 1e-6)), len(orbit(iso, 1e-6)), len(orbit(equi, 1e-6)))
-    if sizes != (12, 6, 2):
-        return False, f"orbit sizes {sizes} != (12, 6, 2)"
+    worst_map = 0.0
     for _ in range(100):
         g = rng.choice(elements)
         T = random_nondegenerate(rng)
-        d = class_dist(class_of(act(g, T)), act_class(g, class_of(T)))
-        if d > 1e-9:
-            return False, f"equivariance failed: distance {d:.3e}"
-    return True, "144 compositions x 20 triangles; orbits (12, 6, 2); 100 equivariance pairs"
+        worst_map = max(worst_map, class_dist(class_of(act(g, T)), act_class(g, class_of(T))))
+    ok = worst_law <= 1e-12 and sizes == (12, 6, 2) and worst_map <= 1e-9
+    return ok, (
+        f"144 compositions x 20 triangles, max error {worst_law:.3e}; orbits {sizes}; "
+        f"100 equivariance pairs, max distance {worst_map:.3e}"
+    )
 
 
 def check_angle_formula() -> tuple[bool, str]:
@@ -390,8 +381,6 @@ def check_angle_formula() -> tuple[bool, str]:
         worst = max(
             worst, max(angle_dist(x, y) for x, y in zip(computed, measured))
         )
-    if worst >= 1e-9:
-        return False, f"formula mismatch {worst:.3e}"
     fam = inscribed_family()
     eps = 1e-5
     around = [
@@ -403,9 +392,9 @@ def check_angle_formula() -> tuple[bool, str]:
         for t2 in around
         for x, y in zip(t1, t2)
     )
-    if jump > 1e-3:
-        return False, f"angles jump {jump:.3e} across the double point"
-    return True, f"1000 triangles, max deviation {worst:.3e}; crossing jump {jump:.3e}"
+    return worst < 1e-9 and jump <= 1e-3, (
+        f"1000 triangles, max deviation {worst:.3e}; crossing jump {jump:.3e}"
+    )
 
 
 ALL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [

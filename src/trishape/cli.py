@@ -256,7 +256,10 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
     failed = 0
     for name, fn in ALL_CHECKS:
-        passed, detail = fn()
+        try:
+            passed, detail = fn()
+        except Exception as exc:  # one broken check must not hide the others
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
         status = "PASS" if passed else "FAIL"
         print(f"{status} {name}: {detail}")
         failed += 0 if passed else 1

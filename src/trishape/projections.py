@@ -197,12 +197,13 @@ def torus_fiber_limit(direction: Sequence[float]) -> tuple[float, float, float]:
     triangle are 2i t (d_a, d_b, -d_a - d_b) + O(t^2), so the limit is that
     real triple: largest modulus 1, first nonzero coordinate positive, mean
     removed.  The third coordinate is read mod pi, so only d_a and d_b
-    enter.
+    enter.  The sum is tested to DEFAULT_TOL plus 4 ulps of the largest
+    |d_i|, the rounding of a pi-shifted third coordinate and of the sum.
     """
     d = tuple(float(v) for v in direction)
     if len(d) != 3:
         raise ValueError("direction must be a nonzero real triple")
-    if angle_dist(sum(d), 0.0) > DEFAULT_TOL:
+    if angle_dist(sum(d), 0.0) > DEFAULT_TOL + 4 * math.ulp(max(map(abs, d))):
         raise ValueError(f"direction must sum to 0 mod pi: sum = {sum(d)}")
     if not (d[0] or d[1]):
         raise ValueError("direction must be a nonzero real triple")

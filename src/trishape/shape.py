@@ -16,7 +16,6 @@ from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _wrap_pi
 from .angles import angle_dist, reduce_mod_pi
 from .triangle import SLOTS, GroupElement, TriangleVariable, _side_data, _side_record
 from .triangle import from_sides, interior_angles
-from .triangle import from_vertices  # unused: tests patch it to show class_of_vertices skips it
 
 #: a class's side at or below this fraction of its largest is zero to
 #: lift_class, which then takes its argument from the stored angles

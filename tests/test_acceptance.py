@@ -4,12 +4,20 @@ Each test prints a single PASS/FAIL line (visible with -s or on failure)
 and asserts the check's verdict at its stated tolerance.  The heavy lifting
 lives in trishape.checks so the CLI selftest runs the identical code.
 """
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from trishape import checks
+from trishape.angles import reduce_mod_pi
+from trishape.cli import main
+from trishape.projections import TorusPoint
+
+#: a measured figure as the checks print it; its last digits follow libm
+_FIGURE = re.compile(r"\d\.\d{2,3}e[+-]\d{2}")
 
 
 def _run(name):
@@ -80,3 +88,32 @@ def test_criterion_11_cli_determinism(child_env):
     )
     assert ok, selftest.stdout
     assert identical
+
+
+def test_selftest_lines_keep_their_wording(capsys):
+    """Every check's one line, with its measured figures masked, as committed."""
+    assert main(["selftest"]) == 0
+    text = (Path(__file__).parent / "data" / "selftest_masked.txt").read_text()
+    assert _FIGURE.sub("<figure>", capsys.readouterr().out) == text
+
+
+def test_a_torus_inverse_that_accepts_the_origin_fails_with_every_figure(monkeypatch):
+    real = checks.torus_inverse
+    away = TorusPoint(reduce_mod_pi(1.0), reduce_mod_pi(1.0), reduce_mod_pi(-2.0))
+    monkeypatch.setattr(checks, "torus_inverse", lambda t: real(away if t.is_origin() else t))
+    passed, detail = checks.check_torus_inverse()
+    assert not passed
+    assert _FIGURE.sub("<figure>", detail) == (
+        "1000 round trips, max error <figure>; origin rejected False")
+    assert float(_FIGURE.search(detail)[0]) < 1e-9
+
+
+def test_an_act_class_that_returns_its_input_fails_with_every_figure(monkeypatch):
+    monkeypatch.setattr(checks, "act_class", lambda g, c: c)
+    passed, detail = checks.check_group_action()
+    assert not passed
+    assert _FIGURE.sub("<figure>", detail) == (
+        "144 compositions x 20 triangles, max error <figure>; orbits (12, 6, 2); "
+        "100 equivariance pairs, max distance <figure>")
+    law, equivariance = map(float, _FIGURE.findall(detail))
+    assert law <= 1e-12 and equivariance > 1e-9

@@ -526,3 +526,25 @@ def test_bad_poncelet_radii_are_a_domain_error(capsys, command, radii):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_selftest_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
+    from trishape import checks
+
+    def value_error():
+        raise ValueError("bad sample")
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", [
+        ("first", lambda: (True, "fine")),
+        ("value", value_error),
+        ("zero", lambda: 1 / 0),
+        ("last", lambda: (True, "still run")),
+    ])
+    code, out, err = run_cli(capsys, "selftest")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "PASS first: fine",
+        "FAIL value: ValueError: bad sample",
+        "FAIL zero: ZeroDivisionError: division by zero",
+        "PASS last: still run",
+    ]

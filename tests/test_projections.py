@@ -257,6 +257,22 @@ def test_fiber_limit_reads_the_third_coordinate_mod_pi():
     assert torus_fiber_limit((1, 1, PI - 2)) == torus_fiber_limit((1, 1, -2))
 
 
+def test_fiber_limit_reads_pi_shifted_directions_at_every_size():
+    """The sum test allows for the rounding of a pi-shifted third coordinate,
+    which an absolute 1e-9 refused from |d_a| ~ 1e6, and still refuses a
+    shift of 1 while an ulp of |d_a| is far below it."""
+    rng = random.Random(1901)
+    for e in range(21):
+        for k in range(200):
+            a, b = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(e, e + 1) for _ in range(2))
+            if k % 2:
+                b = rng.uniform(-1.0, 1.0) * a
+            assert torus_fiber_limit((a, b, -a - b + PI)) == torus_fiber_limit((a, b, -a - b))
+            if e < 14:
+                with pytest.raises(ValueError, match="must sum to 0 mod pi"):
+                    torus_fiber_limit((a, b, -a - b + 1.0))
+
+
 def test_fiber_limit_is_canonical():
     rng = random.Random(35)
     for _ in range(100):
@@ -288,7 +304,8 @@ def _fiber_directions():
 def test_fiber_limit_keeps_its_bits():
     """float.hex of every limit, or the refusal, over 40,121 directions, as
     the max-abs, first-nonzero-positive rule gave them before it was shared
-    with canonical_directions."""
+    with canonical_directions, except the 333 pi-shifted directions that the
+    absolute sum test refused: they now give their limit."""
     lines = []
     for d in _fiber_directions():
         try:
@@ -296,7 +313,7 @@ def test_fiber_limit_keeps_its_bits():
         except ValueError as exc:
             lines.append(f"ValueError: {exc}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "44ea7fe75c9644ae40456123d4f6829c8478cdff296afc016e73977cfcabc12f"
+    assert digest == "2acb6da094ac84d4e6d0e9854b7e927491e53085c34921d16d781c5b487f9912"
 
 
 # ---------------------------------------------------------------------------

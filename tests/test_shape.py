@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from trishape import shape
+from trishape import shape, triangle
 from trishape.angles import DEFAULT_TOL, PI, AngleModPi, angle_dist, reduce_mod_pi
 from trishape.projections import TorusPoint, to_torus, torus_inverse
 from trishape.triangle import GroupElement, act, classify, from_sides, from_vertices
@@ -113,13 +113,15 @@ def test_class_of_vertices_matches_the_triangle_path_off_the_fast_path(verts):
 
 
 def test_class_of_vertices_builds_no_triangle(monkeypatch):
+    expected = _hex(class_of(from_vertices(0.3 + 0.8j, 0.0, 1.0)))
+
     def refuse(*args, **kwargs):
         raise AssertionError("a triangle was built")
 
-    monkeypatch.setattr(shape, "from_vertices", refuse)
+    monkeypatch.setattr(triangle, "TriangleVariable", refuse)
     monkeypatch.setattr(shape, "class_of", refuse)
     c = class_of_vertices(0.3 + 0.8j, 0.0, 1.0)
-    assert _hex(c) == _hex(class_of(from_vertices(0.3 + 0.8j, 0.0, 1.0)))
+    assert _hex(c) == expected
 
 
 @_OFF_FAST_PATH
@@ -131,7 +133,7 @@ def test_class_of_vertices_builds_no_triangle_off_the_fast_path(monkeypatch, ver
     def refuse(*args, **kwargs):
         raise AssertionError("a triangle was built")
 
-    monkeypatch.setattr(shape, "from_vertices", refuse)
+    monkeypatch.setattr(triangle, "TriangleVariable", refuse)
     monkeypatch.setattr(shape, "class_of", refuse)
     assert _outcome_of(class_of_vertices, *verts) == expected
 
