@@ -251,18 +251,92 @@ def _cmd_separate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    from .checks import ALL_CHECKS
-
-    failed = 0
-    for name, fn in ALL_CHECKS:
+def _run_checks(checks):
+    """(name, passed, detail) for each check, in order."""
+    for name, fn in checks:
         try:
             passed, detail = fn()
         except Exception as exc:  # one broken check must not hide the others
             passed, detail = False, f"{type(exc).__name__}: {exc}"
-        status = "PASS" if passed else "FAIL"
-        print(f"{status} {name}: {detail}")
-        failed += 0 if passed else 1
+        yield name, passed, detail
+
+
+class _ForkedChecks:
+    """Checks run by a forked child, which writes one ``[passed, detail]``
+    JSON line per check to a pipe.  The child leaves by ``os._exit``, so no
+    atexit hook and no buffered output of this process runs twice."""
+
+    def __init__(self, checks) -> None:
+        self.checks = checks
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                for _, passed, detail in _run_checks(checks):
+                    line = json.dumps([bool(passed), str(detail)]) + "\n"
+                    os.write(write_fd, line.encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self.pipe = os.fdopen(read_fd, "rb")
+
+    def results(self):
+        """(name, passed, detail) for each check once the child has ended; a
+        check whose line never came fails with how the child ended."""
+        lines = self.pipe.read().split(b"\n")[:-1]  # a cut last line is dropped
+        code = self._reap()
+        ended = f"exit code {code}" if code >= 0 else f"signal {-code}"
+        for k, (name, _) in enumerate(self.checks):
+            if k < len(lines):
+                yield (name, *json.loads(lines[k]))
+            else:
+                yield name, False, f"no result: the check process ended with {ended}"
+
+    def _reap(self) -> int:
+        pid, self.pid = self.pid, 0
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def close(self) -> None:
+        """Stop the child if it has not been reaped, and reap it."""
+        self.pipe.close()
+        if self.pid:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+
+def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .checks import ALL_CHECKS
+
+    # the checks are independent: where the platform forks, a child runs the
+    # second half while this process runs the first.  The lines, their
+    # order and the exit code are those of one process.
+    half = (len(ALL_CHECKS) + 1) // 2 if hasattr(os, "fork") else len(ALL_CHECKS)
+    ours, child = ALL_CHECKS, None
+    if ALL_CHECKS[half:]:
+        try:
+            child = _ForkedChecks(ALL_CHECKS[half:])
+            ours = ALL_CHECKS[:half]
+        except OSError:  # no process to spare: run them all here
+            pass
+    failed = 0
+    try:
+        theirs = child.results() if child else ()
+        for name, passed, detail in itertools.chain(_run_checks(ours), theirs):
+            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}", flush=True)
+            failed += 0 if passed else 1
+    finally:
+        if child:
+            child.close()
     return 0 if failed == 0 else 1
 
 

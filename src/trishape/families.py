@@ -209,7 +209,8 @@ def _line_distance(P: complex, Q: complex, Z: complex) -> float:
     """Distance from Z to the line through P and Q, taken in units of 2^e
     near the points (exact) so that the product neither underflows nor
     overflows."""
-    e = math.frexp(max(abs(x) for V in (P, Q, Z) for x in (V.real, V.imag)))[1]
+    e = math.frexp(max(abs(P.real), abs(P.imag), abs(Q.real), abs(Q.imag),
+                       abs(Z.real), abs(Z.imag)))[1]
     P, Q, Z = _scaled(P, -e), _scaled(Q, -e), _scaled(Z, -e)
     w = Q - P
     return math.ldexp(abs(((Z - P) * w.conjugate()).imag) / abs(w), e)

@@ -106,13 +106,12 @@ def hopf(u: complex, v: complex) -> SpherePoint:
         raise ValueError(f"hopf needs finite input, got ({u}, {v})")
     e = math.frexp(max(abs(u.real), abs(u.imag), abs(v.real), abs(v.imag)))[1]
     u, v = _scaled(u, -e), _scaled(v, -e)
-    n = abs(u) ** 2 + abs(v) ** 2
+    uu, vv = abs(u) ** 2, abs(v) ** 2
+    n = uu + vv
     if n == 0.0:
         raise ValueError("hopf is undefined at (0, 0)")
     w = u.conjugate() * v
-    return SpherePoint(
-        (abs(u) ** 2 - abs(v) ** 2) / n, -2.0 * w.imag / n, 2.0 * w.real / n
-    )
+    return SpherePoint((uu - vv) / n, -2.0 * w.imag / n, 2.0 * w.real / n)
 
 
 def to_sphere(c: ShapeClass) -> SpherePoint:
