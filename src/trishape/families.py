@@ -312,27 +312,24 @@ def constant_ratio_family(ratio: float) -> Family:
     flattening to a simple point as t -> 0.  The limiting side triple is
     proportional to [1 + ratio, -1, -ratio].  ``eval`` raises
     ``ValueError`` where the built |c| / (ratio |b|) is off 1 by more than
-    ``DEFAULT_TOL``, as at large ratios.
+    ``DEFAULT_TOL``, as where float vertices cannot hold the ratio.
     """
     rr = float(ratio)
     if not 0.0 < rr < math.inf:
         raise ValueError(f"side ratio must be positive and finite, got {rr}")
-    try:
-        r2, r4 = rr**2, rr**4
-    except OverflowError:
-        raise ValueError(f"side ratio {rr} is too large: its fourth power overflows") from None
-
-    def _apex_x(t: float) -> float:
-        # |A| = ratio * |A - 1| with A = x + i t
-        if rr == 1.0:
-            return 0.5
-        disc = r4 + (1.0 - r2) * (r2 - (1.0 - r2) * t**2)
-        return (-r2 + math.sqrt(disc)) / (1.0 - r2)
+    r2 = rr * rr
+    if r2 == math.inf:
+        raise ValueError(f"side ratio {rr} is too large: its square overflows")
+    if r2 == 0.0:
+        raise ValueError(f"side ratio {rr} is too small: its square underflows")
 
     def _eval(t: float) -> TriangleVariable:
-        T = from_vertices(complex(_apex_x(t), t), 0.0, 1.0)
-        # _apex_x cancels ever more bits as the ratio grows, so the
-        # triangle it gives is checked to be in the family
+        # |A| = ratio * |A - 1| with A = x + i t, solved in the form whose
+        # denominator adds two positive terms, so no bits cancel
+        x = (r2 - (1.0 - r2) * t**2) / (r2 + math.sqrt(r2 - ((1.0 - r2) * t) ** 2))
+        T = from_vertices(complex(x, t), 0.0, 1.0)
+        # the vertices hold the ratio only to their own rounding, so the
+        # triangle is checked to be in the family
         _, b, c = T.sides
         if abs(abs(c) - rr * abs(b)) > DEFAULT_TOL * rr * abs(b):
             raise ValueError(f"side ratio {rr} is lost to rounding at t = {t}: "

@@ -183,7 +183,9 @@ def torus_inverse(t: TorusPoint) -> ShapeClass:
     raw = _torus_sides(t.p.value, t.q.value)
     zero = (t.p.is_zero(1e-12), t.q.is_zero(1e-12), t.r.is_zero(1e-12))
     if any(zero):
-        sides = [0j if z else s for z, s in zip(zero, raw)]
+        k = zero.index(True)  # that side is 0j, and the other two cancel exactly
+        s = raw[(k + 1) % 3]
+        sides = [(0j, s, -s), (-s, 0j, s), (s, -s, 0j)][k]
         return ShapeClass(sides=ProjTripleC(*sides), angles=t.as_tuple())
     angles = _interior(*(_wrap_pi(cmath.phase(s)) for s in raw))
     return ShapeClass(sides=ProjTripleC(*raw), angles=angles)

@@ -226,40 +226,38 @@ def lift_class(c: ShapeClass) -> TriangleVariable:
     return from_sides(*snapped, free_arguments=free or None)
 
 
-def _lift_data(c: ShapeClass) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """lift_class(c)'s directions and argument values, to the bit; only a
-    class with a side at the zero snap is lifted.  The others close and have
-    no zero direction pair, so they skip from_sides' tests and free rules."""
+def _lift_data(c: ShapeClass) -> tuple[float, ...]:
+    """lift_class(c)'s direction sextuple, to the bit; only a class with a
+    side at the zero snap is lifted.  The others close and have no zero
+    direction pair, so they skip from_sides' tests and free rules."""
     mods = c.sides.moduli()
     if min(mods) > _ZERO_SNAP * max(mods):
-        _, d, x = _side_data(c.sides.a, c.sides.b)
-        return d, (_wrap_pi(x[0]), _wrap_pi(x[1]), _wrap_pi(x[2]))
-    T = lift_class(c)
-    return T.directions, tuple(x.value for x in T.arguments)
+        return _side_data(c.sides.a, c.sides.b)[1]
+    return lift_class(c).directions
 
 
 #: (i, j, k, flip) of the 12 symmetries, in the order orbit lists their images
 _GROUP = tuple((*g.perm, g.flip) for g in GroupElement.all_elements())
-#: (p, q) of the differences w_p - w_q in _angle_table
-_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
-#: table slots of each image's angles: _interior(w_i, w_j, w_k), w negated if flip
-_SLOTS = tuple(tuple(6 * flip + _PAIRS.index(pq) for pq in ((j, k), (k, i), (i, j)))
-               for i, j, k, flip in _GROUP)
 
 
-def _angle_table(x: tuple[float, float, float]) -> list[float]:
-    """Every image angle: w_p - w_q in [0, pi), for w = x, then w = -x."""
-    n = (_wrap_pi(-x[0]), _wrap_pi(-x[1]), _wrap_pi(-x[2]))
-    return [_wrap_pi(w[p] - w[q]) for w in (x, n) for p, q in _PAIRS]
-
-
-def _images(d: tuple[float, ...], table: list[float]):
-    """make(e) = class_of(act(g, T)) for g = _GROUP[e], to the bit, from the
-    lift T's directions d and its _angle_table.  act permutes the pairs z of
-    d, conjugates them on a flip and negates them if the first nonzero part
-    is negative; ProjTripleC divides by the first largest and subtracts the
+def _images(c: ShapeClass):
+    """(angles, make): the angle triples of the class's 12 images, and
+    make(e), its image under g = _GROUP[e].  g = (i, j, k, flip) takes the
+    angles (theta_i, theta_j, theta_k), negated mod pi when exactly one of
+    the flip and an odd permutation holds, so all 12 triples share six
+    angle objects.  The sides are those of class_of(act(g, T)) to the bit,
+    read off the lift T's directions d.  act permutes the pairs z of d,
+    conjugates them on a flip and negates them if the first nonzero part is
+    negative; ProjTripleC divides by the first largest and subtracts the
     mean.  The quotients depend only on (flip, sign, pivot), so each triple
     of them is divided once per class; each image sums its own mean."""
+    own = c.angles
+    neg = (-own[0], -own[1], -own[2])
+    angles = []
+    for i, j, k, flip in _GROUP:
+        w = neg if flip != ((j - i) % 3 != 1) else own
+        angles.append((w[i], w[j], w[k]))
+    d = _lift_data(c)
     z = (complex(d[0], d[1]), complex(d[2], d[3]), complex(d[4], d[5]))
     ProjTripleC(*z)  # its finite, zero and closure tests, once per class
     zs = (z, (z[0].conjugate(), z[1].conjugate(), z[2].conjugate()))
@@ -267,11 +265,6 @@ def _images(d: tuple[float, ...], table: list[float]):
     lead = ((d[0] or d[1], d[2] or d[3], d[4] or d[5]),
             (d[0] or -d[1], d[2] or -d[3], d[4] or -d[5]))
     m = (abs(z[0]), abs(z[1]), abs(z[2]))
-    # one per table slot, not per value, which would merge 0.0 and -0.0; the
-    # values are wrapped already, so AngleModPi would keep their bits
-    angles = [object.__new__(AngleModPi) for _ in table]
-    for a, v in zip(angles, table):
-        object.__setattr__(a, "value", v)
     quots: dict[tuple, tuple] = {}
 
     def make(e: int) -> ShapeClass:
@@ -289,17 +282,16 @@ def _images(d: tuple[float, ...], table: list[float]):
         object.__setattr__(sides, "a", a - mean)
         object.__setattr__(sides, "b", b - mean)
         object.__setattr__(sides, "c", c - mean)
-        s0, s1, s2 = _SLOTS[e]
-        return ShapeClass(sides, (angles[s0], angles[s1], angles[s2]))
+        return ShapeClass(sides, angles[e])
 
-    return make
+    return angles, make
 
 
 def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
-    """Induced symmetry on classes: the image of a lift of the class, read
-    off its direction data (``triangle.act`` is the independent path)."""
-    d, x = _lift_data(c)
-    return _images(d, _angle_table(x))(_GROUP.index((*g.perm, g.flip)))
+    """Induced symmetry on classes: the class's angles, signed and permuted,
+    and the sides of the image of its lift, read off the lift's directions
+    (``triangle.act`` is the independent path for the sides)."""
+    return _images(c)[1](_GROUP.index((*g.perm, g.flip)))
 
 
 #: (c, tol, result) of the last _members call; matched by identity, since
@@ -317,10 +309,8 @@ def _members(c: ShapeClass, tol: float):
     last = _last  # read once: another thread may replace it
     if last[0] is c and last[1] == tol:
         return last[2]
-    d, x = _lift_data(c)
-    table = _angle_table(x)
-    angles = [(table[p], table[q], table[r]) for p, q, r in _SLOTS]
-    make = _images(d, table)
+    triples, make = _images(c)
+    angles = [(x.value, y.value, z.value) for x, y, z in triples]
     built: list = [None] * 12
 
     def image(e: int) -> ShapeClass:
@@ -349,7 +339,7 @@ def _members(c: ShapeClass, tol: float):
 
 def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
     """Deduplicated images of the class under all 12 symmetries, in group
-    order, all read off one angle table of the lift."""
+    order: its own angles, signed and permuted, and the lift's sides."""
     if math.isnan(tol):
         raise ValueError("orbit tolerance must not be NaN")
     kept, _, image = _members(c, tol)

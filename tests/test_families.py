@@ -339,9 +339,34 @@ def test_constant_ratio_family_keeps_ratio_0_7_across_its_domain():
         assert abs(abs(c) / (0.7 * abs(b)) - 1.0) <= DEFAULT_TOL
 
 
-@pytest.mark.parametrize("ratio", [1e60, 1e5, 1e-30])
+@pytest.mark.parametrize("ratio", [5e3, 1e4, 1e6])
+def test_constant_ratio_family_keeps_large_ratios_across_its_domain(ratio):
+    fam = constant_ratio_family(ratio)
+    lo, hi = fam.domain
+    for k in range(1, 300):
+        _, b, c = fam.eval(lo + (hi - lo) * k / 300).sides
+        assert abs(abs(c) / (ratio * abs(b)) - 1.0) <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("ratio", [2.0, 3.7, 10.0, 100.0, 5e3, 1e4, 1e6])
+def test_constant_ratio_apex_matches_a_50_digit_reference(ratio):
+    """A = x + i t with |A| = ratio |A - 1|: x to 4 ulps of the root that
+    mpmath computes at 50 digits from the same ratio and t."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    fam = constant_ratio_family(ratio)
+    lo, hi = fam.domain
+    r2 = mpmath.mpf(ratio) ** 2
+    for k in range(1, 300):
+        t = lo + (hi - lo) * k / 300
+        x = fam.eval(t).vertices[0].real
+        want = (-r2 + mpmath.sqrt(r2 - ((1 - r2) * mpmath.mpf(t)) ** 2)) / (1 - r2)
+        assert abs(float((x - want) / want)) <= 4 * math.ulp(1.0), t
+
+
+@pytest.mark.parametrize("ratio", [1e60, 1e9, 1e-30])
 def test_constant_ratio_family_refuses_a_triangle_off_its_ratio(ratio):
-    # _apex_x cancels the bits of the ratio at these sizes
+    # the vertices cannot hold ratios this far from 1
     fam = constant_ratio_family(ratio)
     t = fam.domain[1] / 3.0
     with pytest.raises(ValueError, match=r"side ratio .* is lost to rounding") as exc:
@@ -349,7 +374,7 @@ def test_constant_ratio_family_refuses_a_triangle_off_its_ratio(ratio):
     assert f"side ratio {ratio} " in str(exc.value) and f"t = {t}:" in str(exc.value)
 
 
-@pytest.mark.parametrize("ratio", [math.nan, math.inf, 0.0, -1.0, 1e100])
+@pytest.mark.parametrize("ratio", [math.nan, math.inf, 0.0, -1.0, 1e155, 1e-163])
 def test_constant_ratio_family_refuses_a_bad_ratio(ratio):
     with pytest.raises(ValueError, match="side ratio") as exc:
         constant_ratio_family(ratio)

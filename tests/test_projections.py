@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from trishape.angles import PI, angle_dist, reduce_mod_pi
-from trishape.triangle import GroupElement, Orientation, from_sides, from_vertices, orientation
+from trishape.triangle import (DegeneracyType, GroupElement, Orientation, classify,
+                               from_sides, from_vertices, orientation)
 from trishape.shape import ProjTripleC, ShapeClass, act_class, class_equal, class_of, proj_dist
 from trishape.projections import (
     DELTA_A,
@@ -131,6 +132,20 @@ def test_equilateral_poles():
     assert orientation(plus) is Orientation.POSITIVE
     assert math.dist(to_sphere(class_of(plus)).as_tuple(), (0, -1, 0)) < 1e-12
     assert math.dist(to_sphere(class_of(minus)).as_tuple(), (0, 1, 0)) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="classify, orientation and the sphere apply DEFAULT_TOL "
+                   "to different quantities, so on a thin triangle they disagree")
+def test_orientation_agrees_with_classify_and_the_sphere_on_a_thin_triangle():
+    """Height 0.9e-9 over a unit base: classify says nondegenerate and the
+    sphere point is in the positive hemisphere (y = -2.08e-9), but
+    orientation says ZERO.  A degenerate stratum has zero orientation; any
+    other has the sign of its hemisphere."""
+    T = from_vertices(0, 1, 0.5 + 0.9e-9j)
+    y = to_sphere(class_of(T)).y
+    hemisphere = Orientation.POSITIVE if y < 0.0 else Orientation.NEGATIVE
+    want = hemisphere if classify(T) is DegeneracyType.NONDEGENERATE else Orientation.ZERO
+    assert orientation(T) is want
 
 
 def test_locus_flags_at_named_points():

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from trishape import shape, triangle
-from trishape.angles import DEFAULT_TOL, PI, AngleModPi, angle_dist, reduce_mod_pi
-from trishape.projections import TorusPoint, to_torus, torus_inverse
+from trishape.angles import DEFAULT_TOL, PI, AngleModPi, reduce_mod_pi
+from trishape.projections import TorusPoint, _torus_sides, to_torus, torus_inverse
 from trishape.triangle import GroupElement, act, classify, from_sides, from_vertices
 from trishape.shape import (
     BlowupCoord,
@@ -270,16 +270,31 @@ def test_lift_class_round_trip():
         assert class_equal(class_of(lift_class(c)), c, 1e-9)
 
 
+def _signed_permutation(g, angles):
+    """g's action on an angle triple: (t_i, t_j, t_k) for g.perm = (i, j, k),
+    negated mod pi for an odd permutation and again for a flip."""
+    i, j, k = g.perm
+    w = tuple(-x for x in angles) if ((j - i) % 3 != 1) != g.flip else angles
+    return (w[i], w[j], w[k])
+
+
+def _image_by_lift(g, c, T=None):
+    """The image of c under g from the reference paths: the sides of
+    class_of(act(g, T)) for the lift T, and c's angles, signed and permuted."""
+    T = lift_class(c) if T is None else T
+    return ShapeClass(sides=class_of(act(g, T)).sides, angles=_signed_permutation(g, c.angles))
+
+
 def test_act_class_matches_action_on_lifts():
-    """act_class reads the image off the lift without building it, to the
-    bit of class_of(act(g, lift))."""
+    """act_class reads the image sides off the lift without building it, to
+    the bit of class_of(act(g, lift)), and signs and permutes the angles."""
     rng = random.Random(25)
     classes = [_random_class(rng) for _ in range(30)] + [_random_double(rng) for _ in range(10)]
     classes.append(class_of(from_sides(0, 0, 0, directions=(1.0, 0.0, -0.5, 0.5, -0.5, -0.5))))
     for c in classes:
         T = lift_class(c)
         for g in GroupElement.all_elements():
-            assert _hex(act_class(g, c)) == _hex(class_of(act(g, T)))
+            assert _hex(act_class(g, c)) == _hex(_image_by_lift(g, c, T))
 
 
 def test_orbit_sizes():
@@ -392,7 +407,7 @@ def _pairwise_orbit(c, tol):
     T = lift_class(c)
     out = []
     for g in GroupElement.all_elements():
-        img = class_of(act(g, T))
+        img = _image_by_lift(g, c, T)
         if not any(class_equal(img, seen, tol) for seen in out):
             out.append(img)
     return out
@@ -579,14 +594,14 @@ def _count_images(monkeypatch):
     """The list of every image the builders of shape._images make from now on."""
     built = []
 
-    def counting_images(d, table, _orig=shape._images):
-        make = _orig(d, table)
+    def counting_images(c, _orig=shape._images):
+        angles, make = _orig(c)
 
         def counting(e):
             built.append(make(e))
             return built[-1]
 
-        return counting
+        return angles, counting
 
     monkeypatch.setattr(shape, "_images", counting_images)
     return built
@@ -606,12 +621,11 @@ def test_canonical_rep_of_a_scalene_class_builds_only_the_winner(monkeypatch):
 
 def test_member_angles_are_the_image_angles():
     """The float angles the orbit dedup compares are, to the bit, those of
-    the images it builds and those class_of(act(g, lift_class(c))) gives."""
+    the images it builds: the class's own angles, signed and permuted."""
     for label, c in _golden_classes():
-        T = lift_class(c)
         _, angles, image = shape._members(c, DEFAULT_TOL)
         for e, g in enumerate(GroupElement.all_elements()):
-            want = [float.hex(x.value) for x in class_of(act(g, T)).angles]
+            want = [float.hex(x.value) for x in _signed_permutation(g, c.angles)]
             assert [float.hex(x.value) for x in image(e).angles] == want, label
             assert [float.hex(v) for v in angles[e]] == want, label
 
@@ -621,14 +635,26 @@ def test_member_angles_are_the_image_angles():
 
 
 def _assert_images_match_the_lift(c):
-    """Every image of _members and of act_class is, to the bit, the class of
-    the moved lift."""
+    """Every image of _members and of act_class has, to the bit, the sides
+    of the moved lift and the class's angles, signed and permuted."""
     T = lift_class(c)
     _, _, image = shape._members(c, DEFAULT_TOL)
     for e, g in enumerate(GroupElement.all_elements()):
-        want = _hex(class_of(act(g, T)))
+        want = _hex(_image_by_lift(g, c, T))
         assert _hex(image(e)) == want
         assert _hex(act_class(g, c)) == want
+
+
+def test_images_are_the_moved_lift_sides_and_the_signed_angles():
+    """The golden classes and 2,000 scalene and 200 double seeded classes,
+    for all 12 elements; orbit lists the kept images of the same builder."""
+    rng = random.Random(40)
+    classes = [c for _, c in _golden_classes()]
+    classes += [_random_class(rng) for _ in range(2000)] + [_random_double(rng) for _ in range(200)]
+    for c in classes:
+        _assert_images_match_the_lift(c)
+        kept, _, image = shape._members(c, DEFAULT_TOL)
+        assert [_hex(img) for img in orbit(c)] == [_hex(image(e)) for e in kept]
 
 
 def test_images_keep_the_bits_on_one_ulp_modulus_ties():
@@ -676,16 +702,21 @@ def test_images_keep_the_bits_on_exact_ties_and_signed_zeros():
         _assert_images_match_the_lift(c)
 
 
+def _torus_double(n, p):
+    """The torus_inverse class of the angles (p, -p, 0), rotated n slots."""
+    angles = [(p, -p, 0.0), (0.0, p, -p), (-p, 0.0, p)][n % 3]
+    return torus_inverse(TorusPoint(*(reduce_mod_pi(x) for x in angles)))
+
+
 def _torus_doubles(rng, count):
-    """torus_inverse classes on the three zero-angle circles: the angles
-    (p, -p, 0) rotated through the three slots.  Their zero side is a
-    rounding residue, not 0j.  p stays 0.01 from the torus origin, where
-    the residue outgrows lift_class's zero snap (see the xfail below)."""
+    """torus_inverse classes on the three zero-angle circles, with p down to
+    1e-6 from the torus origin on either side: uniform on (1e-6, pi - 1e-6)
+    for a third of them, log-uniform towards 0 and towards pi for the rest."""
     out = []
     for n in range(count):
-        p = rng.uniform(0.01, PI - 0.01)
-        angles = [(p, -p, 0.0), (0.0, p, -p), (-p, 0.0, p)][n % 3]
-        out.append(torus_inverse(TorusPoint(*(reduce_mod_pi(x) for x in angles))))
+        near = 10.0 ** rng.uniform(-6.0, -2.0)
+        p = [rng.uniform(1e-6, PI - 1e-6), near, PI - near][n // 3 % 3]
+        out.append(_torus_double(n, p))
     return out
 
 
@@ -699,38 +730,56 @@ def test_lift_class_round_trips_torus_inverse_doubles():
 
 
 def test_act_class_is_torus_equivariant_on_torus_inverse_doubles():
-    """to_torus(act_class(g, c)) is g's signed permutation of to_torus(c):
-    (t_i, t_j, t_k) for g = (i, j, k), negated for an odd permutation and
-    again for a flip."""
+    """to_torus(act_class(g, c)) is, to the bit, g's signed permutation of
+    to_torus(c), near the torus origin too."""
     elements = GroupElement.all_elements()
-    for c in _torus_doubles(random.Random(44), 2000):
+    near = [_torus_double(n, p) for p in (3e-4, 1e-4, 1e-6) for n in range(3)]
+    for c in near + _torus_doubles(random.Random(44), 2000):
         t = to_torus(c).as_tuple()
         for g in elements:
-            i, j, k = g.perm
-            odd = (j - i) % 3 != 1
-            sign = -1.0 if odd != g.flip else 1.0
             got = to_torus(act_class(g, c)).as_tuple()
-            want = (sign * t[i].value, sign * t[j].value, sign * t[k].value)
-            assert max(angle_dist(x, y) for x, y in zip(got, want)) <= 1e-12
+            assert [x.value.hex() for x in got] == [
+                x.value.hex() for x in _signed_permutation(g, t)]
 
 
-@pytest.mark.xfail(strict=True, reason="torus_inverse near the origin leaves side c a "
-                   "residue above lift_class's zero snap, so the lift reads a triangle")
-def test_lift_class_round_trips_a_torus_inverse_double_near_the_origin():
-    p = 3e-4  # side c is 3.5e-13 of the largest side, not snapped at 1e-13
-    c = torus_inverse(TorusPoint(reduce_mod_pi(p), reduce_mod_pi(-p), reduce_mod_pi(0.0)))
+def test_torus_inverse_cancels_the_sides_of_a_double_exactly():
+    """On a zero-angle circle the zero side is 0j and the other two are
+    exact negatives, so lift_class reads a double at every p."""
+    for p in (1e-6, 1e-4, 3e-4, 0.5, PI - 1e-6):
+        for n in range(3):
+            sides = _torus_double(n, p).sides.as_tuple()
+            z = (n + 2) % 3  # the zero slot
+            assert sides[z] == 0 and sides[(z + 1) % 3] == -sides[(z + 2) % 3]
+
+
+def test_lift_class_keeps_the_free_argument_when_side_c_is_a_residue():
+    """A double class whose zero side c is a rounding residue under the
+    zero snap, not 0j: the inscribed sides that torus_inverse used to
+    return.  from_sides resets c = -a - b, so lift_class must pass b = -a
+    to keep c at 0j and its free argument solved from the angles."""
+    rng = random.Random(45)
+    for _ in range(300):
+        p = rng.uniform(0.01, PI - 0.01)
+        t = TorusPoint(reduce_mod_pi(p), reduce_mod_pi(-p), reduce_mod_pi(0.0))
+        c = ShapeClass(sides=ProjTripleC(*_torus_sides(t.p.value, t.q.value)), angles=t.as_tuple())
+        assert class_dist(class_of(lift_class(c)), c) <= 1e-9
+
+
+@pytest.mark.parametrize("p", [3e-4, 1e-4, 1e-6])
+def test_lift_class_round_trips_a_torus_inverse_double_near_the_origin(p):
+    c = _torus_double(0, p)
     assert class_dist(class_of(lift_class(c)), c) <= 1e-9
 
 
 def test_a_value_equal_class_gets_its_own_images():
     """The class of test_orbit_keeps_the_sign_of_a_zero_angle with the sign
-    of each zero side part flipped equals it by value, but its images keep
-    other zeros; orbit of the one must not serve the other."""
+    of each of its zero angles flipped equals it by value, but its images
+    hold the other zeros; orbit of the one must not serve the other."""
     c = class_of(from_vertices(0, 1, 0.25))
-    sides = [complex(z.real or -z.real, z.imag or -z.imag) for z in c.sides.as_tuple()]
+    assert all(x.value == 0.0 for x in c.angles)
 
     def flipped():
-        return ShapeClass(sides=ProjTripleC(*sides), angles=c.angles)
+        return ShapeClass(sides=c.sides, angles=(-c.angles[0], -c.angles[1], -c.angles[2]))
 
     assert flipped() == c
     fresh = flipped()
@@ -843,7 +892,7 @@ def test_orbit_keeps_the_sign_of_a_zero_angle():
     """The images of a simple class hold 0.0 and -0.0 angles side by side.
     The two compare and hash alike, so an angle cache keyed by value would
     hand one image the other's zero; each image must keep the sign that
-    class_of(act(g, lift_class(c))) gives it."""
+    the signed permutation of the class's angles gives it."""
     c = class_of(from_vertices(0, 1, 0.25))
     T = lift_class(c)
     elements = GroupElement.all_elements()
@@ -853,7 +902,7 @@ def test_orbit_keeps_the_sign_of_a_zero_angle():
     angles = {float.hex(x.value) for img in images for x in img.angles}
     assert angles == {"0x0.0p+0", "-0x0.0p+0"}
     for e, img in zip(kept, images):
-        assert _hex(img) == _hex(class_of(act(elements[e], T)))
+        assert _hex(img) == _hex(_image_by_lift(elements[e], c, T))
         assert _hex(act_class(elements[e], c)) == _hex(img)
     assert _hex(canonical_rep(c)) in [_hex(img) for img in images]
 
