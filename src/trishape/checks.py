@@ -332,9 +332,9 @@ def check_missing_degenerates() -> tuple[bool, str]:
 
 def check_group_action() -> tuple[bool, str]:
     """Composition law, orbit sizes, and equivariance of the quotient map:
-    act_class, which signs and permutes the class's angles and reads the
-    image sides off its lift data with no triangle built, against class_of
-    of triangle.act's image triangle, two independent paths."""
+    act_class, which signs and permutes the class's angles and permutes its
+    own sides, conjugated on a mirror, with no triangle built, against
+    class_of of triangle.act's image triangle, two independent paths."""
     rng = random.Random(SEED + 9)
     elements = GroupElement.all_elements()
     triangles = [random_nondegenerate(rng) for _ in range(20)]

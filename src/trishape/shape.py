@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _wrap_pi
 from .angles import angle_dist, reduce_mod_pi
-from .triangle import SLOTS, GroupElement, TriangleVariable, _side_data, _side_record
+from .triangle import SLOTS, GroupElement, TriangleVariable, _side_record
 from .triangle import from_sides, interior_angles
 
 #: a class's side at or below this fraction of its largest is zero to
@@ -111,8 +111,8 @@ class ShapeClass:
 
     @staticmethod
     def from_json(data: dict) -> "ShapeClass":
-        """Read back :meth:`to_json`; a malformed field raises ``ValueError``
-        that names it."""
+        """Read back :meth:`to_json`; a malformed field, or angles whose sum
+        is not 0 mod pi, raises ``ValueError`` that names it."""
         try:
             a, b, c = (complex(x, y) for x, y in data["sides"])
         except (KeyError, TypeError, ValueError):
@@ -121,6 +121,9 @@ class ShapeClass:
             alpha, beta, gamma = (reduce_mod_pi(v) for v in data["angles"])
         except (KeyError, TypeError, ValueError):
             raise ValueError("'angles' must be three finite numbers") from None
+        total = alpha.value + beta.value + gamma.value
+        if angle_dist(total, 0.0) > DEFAULT_TOL:
+            raise ValueError(f"'angles' must sum to 0 mod pi, not {total}")
         return ShapeClass(sides=ProjTripleC(a, b, c), angles=(alpha, beta, gamma))
 
 
@@ -226,16 +229,6 @@ def lift_class(c: ShapeClass) -> TriangleVariable:
     return from_sides(*snapped, free_arguments=free or None)
 
 
-def _lift_data(c: ShapeClass) -> tuple[float, ...]:
-    """lift_class(c)'s direction sextuple, to the bit; only a class with a
-    side at the zero snap is lifted.  The others close and have no zero
-    direction pair, so they skip from_sides' tests and free rules."""
-    mods = c.sides.moduli()
-    if min(mods) > _ZERO_SNAP * max(mods):
-        return _side_data(c.sides.a, c.sides.b)[1]
-    return lift_class(c).directions
-
-
 #: (i, j, k, flip) of the 12 symmetries, in the order orbit lists their images
 _GROUP = tuple((*g.perm, g.flip) for g in GroupElement.all_elements())
 
@@ -245,36 +238,34 @@ def _images(c: ShapeClass):
     make(e), its image under g = _GROUP[e].  g = (i, j, k, flip) takes the
     angles (theta_i, theta_j, theta_k), negated mod pi when exactly one of
     the flip and an odd permutation holds, so all 12 triples share six
-    angle objects.  The sides are those of class_of(act(g, T)) to the bit,
-    read off the lift T's directions d.  act permutes the pairs z of d,
-    conjugates them on a flip and negates them if the first nonzero part is
-    negative; ProjTripleC divides by the first largest and subtracts the
-    mean.  The quotients depend only on (flip, sign, pivot), so each triple
-    of them is divided once per class; each image sums its own mean."""
+    angle objects.  It takes the sides (z_i, z_j, z_k), conjugated on a
+    flip, in ProjTripleC's canonical form: divided by the first largest,
+    less their mean.  z is the class's own side triple; a class with a side
+    at the zero snap takes its lift's direction pairs, whose zero is 0j.
+    The quotients depend only on (flip, pivot), so each triple of them is
+    divided once per class; each image sums its own mean."""
     own = c.angles
     neg = (-own[0], -own[1], -own[2])
     angles = []
     for i, j, k, flip in _GROUP:
         w = neg if flip != ((j - i) % 3 != 1) else own
         angles.append((w[i], w[j], w[k]))
-    d = _lift_data(c)
-    z = (complex(d[0], d[1]), complex(d[2], d[3]), complex(d[4], d[5]))
-    ProjTripleC(*z)  # its finite, zero and closure tests, once per class
+    m = c.sides.moduli()
+    if min(m) > _ZERO_SNAP * max(m):
+        z = c.sides.as_tuple()
+    else:
+        z = lift_class(c).direction_pairs()
+        m = (abs(z[0]), abs(z[1]), abs(z[2]))
     zs = (z, (z[0].conjugate(), z[1].conjugate(), z[2].conjugate()))
-    # act's sign test: the first nonzero part of each pair, as is and conjugated
-    lead = ((d[0] or d[1], d[2] or d[3], d[4] or d[5]),
-            (d[0] or -d[1], d[2] or -d[3], d[4] or -d[5]))
-    m = (abs(z[0]), abs(z[1]), abs(z[2]))
     quots: dict[tuple, tuple] = {}
 
     def make(e: int) -> ShapeClass:
         i, j, k, flip = _GROUP[e]
-        f = lead[flip]
-        key = (flip, (f[i] or f[j] or f[k]) < 0.0, (i, j, k)[_pivot(m[i], m[j], m[k])])
+        key = (flip, (i, j, k)[_pivot(m[i], m[j], m[k])])
         if key not in quots:
-            w0, w1, w2 = (-x for x in zs[flip]) if key[1] else zs[flip]
-            p = (w0, w1, w2)[key[2]]
-            quots[key] = (w0 / p, w1 / p, w2 / p)
+            w = zs[flip]
+            p = w[key[1]]
+            quots[key] = (w[0] / p, w[1] / p, w[2] / p)
         q = quots[key]
         a, b, c = q[i], q[j], q[k]
         mean = (0 + a + b + c) / 3.0  # from the int 0, as in ProjTripleC
@@ -289,8 +280,8 @@ def _images(c: ShapeClass):
 
 def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
     """Induced symmetry on classes: the class's angles, signed and permuted,
-    and the sides of the image of its lift, read off the lift's directions
-    (``triangle.act`` is the independent path for the sides)."""
+    and its sides, permuted and conjugated on a flip (``triangle.act`` on
+    a lift is the independent path)."""
     return _images(c)[1](_GROUP.index((*g.perm, g.flip)))
 
 
@@ -339,7 +330,7 @@ def _members(c: ShapeClass, tol: float):
 
 def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
     """Deduplicated images of the class under all 12 symmetries, in group
-    order: its own angles, signed and permuted, and the lift's sides."""
+    order: its own angles, signed and permuted, and its own sides moved."""
     if math.isnan(tol):
         raise ValueError("orbit tolerance must not be NaN")
     kept, _, image = _members(c, tol)

@@ -82,22 +82,11 @@ class TriangleVariable:
         return (complex(d[0], d[1]), complex(d[2], d[3]), complex(d[4], d[5]))
 
 
-def _side_data(a: complex, b: complex):
-    """(c, directions, arguments) of the sides (a, b, c = -a - b): the exact
-    closure, the canonical direction sextuple and the three atan2 values,
-    not yet wrapped, or None for them at a zero direction pair."""
-    c = -a - b
-    d = canonical_directions((a.real, a.imag, b.real, b.imag, c.real, c.imag))
-    d0, d1, d2, d3, d4, d5 = d
-    if (d0 or d1) and (d2 or d3) and (d4 or d5):
-        return c, d, (math.atan2(d1, d0), math.atan2(d3, d2), math.atan2(d5, d4))
-    return c, d, None
-
-
 def _side_record(a: complex, b: complex, c: complex, basepoint: complex = 0j,
                  directions=None, free_arguments=None):
-    """:func:`from_sides`' tests, then its (c, directions, arguments), the
-    arguments not yet wrapped."""
+    """:func:`from_sides`' tests, then its (c, directions, arguments): the
+    exact closure c = -a - b, the canonical direction sextuple and the three
+    atan2 values, not yet wrapped."""
     if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
         raise ValueError(f"side-vectors must be finite: a = {a}, b = {b}, c = {c}")
     if not cmath.isfinite(basepoint):
@@ -109,7 +98,11 @@ def _side_record(a: complex, b: complex, c: complex, basepoint: complex = 0j,
     except OverflowError:
         raise ValueError(f"side-vectors too long: a = {a}, b = {b}, c = {c}") from None
     if scale > 0.0:
-        c, dirs, xi = _side_data(a, b)
+        c = -a - b
+        dirs = canonical_directions((a.real, a.imag, b.real, b.imag, c.real, c.imag))
+        d0, d1, d2, d3, d4, d5 = dirs
+        if (d0 or d1) and (d2 or d3) and (d4 or d5):
+            return c, dirs, (math.atan2(d1, d0), math.atan2(d3, d2), math.atan2(d5, d4))
     else:
         if directions is None:
             raise ValueError(
@@ -123,17 +116,15 @@ def _side_record(a: complex, b: complex, c: complex, basepoint: complex = 0j,
         s2 = dirs[1] + dirs[3] + dirs[5]
         if abs(s1) > DEFAULT_TOL or abs(s2) > DEFAULT_TOL:
             raise ValueError("direction triple violates a1+b1+c1 = a2+b2+c2 = 0")
-        xi = None
-    if xi is None:
-        # a zero pair takes its free argument, else the line through the two
-        # distinct vertices; the nonzero pairs of a double point are
-        # opposite, so the first one gives the angle
-        xi = [math.atan2(dirs[k + 1], dirs[k]) if dirs[k] or dirs[k + 1] else None
-              for k in (0, 2, 4)]
-        free = free_arguments or {}
-        line = next(x for x in xi if x is not None)
-        xi = [x if x is not None else float(free[slot]) if slot in free else line
-              for slot, x in zip(SLOTS, xi)]
+    # a zero pair takes its free argument, else the line through the two
+    # distinct vertices; the nonzero pairs of a double point are opposite,
+    # so the first one gives the angle
+    xi = [math.atan2(dirs[k + 1], dirs[k]) if dirs[k] or dirs[k + 1] else None
+          for k in (0, 2, 4)]
+    free = free_arguments or {}
+    line = next(x for x in xi if x is not None)
+    xi = [x if x is not None else float(free[slot]) if slot in free else line
+          for slot, x in zip(SLOTS, xi)]
     return c, dirs, xi
 
 

@@ -183,6 +183,8 @@ def test_shape_class_from_json_names_an_overflowing_side():
     ({"sides": [[1, 0], [-1, 0], [0, 0]]}, "angles"),
     ({"sides": [[1, 0], [-1, 0], [0, 0]], "angles": [0, 0, 0, 0]}, "angles"),
     ([[1, 0], [-1, 0], [0, 0]], "sides"),
+    # angles off the surface: their sum 0.9 is not 0 mod pi
+    ({"sides": [[1, 0], [-0.5, 0.5], [-0.5, -0.5]], "angles": [0.3, 0.5, 0.1]}, "angles"),
 ])
 def test_shape_class_from_json_names_a_malformed_field(data, field):
     with pytest.raises(ValueError, match=f"'{field}'"):
@@ -278,23 +280,43 @@ def _signed_permutation(g, angles):
     return (w[i], w[j], w[k])
 
 
-def _image_by_lift(g, c, T=None):
-    """The image of c under g from the reference paths: the sides of
-    class_of(act(g, T)) for the lift T, and c's angles, signed and permuted."""
-    T = lift_class(c) if T is None else T
-    return ShapeClass(sides=class_of(act(g, T)).sides, angles=_signed_permutation(g, c.angles))
+def _has_zero_side(c):
+    """A side at lift_class's zero snap: the class needs its free arguments."""
+    mods = c.sides.moduli()
+    return min(mods) <= 1e-13 * max(mods)
+
+
+def _image_by_move(g, c):
+    """The image of c under g by its definition: ProjTripleC of the sides z
+    moved by g, (z_i, z_j, z_k) conjugated on a flip, and c's angles, signed
+    and permuted.  z is c's own side triple, or the lift's direction pairs
+    for a class with a side at the zero snap."""
+    z = lift_class(c).direction_pairs() if _has_zero_side(c) else c.sides.as_tuple()
+    i, j, k = g.perm
+    z = (z[i], z[j], z[k])
+    if g.flip:
+        z = (z[0].conjugate(), z[1].conjugate(), z[2].conjugate())
+    return ShapeClass(sides=ProjTripleC(*z), angles=_signed_permutation(g, c.angles))
+
+
+def _lift_side_dist(g, img, T):
+    """proj_dist of an image's sides from those of class_of(act(g, T)), the
+    image of the lift T by triangle.act: the independent path."""
+    return proj_dist(img.sides, class_of(act(g, T)).sides)
 
 
 def test_act_class_matches_action_on_lifts():
-    """act_class reads the image sides off the lift without building it, to
-    the bit of class_of(act(g, lift)), and signs and permutes the angles."""
+    """act_class moves the class's own sides, to the bit of their definition,
+    within 2e-15 of class_of(act(g, lift)), and signs and permutes the angles."""
     rng = random.Random(25)
     classes = [_random_class(rng) for _ in range(30)] + [_random_double(rng) for _ in range(10)]
     classes.append(class_of(from_sides(0, 0, 0, directions=(1.0, 0.0, -0.5, 0.5, -0.5, -0.5))))
     for c in classes:
         T = lift_class(c)
         for g in GroupElement.all_elements():
-            assert _hex(act_class(g, c)) == _hex(_image_by_lift(g, c, T))
+            img = act_class(g, c)
+            assert _hex(img) == _hex(_image_by_move(g, c))
+            assert _lift_side_dist(g, img, T) <= 2e-15
 
 
 def test_orbit_sizes():
@@ -404,10 +426,9 @@ def test_canonical_rep_agrees_across_copies(kind, size):
 
 
 def _pairwise_orbit(c, tol):
-    T = lift_class(c)
     out = []
     for g in GroupElement.all_elements():
-        img = _image_by_lift(g, c, T)
+        img = _image_by_move(g, c)
         if not any(class_equal(img, seen, tol) for seen in out):
             out.append(img)
     return out
@@ -634,31 +655,39 @@ def test_member_angles_are_the_image_angles():
 # images from shared pivot quotients, and the result kept for the last class
 
 
-def _assert_images_match_the_lift(c):
-    """Every image of _members and of act_class has, to the bit, the sides
-    of the moved lift and the class's angles, signed and permuted."""
+def _assert_images_are_the_moved_sides(c):
+    """Every image of _members and of act_class is, to the bit, the moved
+    sides and the class's angles, signed and permuted; its sides are within
+    2e-15 of those of the moved lift.  Returns the largest such distance."""
     T = lift_class(c)
     _, _, image = shape._members(c, DEFAULT_TOL)
+    worst = 0.0
     for e, g in enumerate(GroupElement.all_elements()):
-        want = _hex(_image_by_lift(g, c, T))
+        want = _hex(_image_by_move(g, c))
         assert _hex(image(e)) == want
         assert _hex(act_class(g, c)) == want
+        worst = max(worst, _lift_side_dist(g, image(e), T))
+    assert worst <= 2e-15
+    return worst
 
 
-def test_images_are_the_moved_lift_sides_and_the_signed_angles():
+def test_images_are_the_moved_sides_and_the_signed_angles():
     """The golden classes and 2,000 scalene and 200 double seeded classes,
-    for all 12 elements; orbit lists the kept images of the same builder."""
+    for all 12 elements; orbit lists the kept images of the same builder,
+    and canonical_rep returns one of them."""
     rng = random.Random(40)
     classes = [c for _, c in _golden_classes()]
     classes += [_random_class(rng) for _ in range(2000)] + [_random_double(rng) for _ in range(200)]
     for c in classes:
-        _assert_images_match_the_lift(c)
+        _assert_images_are_the_moved_sides(c)
         kept, _, image = shape._members(c, DEFAULT_TOL)
-        assert [_hex(img) for img in orbit(c)] == [_hex(image(e)) for e in kept]
+        members = [_hex(image(e)) for e in kept]
+        assert [_hex(img) for img in orbit(c)] == members
+        assert _hex(canonical_rep(c)) in members
 
 
 def test_images_keep_the_bits_on_one_ulp_modulus_ties():
-    """Seeded isosceles classes at scales 1e-150..1e150.  The lift's two
+    """Seeded isosceles classes at scales 1e-150..1e150.  The class's two
     equal sides tie exactly or differ by one ulp, so the pivot of an image
     depends on its order; for some, math.hypot gives other moduli than the
     abs(complex) of ProjTripleC."""
@@ -669,13 +698,11 @@ def test_images_keep_the_bits_on_one_ulp_modulus_ties():
         shift = abs(spin) * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         verts = [spin * z + shift for z in (complex(0.5, rng.uniform(0.2, 2.0)), 0j, 1 + 0j)]
         c = class_of(from_vertices(*verts))
-        d = lift_class(c).directions
-        _, mb, mc = (abs(complex(d[k], d[k + 1])) for k in (0, 2, 4))
+        _, mb, mc = c.sides.moduli()
         seen["tie"] += mb == mc
         seen["ulp"] += mb != mc and abs(mb - mc) <= math.ulp(mb)
-        seen["hypot"] += any(abs(complex(d[k], d[k + 1])) != math.hypot(d[k], d[k + 1])
-                             for k in (0, 2, 4))
-        _assert_images_match_the_lift(c)
+        seen["hypot"] += any(abs(z) != math.hypot(z.real, z.imag) for z in c.sides.as_tuple())
+        _assert_images_are_the_moved_sides(c)
     assert min(seen.values()) >= 10, seen
 
 
@@ -699,7 +726,7 @@ def test_images_keep_the_bits_on_exact_ties_and_signed_zeros():
             c = class_of(from_vertices(*verts))
         except ValueError:  # the signed zeros made a triple point
             continue
-        _assert_images_match_the_lift(c)
+        _assert_images_are_the_moved_sides(c)
 
 
 def _torus_double(n, p):
@@ -740,6 +767,24 @@ def test_act_class_is_torus_equivariant_on_torus_inverse_doubles():
             got = to_torus(act_class(g, c)).as_tuple()
             assert [x.value.hex() for x in got] == [
                 x.value.hex() for x in _signed_permutation(g, t)]
+
+
+def test_act_class_composes_like_the_group():
+    """act_class(g * h, c) is act_class(g, act_class(h, c)) within 2e-15 by
+    class_dist, for all 144 pairs, on the golden classes, seeded scalene and
+    double classes and torus_inverse doubles."""
+    rng = random.Random(46)
+    classes = [c for _, c in _golden_classes()]
+    classes += [_random_class(rng) for _ in range(100)] + [_random_double(rng) for _ in range(50)]
+    classes += _torus_doubles(rng, 100)
+    elements = GroupElement.all_elements()
+    worst = 0.0
+    for c in classes:
+        for h in elements:
+            hc = act_class(h, c)
+            for g in elements:
+                worst = max(worst, class_dist(act_class(g * h, c), act_class(g, hc)))
+    assert worst <= 2e-15
 
 
 def test_torus_inverse_cancels_the_sides_of_a_double_exactly():
@@ -849,12 +894,6 @@ def _action_digest(c):
     return hashlib.sha256(json.dumps(out).encode()).hexdigest()
 
 
-def _has_zero_side(c):
-    """A side at lift_class's zero snap: the class needs its free arguments."""
-    mods = c.sides.moduli()
-    return min(mods) <= 1e-13 * max(mods)
-
-
 def test_action_lifts_only_a_class_with_a_zero_side(monkeypatch):
     """orbit, canonical_rep and act_class read a class with three nonzero
     sides without a triangle; a double or doubled-simple class still goes
@@ -902,7 +941,8 @@ def test_orbit_keeps_the_sign_of_a_zero_angle():
     angles = {float.hex(x.value) for img in images for x in img.angles}
     assert angles == {"0x0.0p+0", "-0x0.0p+0"}
     for e, img in zip(kept, images):
-        assert _hex(img) == _hex(_image_by_lift(elements[e], c, T))
+        assert _hex(img) == _hex(_image_by_move(elements[e], c))
+        assert _lift_side_dist(elements[e], img, T) <= 2e-15
         assert _hex(act_class(elements[e], c)) == _hex(img)
     assert _hex(canonical_rep(c)) in [_hex(img) for img in images]
 
