@@ -179,40 +179,41 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         from .families import PonceletConfig, _poncelet_vertices
 
         cfg = PonceletConfig.from_radii(args.r, args.R)
-        params = (2.0 * PI * k / args.samples for k in range(args.samples))
 
-        def class_at(theta: float) -> ShapeClass:
-            return class_of_vertices(*_poncelet_vertices(cfg, theta))
+        def sample(k: int) -> tuple[float, ShapeClass]:
+            theta = 2.0 * PI * k / args.samples
+            return theta, class_of_vertices(*_poncelet_vertices(cfg, theta))
     else:
         fam = _family_from_spec(args.family, args.param)
         lo, hi = fam.domain
-        params = (lo + (hi - lo) * k / (args.samples + 1) for k in range(1, args.samples + 1))
 
-        def class_at(t: float) -> ShapeClass:
-            return class_of(fam.eval(t))
+        def sample(k: int) -> tuple[float, ShapeClass]:
+            t = lo + (hi - lo) * (k + 1) / (args.samples + 1)
+            return t, class_of(fam.eval(t))
 
-    def rows():
-        for t_par in params:
-            c = class_at(t_par)
-            s, t = to_sphere(c), to_torus(c)
-            p, q, r = t.as_tuple()
-            yield t_par, _class_text(c), s.x, s.y, s.z, p.value, q.value, r.value
+    def row(k: int):
+        t_par, c = sample(k)
+        s, t = to_sphere(c), to_torus(c)
+        p, q, r = t.as_tuple()
+        return t_par, _class_text(c), s.x, s.y, s.z, p.value, q.value, r.value
 
     header = ["t", "class", "x", "y", "z", "p", "q", "r"]
     if args.format == "json":
-        _emit([dict(zip(header, row)) for row in rows()], "json")
+        _emit([dict(zip(header, row(k))) for k in range(args.samples)], "json")
         return 0
-    # rows stream to stdout as they come; the header waits for the first,
-    # so a family that fails on its first sample leaves stdout empty.  Each
-    # line is what csv.writer writes: floats by repr, and the class quoted
-    # with its quotes doubled.
-    it = rows()
-    first = list(itertools.islice(it, 1))
-    write = sys.stdout.write
-    write(",".join(header) + "\n")
-    for t_par, text, x, y, z, p, q, r in itertools.chain(first, it):
+
+    def line(k: int) -> str:
+        # what csv.writer writes: floats by repr, and the class quoted with
+        # its quotes doubled
+        t_par, text, x, y, z, p, q, r = row(k)
         quoted = text.replace('"', '""')
-        write(f'{t_par!r},"{quoted}",{x!r},{y!r},{z!r},{p!r},{q!r},{r!r}\n')
+        return f'{t_par!r},"{quoted}",{x!r},{y!r},{z!r},{p!r},{q!r},{r!r}\n'
+
+    from ._fork import write_rows
+
+    # the header waits for the first row, so a family that fails on its
+    # first sample leaves stdout empty; see write_rows for the two processes
+    write_rows(",".join(header) + "\n", args.samples, line)
     return 0
 
 
@@ -251,70 +252,8 @@ def _cmd_separate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_checks(checks):
-    """(name, passed, detail) for each check, in order."""
-    for name, fn in checks:
-        try:
-            passed, detail = fn()
-        except Exception as exc:  # one broken check must not hide the others
-            passed, detail = False, f"{type(exc).__name__}: {exc}"
-        yield name, passed, detail
-
-
-class _ForkedChecks:
-    """Checks run by a forked child, which writes one ``[passed, detail]``
-    JSON line per check to a pipe.  The child leaves by ``os._exit``, so no
-    atexit hook and no buffered output of this process runs twice."""
-
-    def __init__(self, checks) -> None:
-        self.checks = checks
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(read_fd)
-                for _, passed, detail in _run_checks(checks):
-                    line = json.dumps([bool(passed), str(detail)]) + "\n"
-                    os.write(write_fd, line.encode())
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        self.pipe = os.fdopen(read_fd, "rb")
-
-    def results(self):
-        """(name, passed, detail) for each check once the child has ended; a
-        check whose line never came fails with how the child ended."""
-        lines = self.pipe.read().split(b"\n")[:-1]  # a cut last line is dropped
-        code = self._reap()
-        ended = f"exit code {code}" if code >= 0 else f"signal {-code}"
-        for k, (name, _) in enumerate(self.checks):
-            if k < len(lines):
-                yield (name, *json.loads(lines[k]))
-            else:
-                yield name, False, f"no result: the check process ended with {ended}"
-
-    def _reap(self) -> int:
-        pid, self.pid = self.pid, 0
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-    def close(self) -> None:
-        """Stop the child if it has not been reaped, and reap it."""
-        self.pipe.close()
-        if self.pid:
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-            self._reap()
-
-
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from ._fork import ForkedChecks, run_checks
     from .checks import ALL_CHECKS
 
     # the checks are independent: where the platform forks, a child runs the
@@ -324,14 +263,14 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     ours, child = ALL_CHECKS, None
     if ALL_CHECKS[half:]:
         try:
-            child = _ForkedChecks(ALL_CHECKS[half:])
+            child = ForkedChecks(ALL_CHECKS[half:])
             ours = ALL_CHECKS[:half]
         except OSError:  # no process to spare: run them all here
             pass
     failed = 0
     try:
         theirs = child.results() if child else ()
-        for name, passed, detail in itertools.chain(_run_checks(ours), theirs):
+        for name, passed, detail in itertools.chain(run_checks(ours), theirs):
             print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}", flush=True)
             failed += 0 if passed else 1
     finally:

@@ -111,8 +111,12 @@ class ShapeClass:
 
     @staticmethod
     def from_json(data: dict) -> "ShapeClass":
-        """Read back :meth:`to_json`; a malformed field, or angles whose sum
-        is not 0 mod pi, raises ``ValueError`` that names it."""
+        """Read back :meth:`to_json`; a malformed field, angles whose sum is
+        not 0 mod pi, or angles off the interior angles of three sides above
+        the zero snap raise ``ValueError`` that names it.  That last test
+        allows for the rounding of the stored sides, which moves a side's
+        argument by up to about 4 ulps of 1 over its share of the largest
+        side: it allows 2**-46 (64 ulps) over the smallest share."""
         try:
             a, b, c = (complex(x, y) for x, y in data["sides"])
         except (KeyError, TypeError, ValueError):
@@ -124,7 +128,17 @@ class ShapeClass:
         total = alpha.value + beta.value + gamma.value
         if angle_dist(total, 0.0) > DEFAULT_TOL:
             raise ValueError(f"'angles' must sum to 0 mod pi, not {total}")
-        return ShapeClass(sides=ProjTripleC(a, b, c), angles=(alpha, beta, gamma))
+        sides = ProjTripleC(a, b, c)
+        m = sides.moduli()
+        share = min(m) / max(m)
+        if share > _ZERO_SNAP:
+            a, b, c = sides.as_tuple()
+            off = max(map(angle_dist, _interior(cmath.phase(a), cmath.phase(b), cmath.phase(c)),
+                          (alpha, beta, gamma)))
+            if off > DEFAULT_TOL + 2.0 ** -46 / share:
+                raise ValueError(f"'angles' must be the interior angles of the sides, "
+                                 f"not {off} off them")
+        return ShapeClass(sides=sides, angles=(alpha, beta, gamma))
 
 
 @dataclass(frozen=True, slots=True)

@@ -185,10 +185,30 @@ def test_shape_class_from_json_names_an_overflowing_side():
     ([[1, 0], [-1, 0], [0, 0]], "sides"),
     # angles off the surface: their sum 0.9 is not 0 mod pi
     ({"sides": [[1, 0], [-0.5, 0.5], [-0.5, -0.5]], "angles": [0.3, 0.5, 0.1]}, "angles"),
+    # angles on the surface, but not those of these sides, which are
+    # (pi/2, pi/4, pi/4): the class would lift to another triangle
+    ({"sides": [[1, 0], [-0.5, 0.5], [-0.5, -0.5]], "angles": [0.3, 0.5, PI - 0.8]}, "angles"),
 ])
 def test_shape_class_from_json_names_a_malformed_field(data, field):
     with pytest.raises(ValueError, match=f"'{field}'"):
         ShapeClass.from_json(data)
+
+
+def test_shape_class_from_json_reads_back_every_class_and_image():
+    """to_json then from_json gives the class back: the golden classes
+    and their images, and classes whose smallest side is 1e-12 to 1e-2 of
+    the largest at scales 1e-150 to 1e150, whose stored sides carry the
+    rounding that from_json's angle test allows."""
+    rng = random.Random(31)
+    classes = [img for _, c in _golden_classes() for img in (c, *orbit(c))]
+    for share in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+        for scale in (1e-150, 1.0, 1e150):
+            for _ in range(40):
+                A, B = (scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in "AB")
+                C = B + share * scale * cmath.exp(1j * rng.uniform(0, 2 * PI))
+                classes.append(class_of(from_vertices(A, B, C)))
+    for c in classes:
+        assert class_equal(ShapeClass.from_json(c.to_json()), c, 1e-12)
 
 
 def test_proj_triple_scale_invariance():
