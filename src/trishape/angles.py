@@ -7,7 +7,7 @@ representatives the side carries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 PI = math.pi
 
@@ -37,15 +37,63 @@ def _wrap_pi(x: float) -> float:
     return r
 
 
-@dataclass(frozen=True, slots=True)
-class AngleModPi:
-    """An angle modulo pi, stored by its representative in [0, pi), or -0.0
-    (see :func:`_wrap_pi`)."""
+#: sets a field of a value object past its refusing ``__setattr__``
+_set = object.__setattr__
 
-    value: float
+
+class _Value:
+    """Base of the package's immutable value classes, each of which names
+    its fields in ``__slots__``.  Equality, hash and repr are those of the
+    field tuple, as for a frozen dataclass; assignment and ``del`` raise
+    ``AttributeError``.  Copies and pickles restore the slots as they are,
+    without running ``__init__`` again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        get = operator.attrgetter(*cls.__slots__)
+        # attrgetter of one name gives the bare value, not a 1-tuple
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._fields(self)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            _set(self, name, value)
+
+
+class AngleModPi(_Value):
+    """An angle modulo pi, stored by its representative in [0, pi), or -0.0
+    (see :func:`_wrap_pi`).  ``__post_init__`` runs once per construction,
+    so a wrapper put on the class counts them."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: float) -> None:
+        _set(self, "value", value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _wrap_pi(float(self.value)))
+        _set(self, "value", _wrap_pi(float(self.value)))
 
     def __float__(self) -> float:
         return self.value

@@ -13,10 +13,9 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .angles import DEFAULT_TOL, AngleModPi, _scaled, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, AngleModPi, _scaled, _set, _Value, angle_dist, reduce_mod_pi
 from .shape import ProjTripleC, ShapeClass, _pivot, class_dist, class_of
 from .triangle import (
     DegeneracyType,
@@ -37,20 +36,20 @@ LIMIT_TOL = 1e-6
 SEPARATION_THRESHOLD = 1e-3
 
 
-@dataclass(frozen=True)
-class PonceletConfig:
+class PonceletConfig(_Value):
     """Inradius, circumradius, and center separation of a triangle.
 
     The three lengths are finite and always satisfy (R - r)^2 = r^2 + d^2,
     which is what makes the one-parameter revolving family close up.
     """
 
-    r: float
-    R: float
-    d: float
+    __slots__ = ("r", "R", "d")
 
-    def __post_init__(self) -> None:
-        r, R, d = float(self.r), float(self.R), float(self.d)
+    def __init__(self, r: float, R: float, d: float) -> None:
+        _set(self, "r", r)
+        _set(self, "R", R)
+        _set(self, "d", d)
+        r, R, d = float(r), float(R), float(d)
         for name, v in (("inradius r", r), ("circumradius R", R), ("center separation d", d)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite: {v}")
@@ -90,8 +89,7 @@ class PonceletConfig:
         return cfg
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Value):
     """A one-parameter family of triangles.
 
     ``eval`` is defined on the open ``domain``, whose lower end is 0, and
@@ -99,9 +97,13 @@ class Family:
     degenerates as the parameter approaches 0.
     """
 
-    label: str
-    eval: Callable[[float], TriangleVariable]
-    domain: tuple[float, float]
+    __slots__ = ("label", "eval", "domain")
+
+    def __init__(self, label: str, eval: Callable[[float], TriangleVariable],
+                 domain: tuple[float, float]) -> None:
+        _set(self, "label", label)
+        _set(self, "eval", eval)
+        _set(self, "domain", domain)
 
 
 class Model(enum.Enum):
@@ -110,13 +112,19 @@ class Model(enum.Enum):
     TORUS = "Torus"
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    model: Model
-    limit1: tuple[float, ...]
-    limit2: tuple[float, ...]
-    distance: float
-    verdict: str  # "Separated" | "Merged"
+class SeparationReport(_Value):
+    """Two families' limits in one model, their distance and the verdict,
+    "Separated" or "Merged"."""
+
+    __slots__ = ("model", "limit1", "limit2", "distance", "verdict")
+
+    def __init__(self, model: Model, limit1: tuple[float, ...], limit2: tuple[float, ...],
+                 distance: float, verdict: str) -> None:
+        _set(self, "model", model)
+        _set(self, "limit1", limit1)
+        _set(self, "limit2", limit2)
+        _set(self, "distance", distance)
+        _set(self, "verdict", verdict)
 
     def to_json(self) -> dict:
         return {

@@ -14,10 +14,10 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, AngleModPi, _interior, _scaled, _wrap_pi, angle_dist
+from .angles import DEFAULT_TOL, AngleModPi, _interior, _scaled, _set, _Value, _wrap_pi
+from .angles import angle_dist
 from .shape import ProjTripleC, ShapeClass
 from .triangle import canonical_directions
 
@@ -29,18 +29,18 @@ DELTA_B = (math.sqrt(3.0) / 2.0, 0.0, 0.5)
 DELTA_C = (0.0, 0.0, -1.0)
 
 
-@dataclass(frozen=True, slots=True)
-class SpherePoint:
+class SpherePoint(_Value):
     """A point of the unit sphere."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
-        n = math.sqrt(self.x**2 + self.y**2 + self.z**2)
+    def __init__(self, x: float, y: float, z: float) -> None:
+        n = math.hypot(x, y, z)  # hypot does not overflow where x**2 would
         if not abs(n - 1.0) <= 1e-12:  # NaN fails this test too
-            raise ValueError(f"not a unit vector: |({self.x}, {self.y}, {self.z})| = {n}")
+            raise ValueError(f"not a unit vector: |({x}, {y}, {z})| = {n}")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -50,18 +50,32 @@ def sphere_dist(s1: SpherePoint, s2: SpherePoint) -> float:
     return math.dist(s1.as_tuple(), s2.as_tuple())
 
 
-@dataclass(frozen=True, slots=True)
-class TorusPoint:
-    """An angle triple (p, q, r) mod pi with p + q + r = 0 mod pi."""
+def _angle_field(name: str, v: AngleModPi | float) -> AngleModPi:
+    """v itself if it is an ``AngleModPi``, else v wrapped into one; a value
+    that is not a finite real raises a ``ValueError`` that names the field."""
+    if isinstance(v, AngleModPi):
+        return v
+    try:
+        return AngleModPi(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a finite angle: {v!r}") from None
 
-    p: AngleModPi
-    q: AngleModPi
-    r: AngleModPi
 
-    def __post_init__(self) -> None:
-        total = self.p.value + self.q.value + self.r.value
+class TorusPoint(_Value):
+    """An angle triple (p, q, r) mod pi with p + q + r = 0 mod pi, each an
+    ``AngleModPi`` or a finite real that is wrapped into one."""
+
+    __slots__ = ("p", "q", "r")
+
+    def __init__(self, p: AngleModPi | float, q: AngleModPi | float,
+                 r: AngleModPi | float) -> None:
+        p, q, r = _angle_field("p", p), _angle_field("q", q), _angle_field("r", r)
+        total = p.value + q.value + r.value
         if angle_dist(total, 0.0) > DEFAULT_TOL:
             raise ValueError(f"angle triple does not sum to 0 mod pi: {total}")
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "r", r)
 
     def as_tuple(self) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
         return (self.p, self.q, self.r)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _wrap_pi
+from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _set, _Value, _wrap_pi
 from .angles import angle_dist, reduce_mod_pi
 from .triangle import SLOTS, GroupElement, TriangleVariable, _side_record
 from .triangle import from_sides, interior_angles
@@ -29,17 +28,21 @@ def _pivot(ma: float, mb: float, mc: float) -> int:
     return 1 if mb >= mc else 2
 
 
-@dataclass(frozen=True, slots=True)
-class ProjTripleC:
+class ProjTripleC(_Value):
     """A point [a, b, c] of P(X): complex triple, not all zero, a+b+c = 0.
 
     Canonical form divides by the largest-modulus coordinate (alphabetical
-    tie-break) and restores exact closure.
+    tie-break) and restores exact closure.  ``__post_init__`` runs once per
+    construction, so a wrapper put on the class counts them.
     """
 
-    a: complex
-    b: complex
-    c: complex
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: complex, b: complex, c: complex) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         a, b, c = complex(self.a), complex(self.b), complex(self.c)
@@ -64,9 +67,9 @@ class ProjTripleC:
         a, b, c = a / p, b / p, c / p
         # summed from the int 0, as sum() does: a -0.0 part of a becomes 0.0
         mean = (0 + a + b + c) / 3.0
-        object.__setattr__(self, "a", a - mean)
-        object.__setattr__(self, "b", b - mean)
-        object.__setattr__(self, "c", c - mean)
+        _set(self, "a", a - mean)
+        _set(self, "b", b - mean)
+        _set(self, "c", c - mean)
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (self.a, self.b, self.c)
@@ -96,12 +99,15 @@ def proj_dist(t1: ProjTripleC, t2: ProjTripleC) -> float:
     return min(1.0, math.sqrt(0 + abs(r0) ** 2 + abs(r1) ** 2 + abs(r2) ** 2))
 
 
-@dataclass(frozen=True, slots=True)
-class ShapeClass:
+class ShapeClass(_Value):
     """A similarity class: ([a, b, c]; (alpha, beta, gamma))."""
 
-    sides: ProjTripleC
-    angles: tuple[AngleModPi, AngleModPi, AngleModPi]
+    __slots__ = ("sides", "angles")
+
+    def __init__(self, sides: ProjTripleC,
+                 angles: tuple[AngleModPi, AngleModPi, AngleModPi]) -> None:
+        _set(self, "sides", sides)
+        _set(self, "angles", angles)
 
     def to_json(self) -> dict:
         return {
@@ -141,15 +147,18 @@ class ShapeClass:
         return ShapeClass(sides=sides, angles=(alpha, beta, gamma))
 
 
-@dataclass(frozen=True, slots=True)
-class BlowupCoord:
+class BlowupCoord(_Value):
     """([a, b, c]; [xi_a, xi_b, xi_c]) with the additive diagonal relation.
 
     The stored representative pins the xi of the largest-modulus side to 0.
     """
 
-    sides: ProjTripleC
-    xi: tuple[AngleModPi, AngleModPi, AngleModPi]
+    __slots__ = ("sides", "xi")
+
+    def __init__(self, sides: ProjTripleC,
+                 xi: tuple[AngleModPi, AngleModPi, AngleModPi]) -> None:
+        _set(self, "sides", sides)
+        _set(self, "xi", xi)
 
 
 def _gauge_fix(
@@ -284,9 +293,9 @@ def _images(c: ShapeClass):
         a, b, c = q[i], q[j], q[k]
         mean = (0 + a + b + c) / 3.0  # from the int 0, as in ProjTripleC
         sides = object.__new__(ProjTripleC)
-        object.__setattr__(sides, "a", a - mean)
-        object.__setattr__(sides, "b", b - mean)
-        object.__setattr__(sides, "c", c - mean)
+        _set(sides, "a", a - mean)
+        _set(sides, "b", b - mean)
+        _set(sides, "c", c - mean)
         return ShapeClass(sides, angles[e])
 
     return angles, make

@@ -13,10 +13,9 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, AngleModPi, _interior, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, AngleModPi, _interior, _set, _Value, angle_dist, reduce_mod_pi
 
 SLOTS = ("a", "b", "c")
 
@@ -55,8 +54,7 @@ def canonical_directions(coords: Sequence[float]) -> tuple[float, ...]:
     return (v0 / m, v1 / m, v2 / m, v3 / m, v4 / m, v5 / m)
 
 
-@dataclass(frozen=True, slots=True)
-class TriangleVariable:
+class TriangleVariable(_Value):
     """Full geometric variable of a labeled, oriented triangle.
 
     Invariants (checked by :func:`validate`):
@@ -67,10 +65,15 @@ class TriangleVariable:
         angle mod pi (arguments of zero pairs are free).
     """
 
-    basepoint: complex
-    sides: tuple[complex, complex, complex]
-    directions: tuple[float, float, float, float, float, float]
-    arguments: tuple[AngleModPi, AngleModPi, AngleModPi]
+    __slots__ = ("basepoint", "sides", "directions", "arguments")
+
+    def __init__(self, basepoint: complex, sides: tuple[complex, complex, complex],
+                 directions: tuple[float, float, float, float, float, float],
+                 arguments: tuple[AngleModPi, AngleModPi, AngleModPi]) -> None:
+        _set(self, "basepoint", basepoint)
+        _set(self, "sides", sides)
+        _set(self, "directions", directions)
+        _set(self, "arguments", arguments)
 
     @property
     def vertices(self) -> tuple[complex, complex, complex]:
@@ -263,28 +266,26 @@ def validate(T: TriangleVariable) -> list[str]:
 # D6 = S3 x Z2 symmetry
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """An element of the order-12 label/orientation symmetry group.
 
     ``perm`` relabels the alphabetical slots: slot i of the image is slot
     perm[i] of the source.  ``flip`` reverses orientation (mirror image).
     """
 
-    perm: tuple[int, int, int]
-    flip: bool
+    __slots__ = ("perm", "flip")
 
-    def __post_init__(self) -> None:
+    def __init__(self, perm: tuple[int, int, int], flip: bool) -> None:
         try:
-            perm = tuple(map(operator.index, self.perm))
+            p = tuple(map(operator.index, perm))
         except TypeError:
-            perm = ()
-        if sorted(perm) != [0, 1, 2]:
-            raise ValueError(f"perm is not a permutation of (0, 1, 2): {self.perm!r}")
-        if self.flip not in (False, True):
-            raise ValueError(f"flip must be True or False: {self.flip!r}")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "flip", bool(self.flip))
+            p = ()
+        if sorted(p) != [0, 1, 2]:
+            raise ValueError(f"perm is not a permutation of (0, 1, 2): {perm!r}")
+        if flip not in (False, True):
+            raise ValueError(f"flip must be True or False: {flip!r}")
+        _set(self, "perm", p)
+        _set(self, "flip", bool(flip))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         # act(self * other, T) == act(self, act(other, T))

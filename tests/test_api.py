@@ -40,8 +40,12 @@ def test_public_names_are_exactly_these():
 #: the names ``trishape`` loads from ``families`` on first access
 FAMILIES_NAMES = PUBLIC[PUBLIC.index("Family"):]
 
+#: modules that neither ``import trishape`` nor the per-triangle commands
+#: load: ``families`` and ``checks`` wait for the commands that use them, and
+#: the value classes need no ``dataclasses`` (which brings ``inspect``)
 LAZY_PROBE = """
 import sys
+bare = set(sys.modules)
 import trishape
 from trishape import cli
 
@@ -49,16 +53,33 @@ for argv in (["classify", "--vertices", "0,0", "1,0", "0,1"],
              ["project", "--model", "torus", "--vertices", "0,0", "1,0", "0,1"],
              ["orbit", "--vertices", "0,0", "1,0", "0,1"]):
     cli.main(argv)
-print(sorted(m for m in ("trishape.families", "trishape.checks") if m in sys.modules),
-      file=sys.stderr)
+print(sorted(m for m in ("trishape.families", "trishape.checks", "dataclasses", "inspect")
+             if m in sys.modules and m not in bare), file=sys.stderr)
+"""
+
+#: every module of the package, imported: none of them loads ``dataclasses``
+#: or ``inspect``
+FULL_PROBE = """
+import sys
+bare = set(sys.modules)
+import trishape.cli, trishape.families, trishape.checks, trishape._fork
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - bare)), file=sys.stderr)
 """
 
 
-def test_import_and_per_triangle_commands_leave_families_unloaded(child_env):
-    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], env=child_env,
+def _run_probe(probe, env):
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[]\n"
+    return proc.stderr
+
+
+def test_import_and_per_triangle_commands_leave_families_unloaded(child_env):
+    assert _run_probe(LAZY_PROBE, child_env) == "[]\n"
+
+
+def test_no_module_loads_dataclasses_or_inspect(child_env):
+    assert _run_probe(FULL_PROBE, child_env) == "[]\n"
 
 
 @pytest.mark.parametrize("name", FAMILIES_NAMES)

@@ -251,7 +251,7 @@ def test_poncelet_tangency_test_is_relative():
     # which an absolute bound of 1e-8 passes below R of about 1e-2
     for R in (1e-10, 1e-6):
         cfg = PonceletConfig.from_radii(0.3 * R, R)
-        # the closure check refuses this config, so build it past __post_init__
+        # the closure check refuses this config, so build it past the constructor
         shifted = object.__new__(PonceletConfig)
         for name, v in (("r", cfg.r * (1 - 1e-6)), ("R", cfg.R), ("d", cfg.d)):
             object.__setattr__(shifted, name, v)

@@ -110,6 +110,20 @@ def test_sphere_point_must_be_unit():
         SpherePoint(math.nan, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("x", [1e200, -1e200, 1.7e308, math.inf, -math.inf])
+def test_sphere_point_refuses_a_huge_coordinate_with_value_error(x):
+    """The norm is math.hypot's, whose squares cannot overflow."""
+    for point in ((x, 0.0, 0.0), (0.0, x, 0.0), (0.6, 0.0, x)):
+        with pytest.raises(ValueError, match="not a unit vector"):
+            SpherePoint(*point)
+
+
+def test_sphere_point_keeps_its_coordinates():
+    s = SpherePoint(0.6, -0.0, 0.8)
+    assert s.as_tuple() == (0.6, -0.0, 0.8)
+    assert math.copysign(1.0, s.y) == -1.0
+
+
 def test_double_point_landmarks():
     cases = [
         ((0, 1, -1), DELTA_A),
@@ -182,6 +196,28 @@ def test_isosceles_circles_contain_their_double_landmark():
 def test_torus_point_sum_constraint():
     with pytest.raises(ValueError):
         TorusPoint(reduce_mod_pi(0.3), reduce_mod_pi(0.3), reduce_mod_pi(0.3))
+    with pytest.raises(ValueError, match="does not sum to 0 mod pi"):
+        TorusPoint(1.0, 2.0, 0.14159)
+
+
+def test_torus_point_wraps_a_real_and_keeps_an_angle():
+    """A real coordinate is wrapped into an AngleModPi; one that is already
+    an AngleModPi is stored as it is, so to_torus builds no angle."""
+    p, q = reduce_mod_pi(1.0), reduce_mod_pi(2.0)
+    t = TorusPoint(p, q, PI - 3.0)
+    assert t.p is p and t.q is q
+    assert t == TorusPoint(1.0, 2.0 + PI, reduce_mod_pi(PI - 3.0))
+    c = class_of(from_vertices(0, 1, 0.3 + 0.8j))
+    assert all(x is y for x, y in zip(to_torus(c).as_tuple(), c.angles))
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "x"])
+def test_torus_point_names_a_coordinate_that_is_not_a_finite_angle(slot, bad):
+    args = [1.0, 2.0, PI - 3.0]
+    args[slot] = bad
+    with pytest.raises(ValueError, match=f"^{'pqr'[slot]} must be a finite angle"):
+        TorusPoint(*args)
 
 
 def test_to_torus_values():

@@ -1,7 +1,9 @@
 import cmath
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -209,6 +211,25 @@ def test_shape_class_from_json_reads_back_every_class_and_image():
                 classes.append(class_of(from_vertices(A, B, C)))
     for c in classes:
         assert class_equal(ShapeClass.from_json(c.to_json()), c, 1e-12)
+
+
+def test_copies_and_pickles_keep_the_bits_of_every_class_and_image():
+    """copy, deepcopy and pickle restore a class's slots as they are.
+    ProjTripleC's canonical form is not idempotent on some of the golden
+    sides, such as b = 1 - 3.7e-17j, so a copy rebuilt through the
+    constructor would move their bits."""
+    classes = [img for _, c in _golden_classes() for img in (c, *orbit(c))]
+    assert len(classes) == 980
+    moved = [c.sides.as_tuple() for c in classes
+             if _hex(ShapeClass(ProjTripleC(*c.sides.as_tuple()), c.angles)) != _hex(c)]
+    assert len(moved) >= 6
+    assert (-0.5 - 0.49999999999999994j, 1 - 3.700743415417188e-17j,
+            -0.49999999999999994 + 0.49999999999999994j) in moved
+    for c in classes:
+        want = _hex(c)
+        for copied in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c)),
+                       pickle.loads(pickle.dumps(c, 0))):
+            assert _hex(copied) == want
 
 
 def test_proj_triple_scale_invariance():
