@@ -89,11 +89,21 @@ class AngleModPi(_Value):
     __slots__ = ("value",)
 
     def __init__(self, value: float) -> None:
+        # _wrap_pi inline for a plain float in (-pi, 2 pi): its fmod there is x or x - pi
+        if value.__class__ is not float:
+            value = _wrap_pi(float(value))
+        elif not 0.0 <= value < PI:
+            if -PI < value < 0.0:
+                value += PI
+                if value >= PI:  # a tiny negative x lands on pi, as in _wrap_pi
+                    value -= PI
+            else:
+                value = value - PI if PI <= value < 2.0 * PI else _wrap_pi(value)
         _set(self, "value", value)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _set(self, "value", _wrap_pi(float(self.value)))
+        """The counting hook: the value is already wrapped."""
 
     def __float__(self) -> float:
         return self.value
@@ -112,6 +122,8 @@ class AngleModPi(_Value):
         return AngleModPi(-self.value)
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
+        if math.isnan(tol):
+            raise ValueError("tol must not be NaN")
         v = self.value
         return v < tol or PI - v < tol
 

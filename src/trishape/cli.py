@@ -105,14 +105,6 @@ def _emit(obj, fmt: str, csv_rows=None, csv_header=None) -> None:
         print(json.dumps(obj, indent=2, allow_nan=False))
 
 
-def _class_text(c: ShapeClass) -> str:
-    """``json.dumps(c.to_json())``, written directly: the floats by repr."""
-    (a, b, cc), (alpha, beta, gamma) = c.sides.as_tuple(), c.angles
-    return (f'{{"sides": [[{a.real!r}, {a.imag!r}], [{b.real!r}, {b.imag!r}], '
-            f'[{cc.real!r}, {cc.imag!r}]], '
-            f'"angles": [{alpha.value!r}, {beta.value!r}, {gamma.value!r}]}}')
-
-
 def _family_from_spec(kind: str, params: Sequence[float]) -> Family:
     from .families import constant_angle_family, constant_ratio_family, inscribed_family
 
@@ -194,20 +186,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     def row(k: int):
         t_par, c = sample(k)
         s, t = to_sphere(c), to_torus(c)
-        p, q, r = t.as_tuple()
-        return t_par, _class_text(c), s.x, s.y, s.z, p.value, q.value, r.value
+        # json.dumps(c.to_json()), written directly: floats by repr.  to_torus
+        # keeps the class's own angle objects, so p, q, r are formatted once
+        p, q, r = repr(t.p.value), repr(t.q.value), repr(t.r.value)
+        a, b, cc = c.sides.as_tuple()
+        text = (f'{{"sides": [[{a.real!r}, {a.imag!r}], [{b.real!r}, {b.imag!r}], '
+                f'[{cc.real!r}, {cc.imag!r}]], "angles": [{p}, {q}, {r}]}}')
+        return t_par, text, s, t, p, q, r
 
     header = ["t", "class", "x", "y", "z", "p", "q", "r"]
     if args.format == "json":
-        _emit([dict(zip(header, row(k))) for k in range(args.samples)], "json")
+        _emit([dict(zip(header, (t_par, text, s.x, s.y, s.z, *map(float, t.as_tuple()))))
+               for t_par, text, s, t, *_ in map(row, range(args.samples))], "json")
         return 0
 
     def line(k: int) -> str:
         # what csv.writer writes: floats by repr, and the class quoted with
         # its quotes doubled
-        t_par, text, x, y, z, p, q, r = row(k)
+        t_par, text, s, _, p, q, r = row(k)
         quoted = text.replace('"', '""')
-        return f'{t_par!r},"{quoted}",{x!r},{y!r},{z!r},{p!r},{q!r},{r!r}\n'
+        return f'{t_par!r},"{quoted}",{s.x!r},{s.y!r},{s.z!r},{p},{q},{r}\n'
 
     from ._fork import write_rows
 

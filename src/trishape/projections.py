@@ -13,19 +13,22 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
+import operator
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, AngleModPi, _interior, _scaled, _set, _Value, _wrap_pi
+from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _scaled, _set, _Value, _wrap_pi
 from .angles import angle_dist
 from .shape import ProjTripleC, ShapeClass
 from .triangle import canonical_directions
 
-_K = 2.0 - math.sqrt(3.0)
+_S3 = math.sqrt(3.0)
+_K = 2.0 - _S3
 
 #: Landmark images of the three double-point fibers.
-DELTA_A = (-math.sqrt(3.0) / 2.0, 0.0, 0.5)
-DELTA_B = (math.sqrt(3.0) / 2.0, 0.0, 0.5)
+DELTA_A = (-_S3 / 2.0, 0.0, 0.5)
+DELTA_B = (_S3 / 2.0, 0.0, 0.5)
 DELTA_C = (0.0, 0.0, -1.0)
 
 
@@ -69,9 +72,11 @@ class TorusPoint(_Value):
 
     def __init__(self, p: AngleModPi | float, q: AngleModPi | float,
                  r: AngleModPi | float) -> None:
-        p, q, r = _angle_field("p", p), _angle_field("q", q), _angle_field("r", r)
+        if not p.__class__ is q.__class__ is r.__class__ is AngleModPi:
+            p, q, r = _angle_field("p", p), _angle_field("q", q), _angle_field("r", r)
         total = p.value + q.value + r.value
-        if angle_dist(total, 0.0) > DEFAULT_TOL:
+        w = _wrap_pi(total)  # angle_dist(total, 0.0) is min(w, pi - w)
+        if w > DEFAULT_TOL and PI - w > DEFAULT_TOL:
             raise ValueError(f"angle triple does not sum to 0 mod pi: {total}")
         _set(self, "p", p)
         _set(self, "q", q)
@@ -107,6 +112,9 @@ class SphereLocus(enum.Enum):
     DOUBLE_C = "DoubleC"
 
 
+_LOCI = tuple(SphereLocus)
+
+
 def hopf(u: complex, v: complex) -> SpherePoint:
     """The Hopf map on nonzero (u, v), scale-invariant for complex scalars.
 
@@ -119,7 +127,8 @@ def hopf(u: complex, v: complex) -> SpherePoint:
     if not (cmath.isfinite(u) and cmath.isfinite(v)):
         raise ValueError(f"hopf needs finite input, got ({u}, {v})")
     e = math.frexp(max(abs(u.real), abs(u.imag), abs(v.real), abs(v.imag)))[1]
-    u, v = _scaled(u, -e), _scaled(v, -e)
+    if e:  # the rescaling is the identity at e = 0, where most to_sphere inputs lie
+        u, v = _scaled(u, -e), _scaled(v, -e)
     uu, vv = abs(u) ** 2, abs(v) ** 2
     n = uu + vv
     if n == 0.0:
@@ -140,37 +149,16 @@ def classify_sphere_locus(s: SpherePoint, tol: float = DEFAULT_TOL) -> frozenset
     Circle and great-circle membership is tested by the defining linear
     equation's residual; landmark membership by euclidean proximity.
     """
-    x, y, z = s.as_tuple()
-    s3 = math.sqrt(3.0)
-    flags = set()
-    if abs(y) < tol:
-        flags.add(SphereLocus.DEGENERATE_CIRCLE)
-    # The odd-side-a circle passes through the double landmark with a = 0,
-    # which fixes the sign pairing below.
-    if abs(x + s3 * z) < tol:
-        flags.add(SphereLocus.ISOSCELES_A)
-    if abs(x - s3 * z) < tol:
-        flags.add(SphereLocus.ISOSCELES_B)
-    if abs(x) < tol:
-        flags.add(SphereLocus.ISOSCELES_C)
-    if abs(-s3 * x + z + 1.0) < tol:
-        flags.add(SphereLocus.RIGHT_A)
-    if abs(s3 * x + z + 1.0) < tol:
-        flags.add(SphereLocus.RIGHT_B)
-    if abs(z - 0.5) < tol:
-        flags.add(SphereLocus.RIGHT_C)
-    if math.dist((x, y, z), (0.0, -1.0, 0.0)) < tol:
-        flags.add(SphereLocus.EQUILATERAL_PLUS)
-    if math.dist((x, y, z), (0.0, 1.0, 0.0)) < tol:
-        flags.add(SphereLocus.EQUILATERAL_MINUS)
-    for landmark, flag in (
-        (DELTA_A, SphereLocus.DOUBLE_A),
-        (DELTA_B, SphereLocus.DOUBLE_B),
-        (DELTA_C, SphereLocus.DOUBLE_C),
-    ):
-        if math.dist((x, y, z), landmark) < tol:
-            flags.add(flag)
-    return frozenset(flags)
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
+    p = x, y, z = s.as_tuple()
+    # the residuals in SphereLocus order; the odd-side-a circle passes
+    # through the double landmark with a = 0, which fixes the sign pairing
+    residuals = (abs(y), abs(x + _S3 * z), abs(x - _S3 * z), abs(x), abs(-_S3 * x + z + 1.0),
+                 abs(_S3 * x + z + 1.0), abs(z - 0.5), math.dist(p, (0.0, -1.0, 0.0)),
+                 math.dist(p, (0.0, 1.0, 0.0)), math.dist(p, DELTA_A), math.dist(p, DELTA_B),
+                 math.dist(p, DELTA_C))
+    return frozenset(itertools.compress(_LOCI, map(operator.lt, residuals, itertools.repeat(tol))))
 
 
 def to_torus(c: ShapeClass) -> TorusPoint:
@@ -192,16 +180,19 @@ def torus_inverse(t: TorusPoint) -> ShapeClass:
     are t.  At the origin every simple point has been collapsed together,
     so no unique class exists there.
     """
-    if t.is_origin():
+    p, q, r = t.p.value, t.q.value, t.r.value
+    # t.is_origin(), then the first of p, q, r.is_zero(1e-12), on the floats
+    if ((p < DEFAULT_TOL or PI - p < DEFAULT_TOL) and (q < DEFAULT_TOL or PI - q < DEFAULT_TOL)
+            and (r < DEFAULT_TOL or PI - r < DEFAULT_TOL)):
         raise ValueError("blown-down point: no unique class over the torus origin")
-    raw = _torus_sides(t.p.value, t.q.value)
-    zero = (t.p.is_zero(1e-12), t.q.is_zero(1e-12), t.r.is_zero(1e-12))
-    if any(zero):
-        k = zero.index(True)  # that side is 0j, and the other two cancel exactly
-        s = raw[(k + 1) % 3]
+    raw = _torus_sides(p, q)
+    k = (0 if p < 1e-12 or PI - p < 1e-12 else 1 if q < 1e-12 or PI - q < 1e-12
+         else 2 if r < 1e-12 or PI - r < 1e-12 else -1)
+    if k >= 0:
+        s = raw[(k + 1) % 3]  # side k is 0j, and the other two cancel exactly
         sides = [(0j, s, -s), (-s, 0j, s), (s, -s, 0j)][k]
         return ShapeClass(sides=ProjTripleC(*sides), angles=t.as_tuple())
-    angles = _interior(*(_wrap_pi(cmath.phase(s)) for s in raw))
+    angles = _interior(*map(_wrap_pi, map(cmath.phase, raw)))
     return ShapeClass(sides=ProjTripleC(*raw), angles=angles)
 
 

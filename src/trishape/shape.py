@@ -196,6 +196,8 @@ def class_dist(c1: ShapeClass, c2: ShapeClass) -> float:
 def class_equal(c1: ShapeClass, c2: ShapeClass, tol: float = DEFAULT_TOL) -> bool:
     """Equality in P(X) x T: projective sides and all three angles agree.
     The cheaper angles are tested first."""
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     if not all(angle_dist(x, y) <= tol for x, y in zip(c1.angles, c2.angles)):
         return False
     return proj_dist(c1.sides, c2.sides) <= tol

@@ -43,7 +43,11 @@ def canonical_directions(coords: Sequence[float]) -> tuple[float, ...]:
     vals = list(map(float, coords))
     if len(vals) != 6:
         raise ValueError("direction sextuple must have six coordinates")
-    v0, v1, v2, v3, v4, v5 = vals
+    return _canonical6(*vals)
+
+
+def _canonical6(v0: float, v1: float, v2: float, v3: float, v4: float, v5: float) -> tuple:
+    """:func:`canonical_directions` of six floats."""
     m = max(abs(v0), abs(v1), abs(v2), abs(v3), abs(v4), abs(v5))
     if m == 0.0:
         raise ValueError("direction sextuple cannot be all zero")
@@ -102,7 +106,7 @@ def _side_record(a: complex, b: complex, c: complex, basepoint: complex = 0j,
         raise ValueError(f"side-vectors too long: a = {a}, b = {b}, c = {c}") from None
     if scale > 0.0:
         c = -a - b
-        dirs = canonical_directions((a.real, a.imag, b.real, b.imag, c.real, c.imag))
+        dirs = _canonical6(a.real, a.imag, b.real, b.imag, c.real, c.imag)
         d0, d1, d2, d3, d4, d5 = dirs
         if (d0 or d1) and (d2 or d3) and (d4 or d5):
             return c, dirs, (math.atan2(d1, d0), math.atan2(d3, d2), math.atan2(d5, d4))

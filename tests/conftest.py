@@ -1,8 +1,12 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 import trishape
+
+# CI runs every Python version on the same examples: `pytest --hypothesis-profile=ci`
+settings.register_profile("ci", derandomize=True, max_examples=settings.default.max_examples)
 
 
 @pytest.fixture

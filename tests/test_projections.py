@@ -7,10 +7,11 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from trishape.angles import PI, angle_dist, reduce_mod_pi
+from trishape.angles import DEFAULT_TOL, PI, angle_dist, reduce_mod_pi
 from trishape.triangle import (DegeneracyType, GroupElement, Orientation, classify,
                                from_sides, from_vertices, orientation)
-from trishape.shape import ProjTripleC, ShapeClass, act_class, class_equal, class_of, proj_dist
+from trishape.shape import (ProjTripleC, ShapeClass, act_class, class_equal, class_of, orbit,
+                            proj_dist)
 from trishape.projections import (
     DELTA_A,
     DELTA_B,
@@ -417,3 +418,21 @@ def test_torus_image_moves_by_the_signed_permutation(verts, g):
     s = -1.0 if g.flip ^ _odd(g.perm) else 1.0
     got = to_torus(act_class(g, c)).as_tuple()
     assert max(angle_dist(x, s * t[p]) for x, p in zip(got, g.perm)) < 1e-12
+
+
+_NAN_CLASS = class_of(from_vertices(0, 1, 0.3 + 0.8j))
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: classify_sphere_locus(to_sphere(_NAN_CLASS), tol),
+    lambda tol: class_equal(_NAN_CLASS, _NAN_CLASS, tol),
+    lambda tol: _NAN_CLASS.angles[0].is_zero(tol),
+    lambda tol: to_torus(_NAN_CLASS).is_origin(tol),
+    lambda tol: orbit(_NAN_CLASS, tol),
+], ids=["classify_sphere_locus", "class_equal", "is_zero", "is_origin", "orbit"])
+def test_a_nan_tolerance_is_refused_by_name(call):
+    """Every comparison with a NaN tolerance is false, so each of these
+    would answer silently: no loci, unequal, not zero, no orbit merges."""
+    with pytest.raises(ValueError, match="tol"):
+        call(math.nan)
+    call(DEFAULT_TOL)

@@ -12,9 +12,9 @@ import pickle
 import pytest
 
 from trishape.angles import PI, AngleModPi
-from trishape.triangle import GroupElement, TriangleVariable, from_vertices
-from trishape.shape import BlowupCoord, ProjTripleC, ShapeClass, class_of
-from trishape.projections import SpherePoint, TorusPoint
+from trishape.triangle import GroupElement, TriangleVariable, classify, from_vertices
+from trishape.shape import BlowupCoord, ProjTripleC, ShapeClass, class_of, phi, psi
+from trishape.projections import SpherePoint, TorusPoint, to_sphere, to_torus, torus_inverse
 from trishape.families import Family, Model, PonceletConfig, SeparationReport
 
 _P = ProjTripleC(1, -1, 0)
@@ -189,3 +189,40 @@ def test_class_of_a_triangle_passes_the_hooks_a_known_number_of_times(built):
     copy.deepcopy(c)
     pickle.loads(pickle.dumps(c))
     assert _counts(built) == (6, 1)
+
+
+#: (vertices, free arguments, stratum, (angles, triples) that torus_inverse
+#: builds, or None where it refuses the torus origin)
+CHAIN = [
+    ((0, 1, 1j), None, "Nondegenerate", (3, 1)),
+    ((0, 1, 2), None, "Simple", None),
+    ((0, 1, 1), {"a": 1.0}, "Double", (0, 1)),
+]
+
+
+@pytest.mark.parametrize("vertices, free, stratum, inverse", CHAIN,
+                         ids=[case[2] for case in CHAIN])
+def test_the_chain_past_class_of_passes_the_hooks_a_known_number_of_times(
+        built, vertices, free, stratum, inverse):
+    """phi and psi wrap three angles each; to_sphere builds none; to_torus
+    keeps the class's own angles.  torus_inverse builds a triple and three
+    interior angles, or at a zero slot reuses the torus point's angles."""
+    T = from_vertices(*vertices, free_arguments=free)
+    assert classify(T).value == stratum
+    c = class_of(T)
+    assert _counts(built) == (6, 1)
+    c_back = psi(phi(c))
+    assert _counts(built) == (12, 1) and c_back.sides is c.sides
+    to_sphere(c)
+    assert _counts(built) == (12, 1)
+    t = to_torus(c)
+    assert all(x is y for x, y in zip(t.as_tuple(), c.angles))
+    assert _counts(built) == (12, 1)
+    if inverse is None:
+        with pytest.raises(ValueError, match="torus origin"):
+            torus_inverse(t)
+        assert _counts(built) == (12, 1)
+    else:
+        back = torus_inverse(t)
+        assert _counts(built) == (12 + inverse[0], 1 + inverse[1])
+        assert built["ProjTripleC"][-1] is back.sides
