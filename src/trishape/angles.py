@@ -15,9 +15,9 @@ PI = math.pi
 #: canonical side triples, defects relative to a scale).  Other literals
 #: differ on purpose.  1e-12 and 1e-13 are rounding snaps: exact zero angles,
 #: zero sides, unit length and r = R/2 up to a few ulps.  1e-6 only refuses a
-#: ``ProjTripleC`` that does not close beyond input rounding, as closure is
-#: then restored exactly.  The Poncelet tangency allows 1e-8 R for the
-#: rounding of asin, exp and two chord intersections.
+#: ``ProjTripleC`` that does not close beyond input rounding.  The Poncelet
+#: tangency allows 1e-8 R for the rounding of asin, exp and two chord
+#: intersections.
 DEFAULT_TOL = 1e-9
 
 
@@ -91,7 +91,10 @@ class AngleModPi(_Value):
     def __init__(self, value: float) -> None:
         # _wrap_pi inline for a plain float in (-pi, 2 pi): its fmod there is x or x - pi
         if value.__class__ is not float:
-            value = _wrap_pi(float(value))
+            try:
+                value = _wrap_pi(float(value))
+            except OverflowError as exc:
+                raise ValueError(f"angle value out of the float range: {exc}") from None
         elif not 0.0 <= value < PI:
             if -PI < value < 0.0:
                 value += PI

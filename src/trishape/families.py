@@ -39,20 +39,23 @@ SEPARATION_THRESHOLD = 1e-3
 class PonceletConfig(_Value):
     """Inradius, circumradius, and center separation of a triangle.
 
-    The three lengths are finite and always satisfy (R - r)^2 = r^2 + d^2,
+    The three lengths are finite floats and always satisfy (R - r)^2 = r^2 + d^2,
     which is what makes the one-parameter revolving family close up.
     """
 
     __slots__ = ("r", "R", "d")
 
     def __init__(self, r: float, R: float, d: float) -> None:
-        _set(self, "r", r)
-        _set(self, "R", R)
-        _set(self, "d", d)
-        r, R, d = float(r), float(R), float(d)
-        for name, v in (("inradius r", r), ("circumradius R", R), ("center separation d", d)):
+        names = ("inradius r", "circumradius R", "center separation d")
+        for slot, name, v in zip(self.__slots__, names, (r, R, d)):
+            try:
+                v = float(v)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name} must be a finite number: {exc}") from None
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite: {v}")
+            _set(self, slot, v)
+        r, R, d = self.r, self.R, self.d
         # r <= R/2 up to a rounding snap of 1e-12 R, so R > 0 below
         if not (0.0 < r <= R * (0.5 + 1e-12)):
             raise ValueError(f"inradius must satisfy 0 < r <= R/2: r={r}, R={R}")

@@ -185,13 +185,13 @@ def torus_inverse(t: TorusPoint) -> ShapeClass:
     if ((p < DEFAULT_TOL or PI - p < DEFAULT_TOL) and (q < DEFAULT_TOL or PI - q < DEFAULT_TOL)
             and (r < DEFAULT_TOL or PI - r < DEFAULT_TOL)):
         raise ValueError("blown-down point: no unique class over the torus origin")
-    raw = _torus_sides(p, q)
     k = (0 if p < 1e-12 or PI - p < 1e-12 else 1 if q < 1e-12 or PI - q < 1e-12
          else 2 if r < 1e-12 or PI - r < 1e-12 else -1)
     if k >= 0:
-        s = raw[(k + 1) % 3]  # side k is 0j, and the other two cancel exactly
-        sides = [(0j, s, -s), (-s, 0j, s), (s, -s, 0j)][k]
+        # side k is 0 and the other two cancel: [0 : 1 : -1] rotated, in the form
+        sides = [(0j, 1 + 0j, -1 + 0j), (1 + 0j, 0j, -1 + 0j), (1 + 0j, -1 + 0j, 0j)][k]
         return ShapeClass(sides=ProjTripleC(*sides), angles=t.as_tuple())
+    raw = _torus_sides(p, q)
     angles = _interior(*map(_wrap_pi, map(cmath.phase, raw)))
     return ShapeClass(sides=ProjTripleC(*raw), angles=angles)
 

@@ -31,9 +31,12 @@ def _pivot(ma: float, mb: float, mc: float) -> int:
 class ProjTripleC(_Value):
     """A point [a, b, c] of P(X): complex triple, not all zero, a+b+c = 0.
 
-    Canonical form divides by the largest-modulus coordinate (alphabetical
-    tie-break) and restores exact closure.  ``__post_init__`` runs once per
-    construction, so a wrapper put on the class counts them.
+    Canonical form divides by the first largest-modulus coordinate, which
+    becomes exactly 1+0j; closure holds to rounding.  A triple holding a 1
+    and no modulus above 1 + 2**-50 is kept, so the form is idempotent to
+    the bit and kept by permuting and conjugating; on a tie such as
+    (-1, 1, 0) the slot already 1 stays the pivot.  ``__post_init__`` runs
+    once per construction, so a wrapper put on the class counts them.
     """
 
     __slots__ = ("a", "b", "c")
@@ -63,13 +66,15 @@ class ProjTripleC(_Value):
             raise ValueError("projective triple cannot be all zero")
         if abs(a + b + c) > 1e-6 * scale:
             raise ValueError(f"triple does not close: a+b+c = {0 + a + b + c}")
-        p = (a, b, c)[_pivot(ma, mb, mc)]
-        a, b, c = a / p, b / p, c / p
-        # summed from the int 0, as sum() does: a -0.0 part of a becomes 0.0
-        mean = (0 + a + b + c) / 3.0
-        _set(self, "a", a - mean)
-        _set(self, "b", b - mean)
-        _set(self, "c", c - mean)
+        if not (scale <= 1.0 + 2.0 ** -50 and (a == 1 or b == 1 or c == 1)):
+            k = _pivot(ma, mb, mc)
+            p = (a, b, c)[k]
+            q = [a / p, b / p, c / p]
+            q[k] = 1 + 0j  # complex p / p is not always 1+0j
+            a, b, c = q
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (self.a, self.b, self.c)
@@ -120,12 +125,12 @@ class ShapeClass(_Value):
         """Read back :meth:`to_json`; a malformed field, angles whose sum is
         not 0 mod pi, or angles off the interior angles of three sides above
         the zero snap raise ``ValueError`` that names it.  That last test
-        allows for the rounding of the stored sides, which moves a side's
-        argument by up to about 4 ulps of 1 over its share of the largest
-        side: it allows 2**-46 (64 ulps) over the smallest share."""
+        allows for sides written by earlier versions, whose canonical form
+        moved a side's argument by up to about 4 ulps of 1 over its share of
+        the largest side: it allows 2**-46 (64 ulps) over the smallest share."""
         try:
             a, b, c = (complex(x, y) for x, y in data["sides"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ValueError("'sides' must be three [re, im] pairs") from None
         try:
             alpha, beta, gamma = (reduce_mod_pi(v) for v in data["angles"])
@@ -264,40 +269,29 @@ def _images(c: ShapeClass):
     angles (theta_i, theta_j, theta_k), negated mod pi when exactly one of
     the flip and an odd permutation holds, so all 12 triples share six
     angle objects.  It takes the sides (z_i, z_j, z_k), conjugated on a
-    flip, in ProjTripleC's canonical form: divided by the first largest,
-    less their mean.  z is the class's own side triple; a class with a side
-    at the zero snap takes its lift's direction pairs, whose zero is 0j.
-    The quotients depend only on (flip, pivot), so each triple of them is
-    divided once per class; each image sums its own mean."""
+    flip, as they are: these moves keep ProjTripleC's canonical form.  z is
+    the class's own side triple, or, at the zero snap, that of its lift's
+    direction pairs, whose zero is 0j."""
     own = c.angles
     neg = (-own[0], -own[1], -own[2])
     angles = []
     for i, j, k, flip in _GROUP:
         w = neg if flip != ((j - i) % 3 != 1) else own
         angles.append((w[i], w[j], w[k]))
-    m = c.sides.moduli()
-    if min(m) > _ZERO_SNAP * max(m):
-        z = c.sides.as_tuple()
-    else:
-        z = lift_class(c).direction_pairs()
-        m = (abs(z[0]), abs(z[1]), abs(z[2]))
+    sides = c.sides
+    m = sides.moduli()
+    if min(m) <= _ZERO_SNAP * max(m):
+        sides = ProjTripleC(*lift_class(c).direction_pairs())
+    z = sides.as_tuple()
     zs = (z, (z[0].conjugate(), z[1].conjugate(), z[2].conjugate()))
-    quots: dict[tuple, tuple] = {}
 
     def make(e: int) -> ShapeClass:
         i, j, k, flip = _GROUP[e]
-        key = (flip, (i, j, k)[_pivot(m[i], m[j], m[k])])
-        if key not in quots:
-            w = zs[flip]
-            p = w[key[1]]
-            quots[key] = (w[0] / p, w[1] / p, w[2] / p)
-        q = quots[key]
-        a, b, c = q[i], q[j], q[k]
-        mean = (0 + a + b + c) / 3.0  # from the int 0, as in ProjTripleC
+        w = zs[flip]
         sides = object.__new__(ProjTripleC)
-        _set(sides, "a", a - mean)
-        _set(sides, "b", b - mean)
-        _set(sides, "c", c - mean)
+        _set(sides, "a", w[i])
+        _set(sides, "b", w[j])
+        _set(sides, "c", w[k])
         return ShapeClass(sides, angles[e])
 
     return angles, make
@@ -371,10 +365,8 @@ def _angle_key(angles: tuple[float, float, float]) -> tuple[float, float, float]
 
 
 def _rep_key(c: ShapeClass) -> tuple[float, ...]:
-    """The angle key, then the side moduli over the largest: free of the representative."""
-    mods = c.sides.moduli()
-    top = max(mods)
-    return _angle_key(tuple(map(float, c.angles))) + tuple(m / top for m in mods)
+    """The angle key, then the side moduli, whose largest is 1 in the canonical form."""
+    return _angle_key(tuple(map(float, c.angles))) + c.sides.moduli()
 
 
 def _key_less(k1: tuple[float, ...], k2: tuple[float, ...]) -> bool:

@@ -403,11 +403,17 @@ def test_trace_matches_golden(capsys):
         assert all(g[k] == float(w[k]) for k in ("t", "x", "y", "z", "p", "q", "r"))
 
 
-@pytest.mark.parametrize("name, argv", [
+#: the families of the trace_<name>_40.<fmt> fixtures, which
+#: ``PYTHONPATH=src python tests/test_cli.py`` regenerates, with
+#: trace_poncelet_50.csv, for an output change that is intended and documented
+_TRACE_FAMILIES = [
     ("inscribed", ["--family", "inscribed"]),
     ("constant_angle", ["--family", "constant-angle", "--param", "1.0"]),
     ("constant_ratio", ["--family", "constant-ratio", "--param", "0.7"]),
-])
+]
+
+
+@pytest.mark.parametrize("name, argv", _TRACE_FAMILIES)
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_trace_families_match_golden(capsys, name, argv, fmt):
     golden = (DATA / f"trace_{name}_40.{fmt}").read_text()
@@ -673,3 +679,18 @@ def test_selftest_closed_stdout_exits_1_and_leaves_no_process(child_env):
     assert err == b""
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+
+
+if __name__ == "__main__":
+    import contextlib
+
+    fixtures = {"trace_poncelet_50.csv": ["--family", "poncelet", "--samples", "50"]}
+    for name, argv in _TRACE_FAMILIES:
+        for fmt in ("csv", "json"):
+            fixtures[f"trace_{name}_40.{fmt}"] = [*argv, "--samples", "40"]
+    for fname, argv in fixtures.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["trace", *argv, "--format", fname.rsplit(".", 1)[1]]) == 0
+        (DATA / fname).write_text(out.getvalue())
+        print(f"wrote {DATA / fname}")

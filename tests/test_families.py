@@ -49,6 +49,30 @@ def test_poncelet_config_rejects_non_finite(r, R, d, field):
         PonceletConfig(r, R, d)
 
 
+@pytest.mark.parametrize("r, R, d, field", [
+    (None, 2.0, 1.0, "inradius r"),
+    (10**400, 2.0, 1.0, "inradius r"),
+    (0.5, "two", 1.0, "circumradius R"),
+    (0.5, 2.0, [1.0], "center separation d"),
+])
+def test_poncelet_config_names_a_field_that_is_no_float(r, R, d, field):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        PonceletConfig(r, R, d)
+
+
+def test_poncelet_config_stores_its_lengths_as_floats():
+    """Strings and ints are stored converted, so the family can use them;
+    a float keeps its bits."""
+    for args in (("1", "2", "0"), (3, 8, 4), (True, 2, 0)):
+        cfg = PonceletConfig(*args)
+        assert [v.__class__ for v in (cfg.r, cfg.R, cfg.d)] == [float] * 3
+        assert (cfg.r, cfg.R, cfg.d) == tuple(map(float, args))
+        poncelet_family(cfg, 0.7)
+    want = PonceletConfig.from_radii(0.3, 1.7)
+    cfg = PonceletConfig(want.r, want.R, want.d)
+    assert [v.hex() for v in (cfg.r, cfg.R, cfg.d)] == [v.hex() for v in (want.r, want.R, want.d)]
+
+
 def test_poncelet_config_needs_the_incircle_strictly_inside():
     # r = 1e-200 rounds d = sqrt(R (R - 2r)) to R, so A would sit on the
     # incircle's center

@@ -8,6 +8,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from trishape import shape, triangle
 from trishape.angles import DEFAULT_TOL, PI, AngleModPi, reduce_mod_pi
@@ -210,26 +211,131 @@ def test_shape_class_from_json_reads_back_every_class_and_image():
                 C = B + share * scale * cmath.exp(1j * rng.uniform(0, 2 * PI))
                 classes.append(class_of(from_vertices(A, B, C)))
     for c in classes:
-        assert class_equal(ShapeClass.from_json(c.to_json()), c, 1e-12)
+        assert ShapeClass.from_json(c.to_json()) == c
 
 
 def test_copies_and_pickles_keep_the_bits_of_every_class_and_image():
-    """copy, deepcopy and pickle restore a class's slots as they are.
-    ProjTripleC's canonical form is not idempotent on some of the golden
-    sides, such as b = 1 - 3.7e-17j, so a copy rebuilt through the
-    constructor would move their bits."""
+    """copy, deepcopy and pickle restore a class's slots as they are, and
+    ProjTripleC's canonical form is idempotent on every golden side, so a
+    copy rebuilt through the constructor keeps their bits too."""
     classes = [img for _, c in _golden_classes() for img in (c, *orbit(c))]
     assert len(classes) == 980
     moved = [c.sides.as_tuple() for c in classes
              if _hex(ShapeClass(ProjTripleC(*c.sides.as_tuple()), c.angles)) != _hex(c)]
-    assert len(moved) >= 6
-    assert (-0.5 - 0.49999999999999994j, 1 - 3.700743415417188e-17j,
-            -0.49999999999999994 + 0.49999999999999994j) in moved
+    assert moved == []
     for c in classes:
         want = _hex(c)
         for copied in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c)),
                        pickle.loads(pickle.dumps(c, 0))):
             assert _hex(copied) == want
+
+
+# ---------------------------------------------------------------------------
+# the canonical form: divided by the first largest side, which becomes 1+0j
+
+
+def _triple_hex(t):
+    return [float.hex(v) for z in t.as_tuple() for v in (z.real, z.imag)]
+
+
+_PARTS = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5])
+
+
+@st.composite
+def _closed_triples(draw):
+    """Closed triples at scales 2**-300..2**300, in any slot order, whose
+    second side is free, an exact tie with the first (negated, conjugated
+    or turned by a right angle), a tie within 64 ulps, or on an axis."""
+    x, y = draw(_PARTS), draw(_PARTS)
+    a = complex(x, y)
+    kind = draw(st.sampled_from(["free", "tie", "near", "axis"]))
+    if kind == "free":
+        b = complex(draw(_PARTS), draw(_PARTS))
+    elif kind == "tie":
+        b = draw(st.sampled_from([-a, a.conjugate(), -a.conjugate(), complex(-y, x),
+                                  complex(y, -x), complex(y, x), complex(-y, -x)]))
+    elif kind == "near":
+        f = 1.0 + draw(st.integers(-64, 64)) * 2.0 ** -52
+        b = complex(-y * f, x * f)
+    else:
+        a, b = complex(x, 0.0), draw(st.sampled_from([complex(y, 0.0), complex(0.0, y)]))
+    scale = 2.0 ** draw(st.integers(-300, 300))
+    sides = draw(st.permutations([a * scale, b * scale, -(a + b) * scale]))
+    return sides if any(sides) else [1.0, -1.0, 0.0]
+
+
+@given(_closed_triples())
+def test_canonical_form_is_idempotent_to_the_bit(sides):
+    t = ProjTripleC(*sides)
+    assert max(t.moduli()) <= 1.0 + 2.0 ** -50
+    assert 1 in t.as_tuple()
+    assert _triple_hex(ProjTripleC(*t.as_tuple())) == _triple_hex(t)
+
+
+@pytest.mark.parametrize("sides, want", [
+    ((1, -1, 0), (1, -1, 0)),
+    ((True, -1, False), (1, -1, 0)),
+    ((2, -1, -1), (1, -0.5, -0.5)),
+    ((0, -3, 3), (0, 1, -1)),
+    ((-1, 1, 0), (-1, 1, 0)),  # an exact tie: the slot that is already 1 stays the pivot
+])
+def test_canonical_form_of_int_and_bool_sides_is_complex(sides, want):
+    t = ProjTripleC(*sides)
+    assert t.as_tuple() == want
+    assert all(z.__class__ is complex for z in t.as_tuple())
+    assert _triple_hex(ProjTripleC(*t.as_tuple())) == _triple_hex(t)
+
+
+def test_images_are_in_the_canonical_form():
+    """Each image of a golden class above the zero snap is its sides moved,
+    with no arithmetic, and the constructor keeps those sides to the bit."""
+    for label, c in _golden_classes():
+        if _has_zero_side(c):
+            continue
+        z = c.sides.as_tuple()
+        for g in GroupElement.all_elements():
+            img = act_class(g, c)
+            i, j, k = g.perm
+            moved = [z[i], z[j], z[k]]
+            if g.flip:
+                moved = [w.conjugate() for w in moved]
+            assert _triple_hex(img.sides) == [float.hex(v) for w in moved
+                                              for v in (w.real, w.imag)], label
+            assert _triple_hex(ProjTripleC(*moved)) == _triple_hex(img.sides), label
+
+
+def _near_double_vertices(rng, share):
+    """Seeded vertices whose side a is share times the side c."""
+    A, B = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in "AB")
+    return A, B, B + share * abs(A - B) * cmath.exp(1j * rng.uniform(0, 2 * PI))
+
+
+@pytest.mark.parametrize("share", [3e-13, 1e-12, 1e-11, 1e-10, 1e-9])
+def test_lift_class_round_trips_just_above_the_zero_snap(share):
+    """A tiny side keeps its direction in the canonical form, so the lift
+    that builds from it gives the class back."""
+    rng = random.Random(5)
+    for _ in range(300):
+        c = class_of(from_vertices(*_near_double_vertices(rng, share)))
+        assert not _has_zero_side(c)
+        assert class_dist(class_of(lift_class(c)), c) <= 1e-14
+
+
+def test_sides_keep_their_directions_against_a_50_digit_oracle():
+    """Against the exact sides of the float vertices, each side's direction
+    relative to the largest is within 1e-15, down to a share of 1e-12, and
+    the triple is within 4.4e-16 by the chordal distance of proj_dist."""
+    pytest.importorskip("mpmath")
+    import mp_oracle
+
+    rng = random.Random(5)
+    for share in (1.0, 1e-3, 1e-6, 1e-9, 1e-12):
+        for _ in range(100):
+            verts = _near_double_vertices(rng, share)
+            sides = class_of(from_vertices(*verts)).sides.as_tuple()
+            truth = mp_oracle.vertex_sides(*verts)
+            assert mp_oracle.direction_error(sides, truth) <= 1e-15, share
+            assert mp_oracle.chordal_distance(sides, truth) <= 4.4e-16, share
 
 
 def test_proj_triple_scale_invariance():

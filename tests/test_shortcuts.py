@@ -139,8 +139,7 @@ def _inverse_by_methods(t: TorusPoint) -> ShapeClass:
     zero = (t.p.is_zero(1e-12), t.q.is_zero(1e-12), t.r.is_zero(1e-12))
     if any(zero):
         k = zero.index(True)
-        s = raw[(k + 1) % 3]
-        sides = [(0j, s, -s), (-s, 0j, s), (s, -s, 0j)][k]
+        sides = [(0j, 1 + 0j, -1 + 0j), (1 + 0j, 0j, -1 + 0j), (1 + 0j, -1 + 0j, 0j)][k]
         return ShapeClass(sides=ProjTripleC(*sides), angles=t.as_tuple())
     angles = _interior(*(_wrap_pi(cmath.phase(s)) for s in raw))
     return ShapeClass(sides=ProjTripleC(*raw), angles=angles)

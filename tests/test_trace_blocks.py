@@ -33,7 +33,7 @@ _FAMILIES = {
     "constant-ratio": ["--param", "0.7"],
 }
 
-_PONCELET_10000_MD5 = "6efea75e90e14a0859ba27b87591a374"
+_PONCELET_10000_MD5 = "7e01e8a2d42d132140048bd35e1f5d0d"
 
 
 @pytest.fixture(autouse=True)

@@ -6,6 +6,7 @@ raise ``AttributeError``; copies and pickles restore the slots without
 running ``__init__`` again.
 """
 import copy
+import json
 import math
 import pickle
 
@@ -226,3 +227,21 @@ def test_the_chain_past_class_of_passes_the_hooks_a_known_number_of_times(
         back = torus_inverse(t)
         assert _counts(built) == (12 + inverse[0], 1 + inverse[1])
         assert built["ProjTripleC"][-1] is back.sides
+
+
+_HUGE = "9" * 401  # a valid JSON integer that no float holds
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: AngleModPi(10**400), "angle value"),
+    (lambda: AngleModPi(-10**400), "angle value"),
+    (lambda: TorusPoint(10**400, 0, 0), "p must be a finite angle"),
+    (lambda: TorusPoint(0.0, 0.0, -10**400), "r must be a finite angle"),
+    (lambda: ShapeClass.from_json(json.loads(
+        '{"sides": [[1, 0], [-1, 0], [0, 0]], "angles": [' + _HUGE + ", 0, 0]}")), "'angles'"),
+    (lambda: ShapeClass.from_json(json.loads(
+        '{"sides": [[1, 0], [-1, ' + _HUGE + '], [0, 0]], "angles": [0, 0, 0]}')), "'sides'"),
+])
+def test_an_int_too_large_for_a_float_is_a_value_error_that_names_the_field(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
