@@ -37,6 +37,16 @@ def _wrap_pi(x: float) -> float:
     return r
 
 
+def _number(v: object, field: str, kind: type = float) -> float | complex:
+    """kind(v), with kind float or complex.  A value out of the float range,
+    such as an int of 309 digits, raises a ``ValueError`` that names the
+    field, not an ``OverflowError``, and does not print the value."""
+    try:
+        return kind(v)
+    except OverflowError:
+        raise ValueError(f"{field} is out of the float range") from None
+
+
 #: sets a field of a value object past its refusing ``__setattr__``
 _set = object.__setattr__
 
@@ -91,10 +101,7 @@ class AngleModPi(_Value):
     def __init__(self, value: float) -> None:
         # _wrap_pi inline for a plain float in (-pi, 2 pi): its fmod there is x or x - pi
         if value.__class__ is not float:
-            try:
-                value = _wrap_pi(float(value))
-            except OverflowError as exc:
-                raise ValueError(f"angle value out of the float range: {exc}") from None
+            value = _wrap_pi(_number(value, "angle value"))
         elif not 0.0 <= value < PI:
             if -PI < value < 0.0:
                 value += PI
@@ -148,7 +155,7 @@ def reduce_mod_pi(x: float) -> AngleModPi:
 
 def angle_dist(a: AngleModPi | float, b: AngleModPi | float) -> float:
     """Wraparound distance on R/pi, valued in [0, pi/2]."""
-    x = a.value if isinstance(a, AngleModPi) else _wrap_pi(float(a))
-    y = b.value if isinstance(b, AngleModPi) else _wrap_pi(float(b))
+    x = a.value if isinstance(a, AngleModPi) else _wrap_pi(_number(a, "angle a"))
+    y = b.value if isinstance(b, AngleModPi) else _wrap_pi(_number(b, "angle b"))
     d = abs(x - y)
     return min(d, PI - d)

@@ -15,7 +15,8 @@ import enum
 import math
 from typing import Callable, Sequence
 
-from .angles import DEFAULT_TOL, AngleModPi, _scaled, _set, _Value, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, AngleModPi, _number, _scaled, _set, _Value, angle_dist
+from .angles import reduce_mod_pi
 from .shape import ProjTripleC, ShapeClass, _pivot, class_dist, class_of
 from .triangle import (
     DegeneracyType,
@@ -181,7 +182,7 @@ def level_value(angles: Sequence[AngleModPi | float]) -> float:
     Accepts either orientation's mod-pi representatives; returns 0 for a
     degenerate (zero-angle) triple.
     """
-    reps = [float(reduce_mod_pi(float(v))) for v in angles]
+    reps = [float(reduce_mod_pi(_number(v, "angle"))) for v in angles]
     if len(reps) != 3:
         raise ValueError("expected an angle triple")
     if any(angle_dist(v, 0.0) <= 1e-12 for v in reps):
@@ -305,7 +306,7 @@ def constant_angle_family(alpha0: AngleModPi | float) -> Family:
     B = e^{-2 i alpha0} to C = 1; the inscribed-angle theorem keeps alpha
     constant.  At t = 0 A reaches C: a double point over [1, 0, -1].
     """
-    a0 = float(reduce_mod_pi(float(alpha0)))
+    a0 = float(reduce_mod_pi(_number(alpha0, "constant angle")))
     if a0 <= 0.0:
         raise ValueError("constant angle must be nonzero mod pi")
     B = cmath.exp(-2j * a0)
@@ -325,7 +326,7 @@ def constant_ratio_family(ratio: float) -> Family:
     ``ValueError`` where the built |c| / (ratio |b|) is off 1 by more than
     ``DEFAULT_TOL``, as where float vertices cannot hold the ratio.
     """
-    rr = float(ratio)
+    rr = _number(ratio, "side ratio")
     if not 0.0 < rr < math.inf:
         raise ValueError(f"side ratio must be positive and finite, got {rr}")
     r2 = rr * rr

@@ -18,8 +18,8 @@ import math
 import operator
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _scaled, _set, _Value, _wrap_pi
-from .angles import angle_dist
+from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _number, _scaled, _set, _Value
+from .angles import _wrap_pi, angle_dist
 from .shape import ProjTripleC, ShapeClass
 from .triangle import canonical_directions
 
@@ -59,9 +59,9 @@ def _angle_field(name: str, v: AngleModPi | float) -> AngleModPi:
     if isinstance(v, AngleModPi):
         return v
     try:
-        return AngleModPi(v)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a finite angle: {v!r}") from None
+        return AngleModPi(_number(v, name))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a finite angle: {exc}") from None
 
 
 class TorusPoint(_Value):
@@ -123,7 +123,7 @@ def hopf(u: complex, v: complex) -> SpherePoint:
     Computed in units of 2^e near the inputs, an exact rescaling, so tiny
     and huge inputs neither underflow nor overflow.
     """
-    u, v = complex(u), complex(v)
+    u, v = _number(u, "u", complex), _number(v, "v", complex)
     if not (cmath.isfinite(u) and cmath.isfinite(v)):
         raise ValueError(f"hopf needs finite input, got ({u}, {v})")
     e = math.frexp(max(abs(u.real), abs(u.imag), abs(v.real), abs(v.imag)))[1]
@@ -206,7 +206,7 @@ def torus_fiber_limit(direction: Sequence[float]) -> tuple[float, float, float]:
     enter.  The sum is tested to DEFAULT_TOL plus 4 ulps of the largest
     |d_i|, the rounding of a pi-shifted third coordinate and of the sum.
     """
-    d = tuple(float(v) for v in direction)
+    d = tuple(_number(v, "direction") for v in direction)
     if len(d) != 3:
         raise ValueError("direction must be a nonzero real triple")
     if angle_dist(sum(d), 0.0) > DEFAULT_TOL + 4 * math.ulp(max(map(abs, d))):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _set, _Value, _wrap_pi
+from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _number, _set, _Value, _wrap_pi
 from .angles import angle_dist, reduce_mod_pi
 from .triangle import SLOTS, GroupElement, TriangleVariable, _side_record
 from .triangle import from_sides, interior_angles
@@ -48,10 +48,11 @@ class ProjTripleC(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        a, b, c = complex(self.a), complex(self.b), complex(self.c)
         try:
+            a, b, c = complex(self.a), complex(self.b), complex(self.c)
             ma, mb, mc = abs(a), abs(b), abs(c)
         except OverflowError:
+            a, b, c = (_number(getattr(self, s), f"side {s}", complex) for s in SLOTS)
             slot = next(name for name, v in zip(SLOTS, (a, b, c))
                         if math.hypot(v.real, v.imag) == math.inf)
             raise ValueError(f"side {slot} is too long: its modulus overflows") from None
@@ -91,17 +92,16 @@ def proj_dist(t1: ProjTripleC, t2: ProjTripleC) -> float:
 
     sin of the Fubini-Study angle: 0 for equal points, 1 for orthogonal ones.
     """
-    # each sum starts from the int 0, as sum() does: a -0.0 first term adds as 0.0
     (x0, x1, x2), (y0, y1, y2) = t1.as_tuple(), t2.as_tuple()
-    nx = math.sqrt(0 + abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2)
-    ny = math.sqrt(0 + abs(y0) ** 2 + abs(y1) ** 2 + abs(y2) ** 2)
+    nx = math.sqrt(abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2)
+    ny = math.sqrt(abs(y0) ** 2 + abs(y1) ** 2 + abs(y2) ** 2)
     x0, x1, x2 = x0 / nx, x1 / nx, x2 / nx
     y0, y1, y2 = y0 / ny, y1 / ny, y2 / ny
-    inner = 0 + y0.conjugate() * x0 + y1.conjugate() * x1 + y2.conjugate() * x2
+    inner = y0.conjugate() * x0 + y1.conjugate() * x1 + y2.conjugate() * x2
     # norm of the component of x orthogonal to y: sin of the angle, computed
     # without the cancellation that sqrt(1 - cos^2) suffers near zero
     r0, r1, r2 = x0 - inner * y0, x1 - inner * y1, x2 - inner * y2
-    return min(1.0, math.sqrt(0 + abs(r0) ** 2 + abs(r1) ** 2 + abs(r2) ** 2))
+    return min(1.0, math.sqrt(abs(r0) ** 2 + abs(r1) ** 2 + abs(r2) ** 2))
 
 
 class ShapeClass(_Value):
@@ -184,7 +184,10 @@ def class_of_vertices(A: complex, B: complex, C: complex) -> ShapeClass:
     """``class_of(from_vertices(A, B, C))`` to the bit, with no triangle built:
     the sides a = C - B, b = A - C, c = B - A go through from_sides' own
     record, its tests and errors included."""
-    A, B, C = complex(A), complex(B), complex(C)
+    try:
+        A, B, C = complex(A), complex(B), complex(C)
+    except OverflowError:
+        A, B, C = (_number(v, f"vertex {s}", complex) for s, v in zip("ABC", (A, B, C)))
     # finite sides imply a finite B, so the basepoint needs no test
     _, (d0, d1, d2, d3, d4, d5), x = _side_record(C - B, A - C, B - A)
     return ShapeClass(sides=ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5)),
@@ -261,47 +264,43 @@ def lift_class(c: ShapeClass) -> TriangleVariable:
 
 #: (i, j, k, flip) of the 12 symmetries, in the order orbit lists their images
 _GROUP = tuple((*g.perm, g.flip) for g in GroupElement.all_elements())
+#: _MUL[e][h]: the index of _GROUP[e] * _GROUP[h], by GroupElement.__mul__'s
+#: rule on the tuples (the 144 products of GroupElements take 10 times as long)
+_MUL = tuple(tuple(_GROUP.index((q[p[0]], q[p[1]], q[p[2]], p[3] ^ q[3])) for q in _GROUP)
+             for p in _GROUP)
 
 
-def _images(c: ShapeClass):
-    """(angles, make): the angle triples of the class's 12 images, and
-    make(e), its image under g = _GROUP[e].  g = (i, j, k, flip) takes the
-    angles (theta_i, theta_j, theta_k), negated mod pi when exactly one of
-    the flip and an odd permutation holds, so all 12 triples share six
-    angle objects.  It takes the sides (z_i, z_j, z_k), conjugated on a
-    flip, as they are: these moves keep ProjTripleC's canonical form.  z is
-    the class's own side triple, or, at the zero snap, that of its lift's
-    direction pairs, whose zero is 0j."""
+def _images(c: ShapeClass) -> list[ShapeClass]:
+    """The class's 12 images, in _GROUP order.  g = (i, j, k, flip) takes
+    the angles (theta_i, theta_j, theta_k), negated mod pi when exactly one
+    of the flip and an odd permutation holds, and the sides (z_i, z_j, z_k),
+    conjugated on a flip, as they are: these moves keep ProjTripleC's
+    canonical form.  z is the class's own side triple, or, at the zero
+    snap, that of its lift's direction pairs, whose zero is 0j."""
     own = c.angles
-    neg = (-own[0], -own[1], -own[2])
-    angles = []
-    for i, j, k, flip in _GROUP:
-        w = neg if flip != ((j - i) % 3 != 1) else own
-        angles.append((w[i], w[j], w[k]))
+    signed = (own, (-own[0], -own[1], -own[2]))
     sides = c.sides
     m = sides.moduli()
     if min(m) <= _ZERO_SNAP * max(m):
         sides = ProjTripleC(*lift_class(c).direction_pairs())
     z = sides.as_tuple()
     zs = (z, (z[0].conjugate(), z[1].conjugate(), z[2].conjugate()))
-
-    def make(e: int) -> ShapeClass:
-        i, j, k, flip = _GROUP[e]
-        w = zs[flip]
-        sides = object.__new__(ProjTripleC)
-        _set(sides, "a", w[i])
-        _set(sides, "b", w[j])
-        _set(sides, "c", w[k])
-        return ShapeClass(sides, angles[e])
-
-    return angles, make
+    out = []
+    for i, j, k, flip in _GROUP:
+        w, s = signed[flip != ((j - i) % 3 != 1)], zs[flip]
+        moved = object.__new__(ProjTripleC)
+        _set(moved, "a", s[i])
+        _set(moved, "b", s[j])
+        _set(moved, "c", s[k])
+        out.append(ShapeClass(moved, (w[i], w[j], w[k])))
+    return out
 
 
 def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
     """Induced symmetry on classes: the class's angles, signed and permuted,
     and its sides, permuted and conjugated on a flip (``triangle.act`` on
     a lift is the independent path)."""
-    return _images(c)[1](_GROUP.index((*g.perm, g.flip)))
+    return _images(c)[_GROUP.index((*g.perm, g.flip))]
 
 
 #: (c, tol, result) of the last _members call; matched by identity, since
@@ -309,42 +308,34 @@ def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
 _last: tuple = (None, None, None)
 
 
-def _members(c: ShapeClass, tol: float):
-    """(kept, angles, image): the _GROUP indices of the images orbit keeps,
-    the float angles of all 12, and image(e), which builds image e once.
-    An image is kept unless class_equal to an earlier kept one; sides are
-    built only when all angles agree.  The result for the last (c, tol) is
-    kept, so canonical_rep after orbit of the same object reuses it."""
+def _members(c: ShapeClass, tol: float) -> tuple[list[int], list[ShapeClass]]:
+    """(kept, images): the first _GROUP index of each coset g_e Stab, whose
+    images are one class, and the 12 images.  Stab holds the elements whose
+    image is class_equal to image 0, angles first.  The result for the last
+    (c, tol) is kept: canonical_rep after orbit of the same object reuses it."""
     global _last
     last = _last  # read once: another thread may replace it
     if last[0] is c and last[1] == tol:
         return last[2]
-    triples, make = _images(c)
-    angles = [(x.value, y.value, z.value) for x, y, z in triples]
-    built: list = [None] * 12
-
-    def image(e: int) -> ShapeClass:
-        if built[e] is None:
-            built[e] = make(e)
-        return built[e]
-
-    kept: list[int] = []
-    for e, (a0, a1, a2) in enumerate(angles):
-        for s in kept:
-            # angle_dist: min(t, pi - t) on values already in [0, pi)
-            b0, b1, b2 = angles[s]
-            t = abs(a0 - b0)
-            if not (t <= tol or PI - t <= tol):
-                continue
-            t1, t2 = abs(a1 - b1), abs(a2 - b2)
-            if ((t1 <= tol or PI - t1 <= tol) and (t2 <= tol or PI - t2 <= tol)
-                    and proj_dist(image(e).sides, image(s).sides) <= tol):
-                break
-        else:
+    images = _images(c)
+    first = images[0]
+    b0, b1, b2 = (x.value for x in first.angles)
+    stab = [0]
+    for h in range(1, 12):
+        # angle_dist: min(t, pi - t) on values already in [0, pi)
+        x, y, z = images[h].angles
+        t0, t1, t2 = abs(x.value - b0), abs(y.value - b1), abs(z.value - b2)
+        if ((t0 <= tol or PI - t0 <= tol) and (t1 <= tol or PI - t1 <= tol)
+                and (t2 <= tol or PI - t2 <= tol)
+                and proj_dist(images[h].sides, first.sides) <= tol):
+            stab.append(h)
+    kept, seen = [], set()
+    for e in range(12):
+        if e not in seen:
             kept.append(e)
-    result = kept, angles, image
-    _last = (c, tol, result)
-    return result
+            seen.update(_MUL[e][h] for h in stab)
+    _last = (c, tol, (kept, images))
+    return kept, images
 
 
 def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
@@ -352,21 +343,17 @@ def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
     order: its own angles, signed and permuted, and its own sides moved."""
     if math.isnan(tol):
         raise ValueError("orbit tolerance must not be NaN")
-    kept, _, image = _members(c, tol)
-    return [image(e) for e in kept]
-
-
-def _angle_key(angles: tuple[float, float, float]) -> tuple[float, float, float]:
-    """Slot-ordered angles, with those within DEFAULT_TOL of pi read as near 0."""
-    a, b, c = angles
-    return (a - PI if PI - a <= DEFAULT_TOL else a,
-            b - PI if PI - b <= DEFAULT_TOL else b,
-            c - PI if PI - c <= DEFAULT_TOL else c)
+    kept, images = _members(c, tol)
+    return [images[e] for e in kept]
 
 
 def _rep_key(c: ShapeClass) -> tuple[float, ...]:
-    """The angle key, then the side moduli, whose largest is 1 in the canonical form."""
-    return _angle_key(tuple(map(float, c.angles))) + c.sides.moduli()
+    """Slot-ordered angles, those within DEFAULT_TOL of pi read as near 0,
+    then the side moduli, whose largest is 1 in the canonical form."""
+    x, y, z = c.angles
+    a, b, g = x.value, y.value, z.value
+    return (a - PI if PI - a <= DEFAULT_TOL else a, b - PI if PI - b <= DEFAULT_TOL else b,
+            g - PI if PI - g <= DEFAULT_TOL else g) + c.sides.moduli()
 
 
 def _key_less(k1: tuple[float, ...], k2: tuple[float, ...]) -> bool:
@@ -378,16 +365,13 @@ def _key_less(k1: tuple[float, ...], k2: tuple[float, ...]) -> bool:
 
 
 def canonical_rep(c: ShapeClass) -> ShapeClass:
-    """Deterministic orbit representative: the orbit member with the least
-    key (slot-ordered angles, then side moduli) within ``DEFAULT_TOL``.  An
-    image is built only for the winner and where angles tie and moduli decide."""
-    kept, angles, image = _members(c, DEFAULT_TOL)
-    best = kept[0]
-    best_key = _angle_key(angles[best])
+    """Deterministic orbit representative: the first orbit member with the
+    least key (slot-ordered angles, then side moduli) within ``DEFAULT_TOL``."""
+    kept, images = _members(c, DEFAULT_TOL)
+    best = images[kept[0]]
+    best_key = _rep_key(best)
     for e in kept[1:]:
-        key = _angle_key(angles[e])
-        if _key_less(key, best_key) or (
-            not _key_less(best_key, key) and _key_less(_rep_key(image(e)), _rep_key(image(best)))
-        ):
-            best, best_key = e, key
-    return image(best)
+        key = _rep_key(images[e])
+        if _key_less(key, best_key):
+            best, best_key = images[e], key
+    return best

@@ -15,7 +15,8 @@ import math
 import operator
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, AngleModPi, _interior, _set, _Value, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, AngleModPi, _interior, _number, _set, _Value, angle_dist
+from .angles import reduce_mod_pi
 
 SLOTS = ("a", "b", "c")
 
@@ -152,8 +153,11 @@ def from_sides(
     basepoint or directions, and side-vectors whose length overflows, raise
     ``ValueError``.
     """
-    a, b, c = complex(a), complex(b), complex(c)
-    basepoint = complex(basepoint)
+    try:
+        a, b, c, basepoint = complex(a), complex(b), complex(c), complex(basepoint)
+    except OverflowError:
+        a, b, c, basepoint = (_number(v, field, complex) for field, v in zip(
+            ("side a", "side b", "side c", "basepoint"), (a, b, c, basepoint)))
     c, dirs, xi = _side_record(a, b, c, basepoint, directions, free_arguments)
     return TriangleVariable(
         basepoint=basepoint,
@@ -171,7 +175,10 @@ def from_vertices(
     free_arguments: dict[str, AngleModPi] | None = None,
 ) -> TriangleVariable:
     """Triangle with vertices (A, B, C): a = C-B, b = A-C, c = B-A, basepoint B."""
-    A, B, C = complex(A), complex(B), complex(C)
+    try:
+        A, B, C = complex(A), complex(B), complex(C)
+    except OverflowError:
+        A, B, C = (_number(v, f"vertex {s}", complex) for s, v in zip("ABC", (A, B, C)))
     return from_sides(
         C - B,
         A - C,

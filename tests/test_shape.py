@@ -759,47 +759,130 @@ def test_canonical_rep_matches_a_scan_of_the_orbit():
 
 
 def _count_images(monkeypatch):
-    """The list of every image the builders of shape._images make from now on."""
+    """The list of every image shape._images builds from now on."""
     built = []
 
     def counting_images(c, _orig=shape._images):
-        angles, make = _orig(c)
-
-        def counting(e):
-            built.append(make(e))
-            return built[-1]
-
-        return angles, counting
+        images = _orig(c)
+        built.extend(images)
+        return images
 
     monkeypatch.setattr(shape, "_images", counting_images)
     return built
 
 
-def test_canonical_rep_of_a_scalene_class_builds_only_the_winner(monkeypatch):
+def test_canonical_rep_after_orbit_builds_no_image(monkeypatch):
     c = class_of(from_vertices(0, 1, 0.3 + 0.8j))
     built = _count_images(monkeypatch)
-    canonical_rep(c)
-    assert len(built) == 1
-    built.clear()
-    c = class_of(from_vertices(0, 1, 0.3 + 0.8j))  # a new object: nothing kept for it
     assert len(orbit(c)) == 12
+    assert len(built) == 12
     canonical_rep(c)
     assert len(built) == 12  # canonical_rep reuses orbit's images
 
 
 def test_member_angles_are_the_image_angles():
-    """The float angles the orbit dedup compares are, to the bit, those of
-    the images it builds: the class's own angles, signed and permuted."""
+    """The angles the orbit dedup compares, those of the images it keeps,
+    are to the bit the class's own angles, signed and permuted."""
     for label, c in _golden_classes():
-        _, angles, image = shape._members(c, DEFAULT_TOL)
+        _, images = shape._members(c, DEFAULT_TOL)
         for e, g in enumerate(GroupElement.all_elements()):
             want = [float.hex(x.value) for x in _signed_permutation(g, c.angles)]
-            assert [float.hex(x.value) for x in image(e).angles] == want, label
-            assert [float.hex(v) for v in angles[e]] == want, label
+            assert [float.hex(x.value) for x in images[e].angles] == want, label
 
 
 # ---------------------------------------------------------------------------
-# images from shared pivot quotients, and the result kept for the last class
+# orbits by their stabilizer against a pairwise scan
+
+
+def _orbit_by_pairs(c, tol):
+    """The images of c that a pairwise scan keeps, in group order: each
+    image unless class_equal to an earlier kept one, by float angles first
+    and then by proj_dist of the sides."""
+    images = shape._images(c)
+    angles = [tuple(x.value for x in img.angles) for img in images]
+    kept = []
+    for e, (a0, a1, a2) in enumerate(angles):
+        for s in kept:
+            b0, b1, b2 = angles[s]
+            t = abs(a0 - b0)
+            if not (t <= tol or PI - t <= tol):
+                continue
+            t1, t2 = abs(a1 - b1), abs(a2 - b2)
+            if ((t1 <= tol or PI - t1 <= tol) and (t2 <= tol or PI - t2 <= tol)
+                    and proj_dist(images[e].sides, images[s].sides) <= tol):
+                break
+        else:
+            kept.append(e)
+    return [images[e] for e in kept]
+
+
+def _canonical_rep_by_pairs(c):
+    """The member of _orbit_by_pairs at DEFAULT_TOL with the least angle key
+    (the first three components of _rep_key), the side moduli compared only
+    where the angle keys tie."""
+    members = _orbit_by_pairs(c, DEFAULT_TOL)
+    best = members[0]
+    for img in members[1:]:
+        key, best_key = shape._rep_key(img)[:3], shape._rep_key(best)[:3]
+        if shape._key_less(key, best_key) or (
+            not shape._key_less(best_key, key)
+            and shape._key_less(shape._rep_key(img), shape._rep_key(best))
+        ):
+            best = img
+    return best
+
+
+def _near_classes(tol):
+    """Near-isosceles, near-equilateral and near-simple classes, each eps off
+    its locus for eps from 0.3 to 3 tol."""
+    out = []
+    w = complex(0.5, math.sqrt(3) / 2)
+    for frac in (0.3, 0.5, 0.99, 1.0, 1.01, 1.5, 2.0, 3.0):
+        eps = frac * tol
+        for base in (0.3, 0.9, 1.3):
+            apex = complex(0.5, 0.5 * math.tan(base))
+            out += [class_of(from_vertices(0, 1, apex + d)) for d in (eps, 1j * eps)]
+        out += [class_of(from_vertices(0, 1, w + d)) for d in (eps, 1j * eps, -eps)]
+        out += [class_of(from_vertices(0, 1, complex(x, y)))
+                for x in (0.25, 0.5, 1.5, -0.4) for y in (eps, -eps)]
+    return out
+
+
+def test_mul_is_the_group_product():
+    elements = GroupElement.all_elements()
+    for e, g in enumerate(elements):
+        for h, k in enumerate(elements):
+            assert elements[shape._MUL[e][h]] == g * k
+
+
+def test_orbit_and_canonical_rep_keep_the_bits_of_a_pairwise_scan():
+    """orbit at 1e-9, 1e-6 and 1e-3 and canonical_rep give, to the bit, the
+    images and the representative of a pairwise scan: on the golden
+    classes, the edge and near classes of each tolerance, seeded copies of
+    every kind of base shape and seeded random classes."""
+    rng = random.Random(47)
+    tols = (DEFAULT_TOL, 1e-6, 1e-3)
+    classes = [c for _, c in _golden_classes()]
+    for tol in tols:
+        classes += _edge_classes(tol) + _near_classes(tol)
+    for kind, _ in _ORBIT_SIZES:
+        classes += [_copy(*_base_shape(kind, rng), rng) for _ in range(300)]
+    classes += [_random_class(rng) for _ in range(3000)]
+    classes += [_random_double(rng) for _ in range(500)]
+    sizes = set()
+    for c in classes:
+        for tol in tols:
+            want = [_hex(img) for img in _orbit_by_pairs(c, tol)]
+            assert [_hex(img) for img in orbit(c, tol)] == want
+            sizes.add(len(want))
+        assert _hex(canonical_rep(c)) == _hex(_canonical_rep_by_pairs(c))
+    # 4: near-equilateral classes about tol off, which two mirror symmetries
+    # keep within tol but their product, a rotation, does not
+    assert sizes == {2, 3, 4, 6, 12}
+
+
+# ---------------------------------------------------------------------------
+# images as the moved sides, and the result kept for the last class
 
 
 def _assert_images_are_the_moved_sides(c):
@@ -807,13 +890,13 @@ def _assert_images_are_the_moved_sides(c):
     sides and the class's angles, signed and permuted; its sides are within
     2e-15 of those of the moved lift.  Returns the largest such distance."""
     T = lift_class(c)
-    _, _, image = shape._members(c, DEFAULT_TOL)
+    _, images = shape._members(c, DEFAULT_TOL)
     worst = 0.0
     for e, g in enumerate(GroupElement.all_elements()):
         want = _hex(_image_by_move(g, c))
-        assert _hex(image(e)) == want
+        assert _hex(images[e]) == want
         assert _hex(act_class(g, c)) == want
-        worst = max(worst, _lift_side_dist(g, image(e), T))
+        worst = max(worst, _lift_side_dist(g, images[e], T))
     assert worst <= 2e-15
     return worst
 
@@ -827,8 +910,8 @@ def test_images_are_the_moved_sides_and_the_signed_angles():
     classes += [_random_class(rng) for _ in range(2000)] + [_random_double(rng) for _ in range(200)]
     for c in classes:
         _assert_images_are_the_moved_sides(c)
-        kept, _, image = shape._members(c, DEFAULT_TOL)
-        members = [_hex(image(e)) for e in kept]
+        kept, images = shape._members(c, DEFAULT_TOL)
+        members = [_hex(images[e]) for e in kept]
         assert [_hex(img) for img in orbit(c)] == members
         assert _hex(canonical_rep(c)) in members
 
@@ -1082,7 +1165,7 @@ def test_orbit_keeps_the_sign_of_a_zero_angle():
     c = class_of(from_vertices(0, 1, 0.25))
     T = lift_class(c)
     elements = GroupElement.all_elements()
-    kept, _, _ = shape._members(c, DEFAULT_TOL)
+    kept, _ = shape._members(c, DEFAULT_TOL)
     images = orbit(c)
     assert len(images) == len(kept) == 6
     angles = {float.hex(x.value) for img in images for x in img.angles}

@@ -12,11 +12,14 @@ import pickle
 
 import pytest
 
-from trishape.angles import PI, AngleModPi
-from trishape.triangle import GroupElement, TriangleVariable, classify, from_vertices
+from trishape.angles import PI, AngleModPi, angle_dist
+from trishape.triangle import GroupElement, TriangleVariable, classify, from_sides, from_vertices
 from trishape.shape import BlowupCoord, ProjTripleC, ShapeClass, class_of, phi, psi
-from trishape.projections import SpherePoint, TorusPoint, to_sphere, to_torus, torus_inverse
+from trishape.shape import class_of_vertices
+from trishape.projections import SpherePoint, TorusPoint, hopf, to_sphere, to_torus, torus_inverse
+from trishape.projections import torus_fiber_limit
 from trishape.families import Family, Model, PonceletConfig, SeparationReport
+from trishape.families import constant_angle_family, constant_ratio_family, level_value
 
 _P = ProjTripleC(1, -1, 0)
 _ANGLES = (AngleModPi(0.5), AngleModPi(1.0), AngleModPi(PI - 1.5))
@@ -230,6 +233,31 @@ def test_the_chain_past_class_of_passes_the_hooks_a_known_number_of_times(
 
 
 _HUGE = "9" * 401  # a valid JSON integer that no float holds
+_BIG = 10**400
+
+#: (build, field) of each entry point that converts a number itself: its
+#: message is only that the field is out of the float range, without the
+#: number, whose repr alone raises past 4300 digits
+_OUT_OF_RANGE = [
+    (lambda: from_sides(_BIG, -_BIG, 0), "side a"),
+    (lambda: from_sides(0, _BIG, -_BIG), "side b"),
+    (lambda: from_sides(1, -1, 0, basepoint=_BIG), "basepoint"),
+    (lambda: from_vertices(_BIG, 0, 1), "vertex A"),
+    (lambda: from_vertices(0, 1, -_BIG), "vertex C"),
+    (lambda: class_of_vertices(0, _BIG, 1), "vertex B"),
+    (lambda: ProjTripleC(_BIG, -_BIG, 0), "side a"),
+    (lambda: ProjTripleC(0, -_BIG, _BIG), "side b"),
+    (lambda: angle_dist(_BIG, 0), "angle a"),
+    (lambda: angle_dist(0.5, -_BIG), "angle b"),
+    (lambda: hopf(_BIG, 1), "u"),
+    (lambda: hopf(1j, _BIG), "v"),
+    (lambda: torus_fiber_limit((_BIG, 0, 0)), "direction"),
+    (lambda: level_value((0.5, _BIG, 0)), "angle"),
+    (lambda: constant_angle_family(_BIG), "constant angle"),
+    (lambda: constant_ratio_family(_BIG), "side ratio"),
+    (lambda: TorusPoint(10**5000, 0, 0), "p must be a finite angle: p"),
+    (lambda: TorusPoint(0.5, -10**5000, 0), "q must be a finite angle: q"),
+]
 
 
 @pytest.mark.parametrize("build, field", [
@@ -241,7 +269,7 @@ _HUGE = "9" * 401  # a valid JSON integer that no float holds
         '{"sides": [[1, 0], [-1, 0], [0, 0]], "angles": [' + _HUGE + ", 0, 0]}")), "'angles'"),
     (lambda: ShapeClass.from_json(json.loads(
         '{"sides": [[1, 0], [-1, ' + _HUGE + '], [0, 0]], "angles": [0, 0, 0]}')), "'sides'"),
-])
+] + [(build, f"^{field} is out of the float range$") for build, field in _OUT_OF_RANGE])
 def test_an_int_too_large_for_a_float_is_a_value_error_that_names_the_field(build, field):
     with pytest.raises(ValueError, match=field):
         build()
