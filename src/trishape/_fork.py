@@ -1,35 +1,24 @@
-"""Work shared between the CLI process and one forked child.
+"""Lines written to stdout in turn by the CLI process and one forked child.
 
-``selftest`` runs the second half of its checks in a child, and
-``trace --format csv`` writes its rows in blocks that this process and a
-child compute and write in turn.  Each command's output, its order and its
-exit code are those of one process.  A child leaves by ``os._exit``, so no
+``trace --format csv`` writes its rows, and ``selftest`` its check lines,
+through :func:`write_rows`.  Each command's output, its order and its exit
+code are those of one process.  The child leaves by ``os._exit``, so no
 atexit hook and no buffered output of this process runs twice, and it is
 reaped before the command returns.
 """
 from __future__ import annotations
 
-import json
 import os
 import sys
 
-#: rows in one block of :func:`write_rows`.  The processes hand stdout over
-#: once per block, so smaller blocks spend more on the handoffs, and each
-#: process holds one block's text: 250 ``trace`` rows are about 100 KB.
+#: lines in one block of ``trace``.  The processes hand stdout over once per
+#: block, so smaller blocks spend more on the handoffs, and each process
+#: holds one block's text: 250 ``trace`` rows are about 100 KB.
 BLOCK = 250
 
-#: what a process writes to the other to give it stdout
-_TURN = b"."
-
-
-def run_checks(checks):
-    """(name, passed, detail) for each check, in order."""
-    for name, fn in checks:
-        try:
-            passed, detail = fn()
-        except Exception as exc:  # one broken check must not hide the others
-            passed, detail = False, f"{type(exc).__name__}: {exc}"
-        yield name, passed, detail
+#: what a process writes to the other to give it stdout; the child writes
+#: ``_FAILED`` instead after a block with a line that was not ok
+_TURN, _FAILED = b".", b"F"
 
 
 def _read_all(fd: int) -> bytes:
@@ -39,172 +28,142 @@ def _read_all(fd: int) -> bytes:
     return b"".join(chunks)
 
 
-class _Child:
-    """A forked child that runs ``work(recv, send)`` and exits 0 when it
-    returns, 1 when it raises.  The child reads from ``recv`` what this
-    process writes to ``self.send``, and this process reads from
-    ``self.recv`` what the child writes to ``send``.  Raises ``OSError``
-    where no process can be forked."""
-
-    def __init__(self, work) -> None:
-        down, up = os.pipe(), os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (*down, *up):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(down[1])
-                os.close(up[0])
-                work(down[0], up[1])
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(down[0])
-        os.close(up[1])
-        self.send, self.recv = down[1], up[0]
-
-    def ended(self) -> str:
-        """Reap the child; how it ended, "exit code N" or "signal N"."""
-        pid, self.pid = self.pid, 0
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        return f"exit code {code}" if code >= 0 else f"signal {-code}"
-
-    def close(self) -> None:
-        """Stop the child if it has not been reaped, and reap it."""
-        os.close(self.send)
-        os.close(self.recv)
-        if self.pid:
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-            self.ended()
-
-
-class ForkedChecks(_Child):
-    """Checks run by a forked child, which writes one ``[passed, detail]``
-    JSON line per check to its pipe."""
-
-    def __init__(self, checks) -> None:
-        self.checks = checks
-
-        def work(recv: int, send: int) -> None:
-            for _, passed, detail in run_checks(checks):
-                os.write(send, (json.dumps([bool(passed), str(detail)]) + "\n").encode())
-
-        super().__init__(work)
-
-    def results(self):
-        """(name, passed, detail) for each check once the child has ended; a
-        check whose line never came fails with how the child ended."""
-        lines = _read_all(self.recv).split(b"\n")[:-1]  # a cut last line is dropped
-        ended = self.ended()
-        for k, (name, _) in enumerate(self.checks):
-            if k < len(lines):
-                yield (name, *json.loads(lines[k]))
-            else:
-                yield name, False, f"no result: the check process ended with {ended}"
-
-
-def _block(line, lo: int, n: int):
-    """The text of rows lo to lo + BLOCK - 1 (to n - 1 at the end), and the
-    ValueError that cut it short, if one did."""
-    lines = []
+def _block(line, lo: int, hi: int):
+    """The text of lines lo to hi - 1, whether every one was ok, and the
+    ValueError that cut them short, if one did."""
+    texts, ok = [], True
     try:
-        for k in range(lo, min(lo + BLOCK, n)):
-            lines.append(line(k))
+        for k in range(lo, hi):
+            text, passed = line(k)
+            texts.append(text)
+            if not passed:
+                ok = False
     except ValueError as exc:
-        return "".join(lines), exc
-    return "".join(lines), None
+        return "".join(texts), ok, exc
+    return "".join(texts), ok, None
 
 
-def _write(fd: int, text: str) -> None:
-    data = memoryview(text.encode())
+def _write(fd: int, data: bytes) -> None:
+    data = memoryview(data)
     while data:  # a pipe whose reader leaves takes only part of it
         data = data[os.write(fd, data):]
 
 
-def write_rows(head: str, n: int, line) -> None:
-    """Write ``head`` and then ``line(k)`` for k in range(n) to stdout, in
-    blocks of ``BLOCK`` lines.  ``head`` waits for the first line.  A
-    ``ValueError`` from ``line(k)`` is raised once the lines before it are
-    written.
+def _ended(pid: int) -> str:
+    """Reap the child; how it ended, "exit code N" or "signal N"."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return f"exit code {code}" if code >= 0 else f"signal {-code}"
+
+
+def _child(fd: int, enc, recv: int, send: int, line, n: int, block: int) -> None:
+    """The child's part of :func:`write_rows`: the odd blocks, each written
+    to ``fd`` when ``recv`` hands it the turn, and the turn given back on
+    ``send`` with whether the block was ok, or with what stopped it."""
+    for lo in range(block, n, 2 * block):
+        text, ok, exc = _block(line, lo, min(lo + block, n))
+        if os.read(recv, 1) != _TURN:  # the parent has stopped
+            return
+        try:
+            _write(fd, text.encode(*enc))
+        except BrokenPipeError:
+            os.write(send, b"P")
+            return
+        if exc is not None:
+            os.write(send, b"V" + str(exc).encode())
+            return
+        os.write(send, _TURN if ok else _FAILED)
+
+
+def write_rows(head: str, n: int, line, block: int = BLOCK) -> bool:
+    """Write ``head`` and then the text of ``line(k)`` for k in range(n) to
+    stdout, in blocks of ``block`` lines, and return whether every line was
+    ok: ``line(k)`` returns ``(text, ok)``.  ``head`` waits for the first
+    line.  A ``ValueError`` from ``line(k)`` is raised once the lines
+    before it are written.
 
     Where stdout has a file descriptor, the platform forks and there is a
     second block, a child computes the odd blocks while this process
     computes the even ones.  Each writes its own block to the descriptor
-    when the other hands it the turn, so no row passes between them.  The
-    lines must be ASCII: they go to the descriptor as their own bytes.
+    when the other hands it the turn, so no line passes between them.  If
+    the child dies, this raises ``ValueError("no rows from <k>: …")``.
     """
-    fd = child = None
-    if n > BLOCK and hasattr(os, "fork"):
+    fd = pid = None
+    if n > block and hasattr(os, "fork"):
         try:
-            fd = sys.stdout.fileno()
+            fd, enc = sys.stdout.fileno(), (sys.stdout.encoding, sys.stdout.errors)
         except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
             pass
     if fd is not None:
         sys.stdout.flush()
-
-        def work(recv: int, send: int) -> None:
-            for lo in range(BLOCK, n, 2 * BLOCK):
-                text, exc = _block(line, lo, n)
-                if os.read(recv, 1) != _TURN:  # this process has stopped
-                    return
-                try:
-                    _write(fd, text)
-                except BrokenPipeError:
-                    os.write(send, b"P")
-                    return
-                if exc is not None:
-                    os.write(send, b"V" + str(exc).encode())
-                    return
-                os.write(send, _TURN)
-
+        down, up = os.pipe(), os.pipe()
         try:
-            child = _Child(work)
+            pid = os.fork()
         except OSError:  # no process to spare: write them all here
-            pass
-    if child is None:
-        for lo in range(0, n, BLOCK):
-            text, exc = _block(line, lo, n)
+            for end in (*down, *up):
+                os.close(end)
+    if pid is None:
+        ok = True
+        for lo in range(0, n, block):
+            text, passed, exc = _block(line, lo, min(lo + block, n))
             sys.stdout.write(head + text if lo == 0 and text else text)
             if exc is not None:
                 raise exc
-        return
+            ok = ok and passed
+        return ok
+    if pid == 0:
+        status = 1
+        try:
+            os.close(down[1])
+            os.close(up[0])
+            _child(fd, enc, down[0], up[1], line, n, block)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(down[0])
+    os.close(up[1])
+    send, recv = down[1], up[0]
 
-    def take_turn(lo: int) -> None:
-        """Wait until the child has written its block from row ``lo``;
-        raise what stopped it instead."""
-        said = os.read(child.recv, 1)
-        if said == _TURN:
-            return
-        said += _read_all(child.recv)
+    def take_turn(lo: int) -> bool:
+        """Wait until the child has written its block from line ``lo`` and
+        say whether it was ok; raise what stopped the child instead."""
+        nonlocal pid
+        said = os.read(recv, 1)
+        if said in (_TURN, _FAILED):
+            return said == _TURN
+        said += _read_all(recv)
         if said[:1] == b"P":
             raise BrokenPipeError
         if said[:1] == b"V":
             raise ValueError(said[1:].decode())
-        raise ValueError(f"no rows from {lo}: the row process ended with "
-                         f"{child.ended()}")
+        ended, pid = _ended(pid), 0
+        raise ValueError(f"no rows from {lo}: the row process ended with {ended}")
 
+    ok = True
     try:
-        for lo in range(0, n, 2 * BLOCK):
-            text, exc = _block(line, lo, n)
+        for lo in range(0, n, 2 * block):
+            text, passed, exc = _block(line, lo, min(lo + block, n))
             if lo:
-                take_turn(lo - BLOCK)
-            _write(fd, head + text if lo == 0 and text else text)
+                ok = take_turn(lo - block) and ok
+            _write(fd, (head + text if lo == 0 and text else text).encode(*enc))
             if exc is not None:
                 raise exc
-            if lo + BLOCK < n:
+            ok = ok and passed
+            if lo + block < n:
                 try:
-                    os.write(child.send, _TURN)
+                    os.write(send, _TURN)
                 except BrokenPipeError:  # the child is gone: its turn says how
                     pass
-        last = (n - 1) // BLOCK * BLOCK
-        if last % (2 * BLOCK):  # the last block is the child's
-            take_turn(last)
-        child.ended()
+        last = (n - 1) // block * block
+        if last % (2 * block):  # the last block is the child's
+            ok = take_turn(last) and ok
+        _ended(pid)
+        pid = 0
+        return ok
     finally:
-        child.close()
+        os.close(send)
+        os.close(recv)
+        if pid:  # not reaped: stop it first
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            _ended(pid)

@@ -13,12 +13,16 @@ PI = math.pi
 
 #: The package's one comparison tolerance for unit-scale values (angles,
 #: canonical side triples, defects relative to a scale).  Other literals
-#: differ on purpose.  1e-12 and 1e-13 are rounding snaps: exact zero angles,
-#: zero sides, unit length and r = R/2 up to a few ulps.  1e-6 only refuses a
-#: ``ProjTripleC`` that does not close beyond input rounding.  The Poncelet
-#: tangency allows 1e-8 R for the rounding of asin, exp and two chord
-#: intersections.
+#: differ on purpose.  ``ROUNDING_SNAP`` and shape's 1e-13 ``_ZERO_SNAP`` are
+#: rounding snaps: exact zero angles, unit length, r = R/2 and zero sides up
+#: to a few ulps.  1e-6 only refuses a ``ProjTripleC`` that does not close
+#: beyond input rounding.  The Poncelet tangency allows 1e-8 R for the
+#: rounding of asin, exp and two chord intersections.
 DEFAULT_TOL = 1e-9
+
+#: the snap that reads a unit-scale value within a few ulps of an exact one
+#: as that value: a zero angle, a unit norm, r = R/2
+ROUNDING_SNAP = 1e-12
 
 
 def _wrap_pi(x: float) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import os
@@ -200,12 +199,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                for t_par, text, s, t, *_ in map(row, range(args.samples))], "json")
         return 0
 
-    def line(k: int) -> str:
+    def line(k: int) -> tuple[str, bool]:
         # what csv.writer writes: floats by repr, and the class quoted with
         # its quotes doubled
         t_par, text, s, _, p, q, r = row(k)
         quoted = text.replace('"', '""')
-        return f'{t_par!r},"{quoted}",{s.x!r},{s.y!r},{s.z!r},{p},{q},{r}\n'
+        return f'{t_par!r},"{quoted}",{s.x!r},{s.y!r},{s.z!r},{p},{q},{r}\n', True
 
     from ._fork import write_rows
 
@@ -251,30 +250,21 @@ def _cmd_separate(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    from ._fork import ForkedChecks, run_checks
+    from ._fork import write_rows
     from .checks import ALL_CHECKS
 
-    # the checks are independent: where the platform forks, a child runs the
-    # second half while this process runs the first.  The lines, their
-    # order and the exit code are those of one process.
-    half = (len(ALL_CHECKS) + 1) // 2 if hasattr(os, "fork") else len(ALL_CHECKS)
-    ours, child = ALL_CHECKS, None
-    if ALL_CHECKS[half:]:
+    def line(k: int) -> tuple[str, bool]:
+        name, fn = ALL_CHECKS[k]
         try:
-            child = ForkedChecks(ALL_CHECKS[half:])
-            ours = ALL_CHECKS[:half]
-        except OSError:  # no process to spare: run them all here
-            pass
-    failed = 0
-    try:
-        theirs = child.results() if child else ()
-        for name, passed, detail in itertools.chain(run_checks(ours), theirs):
-            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}", flush=True)
-            failed += 0 if passed else 1
-    finally:
-        if child:
-            child.close()
-    return 0 if failed == 0 else 1
+            passed, detail = fn()
+        except Exception as exc:  # one broken check must not hide the others
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        return f"{'PASS' if passed else 'FAIL'} {name}: {detail}\n", passed
+
+    # the checks are independent: the first ceil(n/2) are one block and the
+    # rest another, which write_rows may give to a child
+    ok = write_rows("", len(ALL_CHECKS), line, (len(ALL_CHECKS) + 1) // 2)
+    return 0 if ok else 1
 
 
 def _cmd_emit_figure(args: argparse.Namespace) -> int:

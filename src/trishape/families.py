@@ -16,7 +16,7 @@ import math
 from typing import Callable, Sequence
 
 from .angles import DEFAULT_TOL, AngleModPi, _number, _scaled, _set, _Value, angle_dist
-from .angles import reduce_mod_pi
+from .angles import ROUNDING_SNAP, reduce_mod_pi
 from .shape import ProjTripleC, ShapeClass, _pivot, class_dist, class_of
 from .triangle import (
     DegeneracyType,
@@ -57,8 +57,8 @@ class PonceletConfig(_Value):
                 raise ValueError(f"{name} must be finite: {v}")
             _set(self, slot, v)
         r, R, d = self.r, self.R, self.d
-        # r <= R/2 up to a rounding snap of 1e-12 R, so R > 0 below
-        if not (0.0 < r <= R * (0.5 + 1e-12)):
+        # r <= R/2 up to ROUNDING_SNAP R, so R > 0 below
+        if not (0.0 < r <= R * (0.5 + ROUNDING_SNAP)):
             raise ValueError(f"inradius must satisfy 0 < r <= R/2: r={r}, R={R}")
         if d < 0.0:
             raise ValueError(f"center separation must be nonnegative: {d}")
@@ -185,7 +185,7 @@ def level_value(angles: Sequence[AngleModPi | float]) -> float:
     reps = [float(reduce_mod_pi(_number(v, "angle"))) for v in angles]
     if len(reps) != 3:
         raise ValueError("expected an angle triple")
-    if any(angle_dist(v, 0.0) <= 1e-12 for v in reps):
+    if any(angle_dist(v, 0.0) <= ROUNDING_SNAP for v in reps):
         return 0.0
     total = sum(reps)
     if abs(total - 2.0 * math.pi) < abs(total - math.pi):

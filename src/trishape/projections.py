@@ -19,7 +19,7 @@ import operator
 from typing import Sequence
 
 from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _number, _scaled, _set, _Value
-from .angles import _wrap_pi, angle_dist
+from .angles import ROUNDING_SNAP, _wrap_pi, angle_dist
 from .shape import ProjTripleC, ShapeClass
 from .triangle import canonical_directions
 
@@ -39,7 +39,7 @@ class SpherePoint(_Value):
 
     def __init__(self, x: float, y: float, z: float) -> None:
         n = math.hypot(x, y, z)  # hypot does not overflow where x**2 would
-        if not abs(n - 1.0) <= 1e-12:  # NaN fails this test too
+        if not abs(n - 1.0) <= ROUNDING_SNAP:  # NaN fails this test too
             raise ValueError(f"not a unit vector: |({x}, {y}, {z})| = {n}")
         _set(self, "x", x)
         _set(self, "y", y)
@@ -181,12 +181,13 @@ def torus_inverse(t: TorusPoint) -> ShapeClass:
     so no unique class exists there.
     """
     p, q, r = t.p.value, t.q.value, t.r.value
-    # t.is_origin(), then the first of p, q, r.is_zero(1e-12), on the floats
+    # t.is_origin(), then the first of p, q, r.is_zero(ROUNDING_SNAP), on the floats
     if ((p < DEFAULT_TOL or PI - p < DEFAULT_TOL) and (q < DEFAULT_TOL or PI - q < DEFAULT_TOL)
             and (r < DEFAULT_TOL or PI - r < DEFAULT_TOL)):
         raise ValueError("blown-down point: no unique class over the torus origin")
-    k = (0 if p < 1e-12 or PI - p < 1e-12 else 1 if q < 1e-12 or PI - q < 1e-12
-         else 2 if r < 1e-12 or PI - r < 1e-12 else -1)
+    snap = ROUNDING_SNAP
+    k = (0 if p < snap or PI - p < snap else 1 if q < snap or PI - q < snap
+         else 2 if r < snap or PI - r < snap else -1)
     if k >= 0:
         # side k is 0 and the other two cancel: [0 : 1 : -1] rotated, in the form
         sides = [(0j, 1 + 0j, -1 + 0j), (1 + 0j, 0j, -1 + 0j), (1 + 0j, -1 + 0j, 0j)][k]

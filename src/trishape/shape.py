@@ -270,13 +270,13 @@ _MUL = tuple(tuple(_GROUP.index((q[p[0]], q[p[1]], q[p[2]], p[3] ^ q[3])) for q 
              for p in _GROUP)
 
 
-def _images(c: ShapeClass) -> list[ShapeClass]:
-    """The class's 12 images, in _GROUP order.  g = (i, j, k, flip) takes
-    the angles (theta_i, theta_j, theta_k), negated mod pi when exactly one
-    of the flip and an odd permutation holds, and the sides (z_i, z_j, z_k),
-    conjugated on a flip, as they are: these moves keep ProjTripleC's
-    canonical form.  z is the class's own side triple, or, at the zero
-    snap, that of its lift's direction pairs, whose zero is 0j."""
+def _images(c: ShapeClass, group=_GROUP) -> list[ShapeClass]:
+    """The class's images under ``group`` (all 12), in order.  g = (i, j, k,
+    flip) takes the angles (theta_i, theta_j, theta_k), negated mod pi when
+    exactly one of the flip and an odd permutation holds, and the sides
+    (z_i, z_j, z_k), conjugated on a flip, as they are: these moves keep
+    ProjTripleC's canonical form.  z is the class's own side triple, or,
+    at the zero snap, that of its lift's direction pairs, whose zero is 0j."""
     own = c.angles
     signed = (own, (-own[0], -own[1], -own[2]))
     sides = c.sides
@@ -286,7 +286,7 @@ def _images(c: ShapeClass) -> list[ShapeClass]:
     z = sides.as_tuple()
     zs = (z, (z[0].conjugate(), z[1].conjugate(), z[2].conjugate()))
     out = []
-    for i, j, k, flip in _GROUP:
+    for i, j, k, flip in group:
         w, s = signed[flip != ((j - i) % 3 != 1)], zs[flip]
         moved = object.__new__(ProjTripleC)
         _set(moved, "a", s[i])
@@ -300,7 +300,7 @@ def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
     """Induced symmetry on classes: the class's angles, signed and permuted,
     and its sides, permuted and conjugated on a flip (``triangle.act`` on
     a lift is the independent path)."""
-    return _images(c)[_GROUP.index((*g.perm, g.flip))]
+    return _images(c, ((*g.perm, g.flip),))[0]
 
 
 #: (c, tol, result) of the last _members call; matched by identity, since

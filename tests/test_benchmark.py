@@ -48,3 +48,11 @@ def test_traced_workload_runs_and_is_correct(workload):
         calls = re.search(r"^shape\.class_of_vertices\.self_us .* \((\d+) calls, 0 failed\)$",
                           proc.stdout, re.MULTILINE)
         assert calls is not None and int(calls.group(1)) == 10_000
+        # stdout is captured in the traced run, so selftest runs every check
+        # in this process, where the tracer times it
+        from trishape.checks import ALL_CHECKS
+
+        for name, _ in ALL_CHECKS:
+            seconds = re.search(rf"^checks\.{re.escape(name)}\.s (\S+) s$", proc.stdout,
+                                re.MULTILINE)
+            assert seconds is not None and float(seconds.group(1)) > 0, name

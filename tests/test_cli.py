@@ -3,11 +3,8 @@ import io
 import itertools
 import json
 import math
-import os
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -535,150 +532,6 @@ def test_bad_poncelet_radii_are_a_domain_error(capsys, command, radii):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
-
-
-def test_selftest_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
-    from trishape import checks
-
-    def value_error():
-        raise ValueError("bad sample")
-
-    monkeypatch.setattr(checks, "ALL_CHECKS", [
-        ("first", lambda: (True, "fine")),
-        ("value", value_error),
-        ("zero", lambda: 1 / 0),
-        ("last", lambda: (True, "still run")),
-    ])
-    code, out, err = run_cli(capsys, "selftest")
-    assert (code, err) == (1, "")
-    assert out.splitlines() == [
-        "PASS first: fine",
-        "FAIL value: ValueError: bad sample",
-        "FAIL zero: ZeroDivisionError: division by zero",
-        "PASS last: still run",
-    ]
-
-
-def _pid_check(passed):
-    """A check that reports which process ran it."""
-    return lambda: (passed, f"pid {os.getpid()}, \"quoted\" ≤ 1e-9")
-
-
-@pytest.mark.parametrize("outcomes", [
-    (True,), (True, True, True), (False, True, True), (True, True, True, False, True),
-], ids=["1", "3", "3-parent-fails", "5-child-fails"])
-def test_selftest_splits_the_registry_and_keeps_its_order(capsys, monkeypatch, outcomes):
-    from trishape import checks
-
-    monkeypatch.setattr(checks, "ALL_CHECKS", [
-        (f"check-{k}", _pid_check(passed)) for k, passed in enumerate(outcomes)])
-    code, out, err = run_cli(capsys, "selftest")
-    assert (code, err) == (0 if all(outcomes) else 1, "")
-    lines = out.splitlines()
-    assert [line.split(":")[0] for line in lines] == [
-        f"{'PASS' if passed else 'FAIL'} check-{k}" for k, passed in enumerate(outcomes)]
-    # the first ceil(n/2) run here, the rest in one other process
-    half = (len(outcomes) + 1) // 2
-    pids = [line.split(": pid ")[1].split(",")[0] for line in lines]
-    assert set(pids[:half]) == {str(os.getpid())}
-    assert len(set(pids[half:])) == (1 if len(outcomes) > 1 else 0)
-    assert not set(pids[half:]) & set(pids[:half])
-    assert all(line.endswith(', "quoted" ≤ 1e-9') for line in lines)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _no_process():
-    raise BlockingIOError(11, "Resource temporarily unavailable")
-
-
-@pytest.mark.parametrize("fork", [None, _no_process], ids=["no-fork", "fork-fails"])
-def test_selftest_without_a_child_runs_every_check_here(capsys, monkeypatch, fork):
-    from trishape import checks
-
-    monkeypatch.setattr(checks, "ALL_CHECKS", [
-        (f"check-{k}", _pid_check(k != 3)) for k in range(5)])
-    if fork is None:
-        monkeypatch.delattr(os, "fork")
-    else:
-        monkeypatch.setattr(os, "fork", fork)
-    code, out, err = run_cli(capsys, "selftest")
-    assert (code, err) == (1, "")
-    assert out.splitlines() == [
-        f"{'FAIL' if k == 3 else 'PASS'} check-{k}: pid {os.getpid()}, \"quoted\" ≤ 1e-9"
-        for k in range(5)]
-
-
-def test_selftest_lines_are_those_of_one_process(capsys, monkeypatch):
-    assert main(["selftest"]) == 0
-    forked = capsys.readouterr()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    monkeypatch.delattr(os, "fork")
-    assert main(["selftest"]) == 0
-    assert capsys.readouterr() == forked
-
-
-@pytest.mark.parametrize("die, ended", [
-    (lambda: os._exit(3), "exit code 3"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {int(signal.SIGKILL)}"),
-], ids=["exit", "killed"])
-def test_selftest_names_the_checks_a_dead_child_never_reported(capsys, monkeypatch,
-                                                               die, ended):
-    from trishape import checks
-
-    monkeypatch.setattr(checks, "ALL_CHECKS", [
-        ("first", lambda: (True, "fine")),
-        ("second", lambda: (True, "fine")),
-        ("dies", die),
-        ("after", lambda: (True, "never run")),
-    ])
-    code, out, err = run_cli(capsys, "selftest")
-    assert (code, err) == (1, "")
-    assert out.splitlines() == [
-        "PASS first: fine",
-        "PASS second: fine",
-        f"FAIL dies: no result: the check process ended with {ended}",
-        f"FAIL after: no result: the check process ended with {ended}",
-    ]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_selftest_interrupted_here_stops_and_reaps_the_child(capsys, monkeypatch):
-    from trishape import checks
-
-    def interrupt():
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(checks, "ALL_CHECKS", [
-        ("interrupt", interrupt),
-        ("slow", lambda: (time.sleep(60), (True, "slept"))[1]),
-    ])
-    t0 = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        main(["selftest"])
-    assert time.perf_counter() - t0 < 30
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_selftest_closed_stdout_exits_1_and_leaves_no_process(child_env):
-    # its own session, so that a child left running would still be found
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "trishape.cli", "selftest"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env,
-        start_new_session=True,
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert first.startswith(b"PASS bijection: ")
-    assert err == b""
-    with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)
 
 
 if __name__ == "__main__":
