@@ -12,17 +12,24 @@ import operator
 PI = math.pi
 
 #: The package's one comparison tolerance for unit-scale values (angles,
-#: canonical side triples, defects relative to a scale).  Other literals
-#: differ on purpose.  ``ROUNDING_SNAP`` and shape's 1e-13 ``_ZERO_SNAP`` are
-#: rounding snaps: exact zero angles, unit length, r = R/2 and zero sides up
-#: to a few ulps.  1e-6 only refuses a ``ProjTripleC`` that does not close
-#: beyond input rounding.  The Poncelet tangency allows 1e-8 R for the
-#: rounding of asin, exp and two chord intersections.
+#: canonical side triples, defects relative to a scale).  The constants
+#: below differ on purpose: ``ROUNDING_SNAP`` and shape's 1e-13
+#: ``_ZERO_SNAP`` are rounding snaps, ``CLOSURE_BOUND`` and
+#: ``TANGENCY_BOUND`` are looser bounds on a defect.
 DEFAULT_TOL = 1e-9
 
 #: the snap that reads a unit-scale value within a few ulps of an exact one
 #: as that value: a zero angle, a unit norm, r = R/2
 ROUNDING_SNAP = 1e-12
+
+#: |a + b + c| over the largest modulus above which a ``ProjTripleC``
+#: refuses its triple: it does not close beyond input rounding
+CLOSURE_BOUND = 1e-6
+
+#: distance of a Poncelet chord from the incircle, over the outcircle
+#: radius R, that still counts as tangent: the rounding of asin, exp and
+#: two chord intersections
+TANGENCY_BOUND = 1e-8
 
 
 def _wrap_pi(x: float) -> float:

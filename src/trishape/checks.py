@@ -13,7 +13,7 @@ import math
 import random
 from typing import Callable
 
-from .angles import PI, angle_dist, reduce_mod_pi
+from .angles import PI, TANGENCY_BOUND, angle_dist, reduce_mod_pi
 from .triangle import (
     GroupElement,
     Orientation,
@@ -302,7 +302,9 @@ def check_poncelet() -> tuple[bool, str]:
             ratios.append(got.r / got.R)
             worst_tan = max(worst_tan, chord_tangency_residual(cfg, T))
         worst_var = max(worst_var, max(ratios) - min(ratios))
-    ok = worst_chapple < 1e-9 and worst_level < 1e-9 and worst_var < 1e-9 and worst_tan < 1e-8
+    # R is 0.5 to 2 here: the tangency bound is taken as absolute
+    ok = (worst_chapple < 1e-9 and worst_level < 1e-9 and worst_var < 1e-9
+          and worst_tan < TANGENCY_BOUND)
     return ok, (
         f"chapple {worst_chapple:.3e}, level {worst_level:.3e}, "
         f"orbit r/R variation {worst_var:.3e}, tangency {worst_tan:.3e}"

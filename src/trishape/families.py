@@ -16,7 +16,7 @@ import math
 from typing import Callable, Sequence
 
 from .angles import DEFAULT_TOL, AngleModPi, _number, _scaled, _set, _Value, angle_dist
-from .angles import ROUNDING_SNAP, reduce_mod_pi
+from .angles import ROUNDING_SNAP, TANGENCY_BOUND, reduce_mod_pi
 from .shape import ProjTripleC, ShapeClass, _pivot, class_dist, class_of
 from .triangle import (
     DegeneracyType,
@@ -252,7 +252,7 @@ def _poncelet_vertices(cfg: PonceletConfig, theta: float) -> tuple[complex, comp
     # naming them (C, B) keeps the triangle positively oriented
     C, B = others
     residual = abs(_line_distance(B, C, center) - cfg.r)
-    if residual > 1e-8 * cfg.R:
+    if residual > TANGENCY_BOUND * cfg.R:
         raise ValueError(f"third chord failed tangency: residual {residual}")
     return A, B, C
 

@@ -1,18 +1,15 @@
-"""Similarity classes and their blowup coordinates.
-
-A similarity class keeps two things: the projective triple of side
-directions in P(X) and the interior angles mod pi.  The pair is enough to
-separate every degenerate class.  ``phi``/``psi`` translate between classes
-and blowup coordinates ([a,b,c]; [xi_a, xi_b, xi_c]) where the angle triple
-is taken modulo a common additive shift.
-"""
+"""Similarity classes: side directions in P(X) and interior angles mod pi,
+a pair that separates every degenerate class.  ``phi``/``psi`` go to and
+from blowup coordinates ([a,b,c]; [xi_a, xi_b, xi_c]), xi up to a common
+shift."""
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _number, _set, _Value, _wrap_pi
-from .angles import angle_dist, reduce_mod_pi
+from .angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _interior, _number, _scaled, _set
+from .angles import _Value, _wrap_pi, angle_dist, reduce_mod_pi
 from .triangle import SLOTS, GroupElement, TriangleVariable, _side_record
 from .triangle import from_sides, interior_angles
 
@@ -29,15 +26,12 @@ def _pivot(ma: float, mb: float, mc: float) -> int:
 
 
 class ProjTripleC(_Value):
-    """A point [a, b, c] of P(X): complex triple, not all zero, a+b+c = 0.
+    """A point [a, b, c] of P(X): complex, not all zero, a+b+c = 0.
 
-    Canonical form divides by the first largest-modulus coordinate, which
-    becomes exactly 1+0j; closure holds to rounding.  A triple holding a 1
-    and no modulus above 1 + 2**-50 is kept, so the form is idempotent to
-    the bit and kept by permuting and conjugating; on a tie such as
-    (-1, 1, 0) the slot already 1 stays the pivot.  ``__post_init__`` runs
-    once per construction, so a wrapper put on the class counts them.
-    """
+    Canonical form: divided by the first largest coordinate, which becomes
+    1+0j.  A triple holding a 1 and no modulus above 1 + 2**-50 is kept, so
+    the form is idempotent and kept by permuting and conjugating.  A wrapper
+    on ``__post_init__`` counts constructions."""
 
     __slots__ = ("a", "b", "c")
 
@@ -57,16 +51,21 @@ class ProjTripleC(_Value):
                         if math.hypot(v.real, v.imag) == math.inf)
             raise ValueError(f"side {slot} is too long: its modulus overflows") from None
         if not math.isfinite(ma + mb + mc):
-            # a NaN or infinite part, or three huge finite moduli whose sum
-            # overflowed, which pass
+            # NaN, inf, or huge finite moduli whose sum overflowed (these pass)
             for slot, v in zip(SLOTS, (a, b, c)):
                 if not cmath.isfinite(v):
                     raise ValueError(f"side {slot} must be finite: {v}")
         scale = max(ma, mb, mc)
         if scale == 0.0:
             raise ValueError("projective triple cannot be all zero")
-        if abs(a + b + c) > 1e-6 * scale:
+        if abs(a + b + c) > CLOSURE_BOUND * scale:
             raise ValueError(f"triple does not close: a+b+c = {0 + a + b + c}")
+        if not 2.0 ** -1000 < scale < 2.0 ** 1000:
+            # in units of 2**k near the scale, exactly: the complex division
+            # overflows or loses bits to subnormals out there
+            k = -math.frexp(scale)[1]
+            a, b, c = _scaled(a, k), _scaled(b, k), _scaled(c, k)
+            ma, mb, mc = abs(a), abs(b), abs(c)
         if not (scale <= 1.0 + 2.0 ** -50 and (a == 1 or b == 1 or c == 1)):
             k = _pivot(ma, mb, mc)
             p = (a, b, c)[k]
@@ -88,18 +87,15 @@ class ProjTripleC(_Value):
 
 
 def proj_dist(t1: ProjTripleC, t2: ProjTripleC) -> float:
-    """Chordal distance between points of P(X), independent of representatives.
-
-    sin of the Fubini-Study angle: 0 for equal points, 1 for orthogonal ones.
-    """
+    """Chordal distance on P(X): sin of the Fubini-Study angle, 0 for equal
+    points and 1 for orthogonal ones, whatever the representatives."""
     (x0, x1, x2), (y0, y1, y2) = t1.as_tuple(), t2.as_tuple()
     nx = math.sqrt(abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2)
     ny = math.sqrt(abs(y0) ** 2 + abs(y1) ** 2 + abs(y2) ** 2)
     x0, x1, x2 = x0 / nx, x1 / nx, x2 / nx
     y0, y1, y2 = y0 / ny, y1 / ny, y2 / ny
     inner = y0.conjugate() * x0 + y1.conjugate() * x1 + y2.conjugate() * x2
-    # norm of the component of x orthogonal to y: sin of the angle, computed
-    # without the cancellation that sqrt(1 - cos^2) suffers near zero
+    # |x orthogonal to y|: no cancellation, as sqrt(1 - cos^2) has near 0
     r0, r1, r2 = x0 - inner * y0, x1 - inner * y1, x2 - inner * y2
     return min(1.0, math.sqrt(abs(r0) ** 2 + abs(r1) ** 2 + abs(r2) ** 2))
 
@@ -115,19 +111,14 @@ class ShapeClass(_Value):
         _set(self, "angles", angles)
 
     def to_json(self) -> dict:
-        return {
-            "sides": self.sides.to_json(),
-            "angles": [float(x) for x in self.angles],
-        }
+        return {"sides": self.sides.to_json(), "angles": [float(x) for x in self.angles]}
 
     @staticmethod
     def from_json(data: dict) -> "ShapeClass":
-        """Read back :meth:`to_json`; a malformed field, angles whose sum is
-        not 0 mod pi, or angles off the interior angles of three sides above
-        the zero snap raise ``ValueError`` that names it.  That last test
-        allows for sides written by earlier versions, whose canonical form
-        moved a side's argument by up to about 4 ulps of 1 over its share of
-        the largest side: it allows 2**-46 (64 ulps) over the smallest share."""
+        """Read back :meth:`to_json`.  A malformed field, angles whose sum is
+        not 0 mod pi, or angles off the interior angles of sides above the
+        zero snap raise ``ValueError``.  Sides written by earlier versions
+        may be ~4 ulps over their share off: 2**-46 / share is allowed."""
         try:
             a, b, c = (complex(x, y) for x, y in data["sides"])
         except (KeyError, TypeError, ValueError, OverflowError):
@@ -153,10 +144,8 @@ class ShapeClass(_Value):
 
 
 class BlowupCoord(_Value):
-    """([a, b, c]; [xi_a, xi_b, xi_c]) with the additive diagonal relation.
-
-    The stored representative pins the xi of the largest-modulus side to 0.
-    """
+    """([a, b, c]; [xi_a, xi_b, xi_c]) up to a diagonal shift, stored with
+    the xi of the largest side at 0."""
 
     __slots__ = ("sides", "xi")
 
@@ -166,14 +155,6 @@ class BlowupCoord(_Value):
         _set(self, "xi", xi)
 
 
-def _gauge_fix(
-    sides: ProjTripleC, xi: tuple[float, float, float]
-) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
-    """Shift the xi values, each in [0, pi), so the largest side's is 0."""
-    shift = xi[_pivot(abs(sides.a), abs(sides.b), abs(sides.c))]
-    return (AngleModPi(xi[0] - shift), AngleModPi(xi[1] - shift), AngleModPi(xi[2] - shift))
-
-
 def class_of(T: TriangleVariable) -> ShapeClass:
     """Quotient map: forget the basepoint and projectivize the directions."""
     pa, pb, pc = T.direction_pairs()
@@ -181,9 +162,8 @@ def class_of(T: TriangleVariable) -> ShapeClass:
 
 
 def class_of_vertices(A: complex, B: complex, C: complex) -> ShapeClass:
-    """``class_of(from_vertices(A, B, C))`` to the bit, with no triangle built:
-    the sides a = C - B, b = A - C, c = B - A go through from_sides' own
-    record, its tests and errors included."""
+    """``class_of(from_vertices(A, B, C))`` to the bit, with no triangle:
+    the sides go through from_sides' own record, tests and errors."""
     try:
         A, B, C = complex(A), complex(B), complex(C)
     except OverflowError:
@@ -195,15 +175,13 @@ def class_of_vertices(A: complex, B: complex, C: complex) -> ShapeClass:
 
 
 def class_dist(c1: ShapeClass, c2: ShapeClass) -> float:
-    """Distance on the moduli surface: chordal side distance plus the
-    euclidean combination of per-angle wraparound distances."""
+    """Chordal side distance plus the euclidean norm of the angle distances."""
     d2 = sum(angle_dist(x, y) ** 2 for x, y in zip(c1.angles, c2.angles))
     return proj_dist(c1.sides, c2.sides) + math.sqrt(d2)
 
 
 def class_equal(c1: ShapeClass, c2: ShapeClass, tol: float = DEFAULT_TOL) -> bool:
-    """Equality in P(X) x T: projective sides and all three angles agree.
-    The cheaper angles are tested first."""
+    """Equality in P(X) x T, the cheaper angles tested first."""
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
     if not all(angle_dist(x, y) <= tol for x, y in zip(c1.angles, c2.angles)):
@@ -212,36 +190,34 @@ def class_equal(c1: ShapeClass, c2: ShapeClass, tol: float = DEFAULT_TOL) -> boo
 
 
 def phi(c: ShapeClass) -> BlowupCoord:
-    """Class to blowup coordinate: angles (alpha, beta, gamma) -> [0, -gamma, beta]."""
+    """Class to blowup coordinate: angles (alpha, beta, gamma) -> [0, -gamma,
+    beta], each in [0, pi), shifted so that the largest side's is 0."""
     _alpha, beta, gamma = c.angles
+    s = c.sides
     xi = (0.0, _wrap_pi(-gamma.value), beta.value)
-    return BlowupCoord(sides=c.sides, xi=_gauge_fix(c.sides, xi))
+    shift = xi[_pivot(abs(s.a), abs(s.b), abs(s.c))]
+    return BlowupCoord(sides=s, xi=(AngleModPi(xi[0] - shift), AngleModPi(xi[1] - shift),
+                                    AngleModPi(xi[2] - shift)))
 
 
 def psi(b: BlowupCoord) -> ShapeClass:
-    """Blowup coordinate to class via the cross-product relation.
-
-    Independent of the diagonal representative of [xi_a, xi_b, xi_c].
-    """
+    """Blowup coordinate to class by the cross-product relation, whatever
+    the diagonal representative of the xi."""
     xi = b.xi
     return ShapeClass(sides=b.sides, angles=_interior(xi[0].value, xi[1].value, xi[2].value))
 
 
 def blowup_dist(b1: BlowupCoord, b2: BlowupCoord) -> float:
-    """Distance of blowup coordinates: chordal side distance plus the worst
-    spread of the xi differences, which is 0 exactly when the xi triples
-    differ by a constant diagonal shift."""
+    """Chordal side distance plus the worst spread of the xi differences,
+    0 exactly when the xi triples differ by a diagonal shift."""
     diffs = [x - y for x, y in zip(b1.xi, b2.xi)]
     spread = max(angle_dist(diffs[0], d) for d in diffs[1:])
     return proj_dist(b1.sides, b2.sides) + spread
 
 
 def lift_class(c: ShapeClass) -> TriangleVariable:
-    """A triangle representing the class (basepoint 0, unit scale).
-
-    Free arguments at a zero side are reconstructed from the stored angles
-    so that class_of(lift_class(c)) == c.
-    """
+    """A triangle of the class (basepoint 0, unit scale); free arguments at
+    a zero side come from the angles, so class_of(lift_class(c)) == c."""
     sides, mods = c.sides.as_tuple(), c.sides.moduli()
     zero_tol = _ZERO_SNAP * max(mods)
     free: dict[str, AngleModPi] = {}
@@ -264,19 +240,28 @@ def lift_class(c: ShapeClass) -> TriangleVariable:
 
 #: (i, j, k, flip) of the 12 symmetries, in the order orbit lists their images
 _GROUP = tuple((*g.perm, g.flip) for g in GroupElement.all_elements())
-#: _MUL[e][h]: the index of _GROUP[e] * _GROUP[h], by GroupElement.__mul__'s
-#: rule on the tuples (the 144 products of GroupElements take 10 times as long)
+#: _MUL[e][h]: the index of _GROUP[e] * _GROUP[h], by GroupElement.__mul__
 _MUL = tuple(tuple(_GROUP.index((q[p[0]], q[p[1]], q[p[2]], p[3] ^ q[3])) for q in _GROUP)
              for p in _GROUP)
+#: _KEY[e] picks image e's canonical_rep key out of images 0 and 1's angles
+#: (own and negated) and image 0's moduli, which no flip changes
+_KEY = tuple(operator.itemgetter(*(3 * (f != ((j - i) % 3 != 1)) + x for x in (i, j, k)),
+                                 6 + i, 6 + j, 6 + k) for i, j, k, f in _GROUP)
+#: _cosets by Stab: at most the 2,048 subsets of range(12) that hold 0
+_COSETS: dict = {}
+#: an image is built past the constructor, slot by slot
+_new = object.__new__
+_set_a, _set_b, _set_c = ProjTripleC.a.__set__, ProjTripleC.b.__set__, ProjTripleC.c.__set__
+_set_sides, _set_angles = ShapeClass.sides.__set__, ShapeClass.angles.__set__
 
 
 def _images(c: ShapeClass, group=_GROUP) -> list[ShapeClass]:
     """The class's images under ``group`` (all 12), in order.  g = (i, j, k,
     flip) takes the angles (theta_i, theta_j, theta_k), negated mod pi when
     exactly one of the flip and an odd permutation holds, and the sides
-    (z_i, z_j, z_k), conjugated on a flip, as they are: these moves keep
-    ProjTripleC's canonical form.  z is the class's own side triple, or,
-    at the zero snap, that of its lift's direction pairs, whose zero is 0j."""
+    (z_i, z_j, z_k), conjugated on a flip, which keep ProjTripleC's
+    canonical form.  z is the class's own sides, or at the zero snap its
+    lift's direction pairs, whose zero is 0j."""
     own = c.angles
     signed = (own, (-own[0], -own[1], -own[2]))
     sides = c.sides
@@ -288,18 +273,20 @@ def _images(c: ShapeClass, group=_GROUP) -> list[ShapeClass]:
     out = []
     for i, j, k, flip in group:
         w, s = signed[flip != ((j - i) % 3 != 1)], zs[flip]
-        moved = object.__new__(ProjTripleC)
-        _set(moved, "a", s[i])
-        _set(moved, "b", s[j])
-        _set(moved, "c", s[k])
-        out.append(ShapeClass(moved, (w[i], w[j], w[k])))
+        moved = _new(ProjTripleC)
+        _set_a(moved, s[i])
+        _set_b(moved, s[j])
+        _set_c(moved, s[k])
+        image = _new(ShapeClass)
+        _set_sides(image, moved)
+        _set_angles(image, (w[i], w[j], w[k]))
+        out.append(image)
     return out
 
 
 def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
-    """Induced symmetry on classes: the class's angles, signed and permuted,
-    and its sides, permuted and conjugated on a flip (``triangle.act`` on
-    a lift is the independent path)."""
+    """The class's image under g, as in _images (``triangle.act`` on a lift
+    is the independent path)."""
     return _images(c, ((*g.perm, g.flip),))[0]
 
 
@@ -308,11 +295,23 @@ def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
 _last: tuple = (None, None, None)
 
 
-def _members(c: ShapeClass, tol: float) -> tuple[list[int], list[ShapeClass]]:
-    """(kept, images): the first _GROUP index of each coset g_e Stab, whose
-    images are one class, and the 12 images.  Stab holds the elements whose
-    image is class_equal to image 0, angles first.  The result for the last
-    (c, tol) is kept: canonical_rep after orbit of the same object reuses it."""
+def _cosets(stab: tuple[int, ...]) -> tuple[int, ...]:
+    """The first _GROUP index of each coset g_e Stab, in group order."""
+    kept = _COSETS.get(stab)
+    if kept is None:
+        kept, seen = [], set()
+        for e in range(12):
+            if e not in seen:
+                kept.append(e)
+                seen.update(_MUL[e][h] for h in stab)
+        kept = _COSETS[stab] = tuple(kept)
+    return kept
+
+
+def _members(c: ShapeClass, tol: float) -> tuple[tuple[int, ...], list[ShapeClass]]:
+    """(kept, images): the _cosets of Stab, the elements whose image is
+    class_equal to image 0, and the 12 images.  Kept for the last (c, tol),
+    so canonical_rep after orbit of one object reuses it."""
     global _last
     last = _last  # read once: another thread may replace it
     if last[0] is c and last[1] == tol:
@@ -329,49 +328,35 @@ def _members(c: ShapeClass, tol: float) -> tuple[list[int], list[ShapeClass]]:
                 and (t2 <= tol or PI - t2 <= tol)
                 and proj_dist(images[h].sides, first.sides) <= tol):
             stab.append(h)
-    kept, seen = [], set()
-    for e in range(12):
-        if e not in seen:
-            kept.append(e)
-            seen.update(_MUL[e][h] for h in stab)
+    kept = _cosets(tuple(stab))
     _last = (c, tol, (kept, images))
     return kept, images
 
 
 def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
-    """Deduplicated images of the class under all 12 symmetries, in group
-    order: its own angles, signed and permuted, and its own sides moved."""
+    """The class's distinct images under the 12 symmetries, in group order."""
     if math.isnan(tol):
         raise ValueError("orbit tolerance must not be NaN")
     kept, images = _members(c, tol)
     return [images[e] for e in kept]
 
 
-def _rep_key(c: ShapeClass) -> tuple[float, ...]:
-    """Slot-ordered angles, those within DEFAULT_TOL of pi read as near 0,
-    then the side moduli, whose largest is 1 in the canonical form."""
-    x, y, z = c.angles
-    a, b, g = x.value, y.value, z.value
-    return (a - PI if PI - a <= DEFAULT_TOL else a, b - PI if PI - b <= DEFAULT_TOL else b,
-            g - PI if PI - g <= DEFAULT_TOL else g) + c.sides.moduli()
-
-
-def _key_less(k1: tuple[float, ...], k2: tuple[float, ...]) -> bool:
-    """Lexicographic order; components within DEFAULT_TOL count as equal."""
-    for x, y in zip(k1, k2):
-        if abs(x - y) > DEFAULT_TOL:
-            return x < y
-    return False
-
-
 def canonical_rep(c: ShapeClass) -> ShapeClass:
-    """Deterministic orbit representative: the first orbit member with the
-    least key (slot-ordered angles, then side moduli) within ``DEFAULT_TOL``."""
+    """The first orbit member with the least key, compared component by
+    component, those within DEFAULT_TOL counted equal: slot-ordered angles,
+    one within DEFAULT_TOL of pi read as near 0, then side moduli."""
     kept, images = _members(c, DEFAULT_TOL)
-    best = images[kept[0]]
-    best_key = _rep_key(best)
+    (x, y, z), (u, v, w) = images[0].angles, images[1].angles
+    parts = [t - PI if PI - t <= DEFAULT_TOL else t
+             for t in (x.value, y.value, z.value, u.value, v.value, w.value)]
+    parts += images[0].sides.moduli()
+    best = kept[0]
+    best_key = _KEY[best](parts)
     for e in kept[1:]:
-        key = _rep_key(images[e])
-        if _key_less(key, best_key):
-            best, best_key = images[e], key
-    return best
+        key = _KEY[e](parts)
+        for t, b in zip(key, best_key):
+            if abs(t - b) > DEFAULT_TOL:
+                if t < b:
+                    best, best_key = e, key
+                break
+    return images[best]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trishape import shape, triangle
-from trishape.angles import DEFAULT_TOL, PI, AngleModPi, reduce_mod_pi
+from trishape.angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, reduce_mod_pi
 from trishape.projections import TorusPoint, _torus_sides, to_torus, torus_inverse
 from trishape.triangle import GroupElement, act, classify, from_sides, from_vertices
 from trishape.shape import (
@@ -349,6 +349,74 @@ def test_proj_triple_scale_invariance():
         t1 = ProjTripleC(a, b, -a - b)
         t2 = ProjTripleC(lam * a, lam * b, -lam * (a + b))
         assert proj_dist(t1, t2) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the canonical form at the ends of the float range
+
+
+def _canonical_by_division(a, b, c):
+    """The canonical form as a plain pivot division computes it, with no
+    rescaling: a triple holding a 1 is kept, or it is divided by its first
+    largest side, whose slot becomes 1+0j."""
+    m = [abs(z) for z in (a, b, c)]
+    if max(m) <= 1.0 + 2.0 ** -50 and 1 in (a, b, c):
+        return (a, b, c)
+    k = m.index(max(m))
+    q = [z / (a, b, c)[k] for z in (a, b, c)]
+    q[k] = 1 + 0j
+    return tuple(q)
+
+
+def test_proj_triple_does_not_overflow_near_the_float_maximum():
+    """The complex division by a pivot near 1e308 overflowed its
+    denominator and collapsed the other sides to 0 or NaN."""
+    a, b = 1e308 + 1e308j, -5e307 - 2.5e307j
+    got = ProjTripleC(a, b, -a - b).as_tuple()
+    want = ProjTripleC(a / 1e10, b / 1e10, -(a + b) / 1e10).as_tuple()
+    assert all(cmath.isfinite(z) for z in got)
+    assert max(abs(x - y) for x, y in zip(got, want)) <= 4 * 2.0 ** -52
+    c = ShapeClass.from_json({"sides": [[1e308, 1e308], [-1e308, -1e308], [0, 0]],
+                              "angles": [0, 0, 0]})
+    assert c.sides.as_tuple() == (1, -1, 0)
+
+
+def test_proj_triple_keeps_its_form_from_subnormals_to_the_float_maximum():
+    """Seeded triples with integer parts below 2**20, so that scaling by
+    2**k is exact down to the smallest subnormal: the canonical form is the
+    unit-scale one to the bit at every k up to a largest side of 1.7e308.
+    Scaled by 10**k instead, it is within 4 ulps of it, finite at every
+    scale, and at ordinary scales the bits of a plain pivot division."""
+    rng = random.Random(48)
+    for _ in range(100):
+        a, b = (complex(rng.randint(-2**20, 2**20), rng.randint(-2**20, 2**20)) for _ in "ab")
+        sides = (a, b, -a - b) if a or b else (1, -1, 0)
+        unit = ProjTripleC(*sides)
+        top = math.frexp(1.7e308 / max(map(abs, sides)))[1] - 1
+        for k in [*range(-1074, -990), *range(-40, 40), *range(990, top + 1)]:
+            got = ProjTripleC(*(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+                                for z in sides))
+            assert _triple_hex(got) == _triple_hex(unit), k
+        for k in range(-300, 308):
+            lam = 10.0 ** k
+            big = max(map(abs, sides)) * lam  # inf once it overflows
+            if big > 1.7e308:
+                break
+            scaled = [z * lam for z in sides]
+            got = ProjTripleC(*scaled).as_tuple()
+            assert all(cmath.isfinite(z) for z in got)
+            assert max(abs(x - y) for x, y in zip(got, unit.as_tuple())) <= 4 * 2.0 ** -52, k
+            if 2.0 ** -1000 < big < 2.0 ** 1000:
+                assert ([float.hex(v) for z in got for v in (z.real, z.imag)]
+                        == [float.hex(v) for z in _canonical_by_division(*scaled)
+                            for v in (z.real, z.imag)])
+
+
+def test_closure_bound_is_relative_to_the_largest_side():
+    for scale in (1e-300, 1e-6, 1.0, 1e6, 1e300):
+        ProjTripleC(scale, -scale * (1 - 0.9 * CLOSURE_BOUND), 0)
+        with pytest.raises(ValueError, match="does not close"):
+            ProjTripleC(scale, -scale * (1 - 1.1 * CLOSURE_BOUND), 0)
 
 
 def test_proj_dist_is_a_projective_metric():
@@ -735,12 +803,31 @@ def test_proj_dist_keeps_the_bits_of_the_generator_form():
     assert {"OverflowError", "ZeroDivisionError"} < outcomes and len(outcomes) > 1000
 
 
+def _rep_key(c):
+    """canonical_rep's key of a class, read off its own angles and sides:
+    slot-ordered angles, those within DEFAULT_TOL of pi read as near 0,
+    then the side moduli, whose largest is 1 in the canonical form."""
+    x, y, z = c.angles
+    a, b, g = x.value, y.value, z.value
+    return (a - PI if PI - a <= DEFAULT_TOL else a, b - PI if PI - b <= DEFAULT_TOL else b,
+            g - PI if PI - g <= DEFAULT_TOL else g) + c.sides.moduli()
+
+
+def _key_less(k1, k2):
+    """canonical_rep's order: lexicographic, components within DEFAULT_TOL
+    counted equal."""
+    for x, y in zip(k1, k2):
+        if abs(x - y) > DEFAULT_TOL:
+            return x < y
+    return False
+
+
 def _canonical_rep_by_scan(c):
     """The least _rep_key under _key_less over orbit(c), in orbit order."""
     best = best_key = None
     for img in orbit(c):
-        key = shape._rep_key(img)
-        if best is None or shape._key_less(key, best_key):
+        key = _rep_key(img)
+        if best is None or _key_less(key, best_key):
             best, best_key = img, key
     return best
 
@@ -823,10 +910,10 @@ def _canonical_rep_by_pairs(c):
     members = _orbit_by_pairs(c, DEFAULT_TOL)
     best = members[0]
     for img in members[1:]:
-        key, best_key = shape._rep_key(img)[:3], shape._rep_key(best)[:3]
-        if shape._key_less(key, best_key) or (
-            not shape._key_less(best_key, key)
-            and shape._key_less(shape._rep_key(img), shape._rep_key(best))
+        key, best_key = _rep_key(img)[:3], _rep_key(best)[:3]
+        if _key_less(key, best_key) or (
+            not _key_less(best_key, key)
+            and _key_less(_rep_key(img), _rep_key(best))
         ):
             best = img
     return best
@@ -853,6 +940,48 @@ def test_mul_is_the_group_product():
     for e, g in enumerate(elements):
         for h, k in enumerate(elements):
             assert elements[shape._MUL[e][h]] == g * k
+
+
+def _cosets_by_scan(stab):
+    """The first element of each coset g Stab, by a set of the elements seen."""
+    kept, seen = [], set()
+    for e in range(12):
+        if e not in seen:
+            kept.append(e)
+            seen.update(shape._MUL[e][h] for h in stab)
+    return kept
+
+
+def test_cosets_come_from_a_cache_and_match_a_set_scan():
+    """For each of the 2,048 stabilizer sets that hold 0, the cosets are
+    those of a set scan, and a second lookup returns the same tuple."""
+    for bits in range(2048):
+        stab = (0, *(h for h in range(1, 12) if bits >> (h - 1) & 1))
+        kept = shape._cosets(stab)
+        assert kept.__class__ is tuple and list(kept) == _cosets_by_scan(stab)
+        assert shape._cosets(tuple(list(stab))) is kept
+    assert len(shape._COSETS) <= 2048
+
+
+def test_closed_form_keys_are_the_keys_of_the_images():
+    """_KEY[e], reading the angles of images 0 and 1 and the moduli of
+    image 0, gives to the bit _rep_key of image e, for all 12 e: on the
+    golden classes, the near classes of DEFAULT_TOL and 2,000 seeded
+    scalene, double and torus_inverse double classes."""
+    rng = random.Random(49)
+    classes = [c for _, c in _golden_classes()] + _near_classes(DEFAULT_TOL)
+    classes += [_random_class(rng) for _ in range(1500)] + [_random_double(rng) for _ in range(300)]
+    classes += _torus_doubles(rng, 200)
+    near_pi = 0
+    for c in classes:
+        _, images = shape._members(c, DEFAULT_TOL)
+        parts = [*_rep_key(images[0])[:3], *_rep_key(images[1])[:3],
+                 *images[0].sides.moduli()]
+        near_pi += any(PI - x.value <= DEFAULT_TOL for x in c.angles)
+        for e, img in enumerate(images):
+            assert ([float.hex(v) for v in shape._KEY[e](parts)]
+                    == [float.hex(v) for v in _rep_key(img)]), e
+    assert near_pi  # the near-pi reading is exercised
 
 
 def test_orbit_and_canonical_rep_keep_the_bits_of_a_pairwise_scan():
