@@ -37,15 +37,17 @@ def _wrap_pi(x: float) -> float:
     kept, as the golden files pin the sign of every zero angle."""
     if 0.0 <= x < PI:  # fmod would return x itself; NaN and inf fail this test
         return x
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite angle value: {x!r}")
-    r = math.fmod(x, PI)
-    if r < 0.0:
-        r += PI
+    if PI <= x < 2.0 * PI:
+        return x - PI  # fmod(x, pi), exact
+    if not -PI < x < 0.0:  # where fmod(x, pi) is not x itself
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite angle value: {x!r}")
+        x = math.fmod(x, PI)
+        if x >= 0.0:
+            return x
+    x += PI
     # fmod of values just below a multiple of pi can land exactly on pi
-    if r >= PI:
-        r -= PI
-    return r
+    return x - PI if x >= PI else x
 
 
 def _number(v: object, field: str, kind: type = float) -> float | complex:
@@ -60,6 +62,8 @@ def _number(v: object, field: str, kind: type = float) -> float | complex:
 
 #: sets a field of a value object past its refusing ``__setattr__``
 _set = object.__setattr__
+#: a value object built past its constructor, its slots set by their descriptors
+_new = object.__new__
 
 
 class _Value:
@@ -104,43 +108,36 @@ class _Value:
 
 class AngleModPi(_Value):
     """An angle modulo pi, stored by its representative in [0, pi), or -0.0
-    (see :func:`_wrap_pi`).  ``__post_init__`` runs once per construction,
-    so a wrapper put on the class counts them."""
+    (see :func:`_wrap_pi`).  The constructor converts and wraps;
+    ``__post_init__`` does nothing and runs once per construction, so a
+    wrapper put on the class counts them."""
 
     __slots__ = ("value",)
 
     def __init__(self, value: float) -> None:
-        # _wrap_pi inline for a plain float in (-pi, 2 pi): its fmod there is x or x - pi
         if value.__class__ is not float:
-            value = _wrap_pi(_number(value, "angle value"))
-        elif not 0.0 <= value < PI:
-            if -PI < value < 0.0:
-                value += PI
-                if value >= PI:  # a tiny negative x lands on pi, as in _wrap_pi
-                    value -= PI
-            else:
-                value = value - PI if PI <= value < 2.0 * PI else _wrap_pi(value)
-        _set(self, "value", value)
+            value = _number(value, "angle value")
+        _set_value(self, value if 0.0 <= value < PI else _wrap_pi(value))
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """The counting hook: the value is already wrapped."""
+        """The counting hook: the constructor has done all the work."""
 
     def __float__(self) -> float:
         return self.value
 
     def __add__(self, other: "AngleModPi | float") -> "AngleModPi":
-        return AngleModPi(
+        return _angle(
             self.value + (other.value if isinstance(other, AngleModPi) else float(other))
         )
 
     def __sub__(self, other: "AngleModPi | float") -> "AngleModPi":
-        return AngleModPi(
+        return _angle(
             self.value - (other.value if isinstance(other, AngleModPi) else float(other))
         )
 
     def __neg__(self) -> "AngleModPi":
-        return AngleModPi(-self.value)
+        return _angle(-self.value)
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         if math.isnan(tol):
@@ -149,9 +146,22 @@ class AngleModPi(_Value):
         return v < tol or PI - v < tol
 
 
+_set_value = AngleModPi.value.__set__
+
+
+def _angle(x: float) -> AngleModPi:
+    """``AngleModPi(x)`` for a float x, past the constructor's type test."""
+    o = _new(AngleModPi)
+    if not 0.0 <= x < PI:  # _wrap_pi's (-pi, 0) branch inline, bar a tiny x that lands on pi
+        x = x + PI if -PI < x < 0.0 and x + PI < PI else _wrap_pi(x)
+    _set_value(o, x)
+    o.__post_init__()
+    return o
+
+
 def _interior(xa: float, xb: float, xc: float) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
     """(alpha, beta, gamma) = (xi_b - xi_c, xi_c - xi_a, xi_a - xi_b) mod pi."""
-    return (AngleModPi(xb - xc), AngleModPi(xc - xa), AngleModPi(xa - xb))
+    return (_angle(xb - xc), _angle(xc - xa), _angle(xa - xb))
 
 
 def _scaled(z: complex, k: int) -> complex:

@@ -123,7 +123,8 @@ def hopf(u: complex, v: complex) -> SpherePoint:
     Computed in units of 2^e near the inputs, an exact rescaling, so tiny
     and huge inputs neither underflow nor overflow.
     """
-    u, v = _number(u, "u", complex), _number(v, "v", complex)
+    if not u.__class__ is v.__class__ is complex:
+        u, v = _number(u, "u", complex), _number(v, "v", complex)
     if not (cmath.isfinite(u) and cmath.isfinite(v)):
         raise ValueError(f"hopf needs finite input, got ({u}, {v})")
     e = math.frexp(max(abs(u.real), abs(u.imag), abs(v.real), abs(v.imag)))[1]

@@ -8,8 +8,8 @@ import cmath
 import math
 import operator
 
-from .angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _interior, _number, _scaled, _set
-from .angles import _Value, _wrap_pi, angle_dist, reduce_mod_pi
+from .angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _angle, _interior, _new, _number
+from .angles import _scaled, _set, _Value, _wrap_pi, angle_dist, reduce_mod_pi
 from .triangle import SLOTS, GroupElement, TriangleVariable, _side_record
 from .triangle import from_sides, interior_angles
 
@@ -30,26 +30,22 @@ class ProjTripleC(_Value):
 
     Canonical form: divided by the first largest coordinate, which becomes
     1+0j.  A triple holding a 1 and no modulus above 1 + 2**-50 is kept, so
-    the form is idempotent and kept by permuting and conjugating.  A wrapper
-    on ``__post_init__`` counts constructions."""
+    the form is idempotent and kept by permuting and conjugating.  The
+    constructor tests and canonicalizes; ``__post_init__`` does nothing and
+    runs once per construction, so a wrapper put on the class counts them."""
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: complex, b: complex, c: complex) -> None:
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
+        if not a.__class__ is b.__class__ is c.__class__ is complex:
+            a, b, c = (_number(v, f"side {n}", complex) for n, v in zip(SLOTS, (a, b, c)))
+        s = a + b + c
         try:
-            a, b, c = complex(self.a), complex(self.b), complex(self.c)
-            ma, mb, mc = abs(a), abs(b), abs(c)
+            ma, mb, mc, gap = abs(a), abs(b), abs(c), abs(s)
         except OverflowError:
-            a, b, c = (_number(getattr(self, s), f"side {s}", complex) for s in SLOTS)
-            slot = next(name for name, v in zip(SLOTS, (a, b, c))
-                        if math.hypot(v.real, v.imag) == math.inf)
-            raise ValueError(f"side {slot} is too long: its modulus overflows") from None
+            # a modulus over the float range, or a NaN part after a stale errno:
+            # the moduli in units of 2**3 by hypot, which raises neither
+            ma, mb, mc, gap = (math.hypot(v.real / 8.0, v.imag / 8.0) for v in (a, b, c, s))
         if not math.isfinite(ma + mb + mc):
             # NaN, inf, or huge finite moduli whose sum overflowed (these pass)
             for slot, v in zip(SLOTS, (a, b, c)):
@@ -58,8 +54,8 @@ class ProjTripleC(_Value):
         scale = max(ma, mb, mc)
         if scale == 0.0:
             raise ValueError("projective triple cannot be all zero")
-        if abs(a + b + c) > CLOSURE_BOUND * scale:
-            raise ValueError(f"triple does not close: a+b+c = {0 + a + b + c}")
+        if gap > CLOSURE_BOUND * scale:
+            raise ValueError(f"triple does not close: a+b+c = {0 + s}")
         if not 2.0 ** -1000 < scale < 2.0 ** 1000:
             # in units of 2**k near the scale, exactly: the complex division
             # overflows or loses bits to subnormals out there
@@ -67,14 +63,20 @@ class ProjTripleC(_Value):
             a, b, c = _scaled(a, k), _scaled(b, k), _scaled(c, k)
             ma, mb, mc = abs(a), abs(b), abs(c)
         if not (scale <= 1.0 + 2.0 ** -50 and (a == 1 or b == 1 or c == 1)):
-            k = _pivot(ma, mb, mc)
-            p = (a, b, c)[k]
-            q = [a / p, b / p, c / p]
-            q[k] = 1 + 0j  # complex p / p is not always 1+0j
-            a, b, c = q
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
+            # by the first largest, as _pivot picks it; complex p / p is not always 1+0j
+            if ma >= mb and ma >= mc:
+                a, b, c = 1 + 0j, b / a, c / a
+            elif mb >= mc:
+                a, b, c = a / b, 1 + 0j, c / b
+            else:
+                a, b, c = a / c, b / c, 1 + 0j
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """The counting hook: the constructor has done all the work."""
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (self.a, self.b, self.c)
@@ -107,8 +109,8 @@ class ShapeClass(_Value):
 
     def __init__(self, sides: ProjTripleC,
                  angles: tuple[AngleModPi, AngleModPi, AngleModPi]) -> None:
-        _set(self, "sides", sides)
-        _set(self, "angles", angles)
+        _set_sides(self, sides)
+        _set_angles(self, angles)
 
     def to_json(self) -> dict:
         return {"sides": self.sides.to_json(), "angles": [float(x) for x in self.angles]}
@@ -158,15 +160,13 @@ class BlowupCoord(_Value):
 def class_of(T: TriangleVariable) -> ShapeClass:
     """Quotient map: forget the basepoint and projectivize the directions."""
     pa, pb, pc = T.direction_pairs()
-    return ShapeClass(sides=ProjTripleC(pa, pb, pc), angles=interior_angles(T))
+    return ShapeClass(ProjTripleC(pa, pb, pc), interior_angles(T))
 
 
 def class_of_vertices(A: complex, B: complex, C: complex) -> ShapeClass:
     """``class_of(from_vertices(A, B, C))`` to the bit, with no triangle:
     the sides go through from_sides' own record, tests and errors."""
-    try:
-        A, B, C = complex(A), complex(B), complex(C)
-    except OverflowError:
+    if not A.__class__ is B.__class__ is C.__class__ is complex:
         A, B, C = (_number(v, f"vertex {s}", complex) for s, v in zip("ABC", (A, B, C)))
     # finite sides imply a finite B, so the basepoint needs no test
     _, (d0, d1, d2, d3, d4, d5), x = _side_record(C - B, A - C, B - A)
@@ -196,15 +196,14 @@ def phi(c: ShapeClass) -> BlowupCoord:
     s = c.sides
     xi = (0.0, _wrap_pi(-gamma.value), beta.value)
     shift = xi[_pivot(abs(s.a), abs(s.b), abs(s.c))]
-    return BlowupCoord(sides=s, xi=(AngleModPi(xi[0] - shift), AngleModPi(xi[1] - shift),
-                                    AngleModPi(xi[2] - shift)))
+    return BlowupCoord(s, (_angle(xi[0] - shift), _angle(xi[1] - shift), _angle(xi[2] - shift)))
 
 
 def psi(b: BlowupCoord) -> ShapeClass:
     """Blowup coordinate to class by the cross-product relation, whatever
     the diagonal representative of the xi."""
     xi = b.xi
-    return ShapeClass(sides=b.sides, angles=_interior(xi[0].value, xi[1].value, xi[2].value))
+    return ShapeClass(b.sides, _interior(xi[0].value, xi[1].value, xi[2].value))
 
 
 def blowup_dist(b1: BlowupCoord, b2: BlowupCoord) -> float:
@@ -249,8 +248,7 @@ _KEY = tuple(operator.itemgetter(*(3 * (f != ((j - i) % 3 != 1)) + x for x in (i
                                  6 + i, 6 + j, 6 + k) for i, j, k, f in _GROUP)
 #: _cosets by Stab: at most the 2,048 subsets of range(12) that hold 0
 _COSETS: dict = {}
-#: an image is built past the constructor, slot by slot
-_new = object.__new__
+#: the slot setters past _Value's refusing __setattr__, for the constructors and _images
 _set_a, _set_b, _set_c = ProjTripleC.a.__set__, ProjTripleC.b.__set__, ProjTripleC.c.__set__
 _set_sides, _set_angles = ShapeClass.sides.__set__, ShapeClass.angles.__set__
 

@@ -15,7 +15,7 @@ import math
 import operator
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, AngleModPi, _interior, _number, _set, _Value, angle_dist
+from .angles import DEFAULT_TOL, AngleModPi, _angle, _interior, _number, _set, _Value, angle_dist
 from .angles import reduce_mod_pi
 
 SLOTS = ("a", "b", "c")
@@ -52,11 +52,11 @@ def _canonical6(v0: float, v1: float, v2: float, v3: float, v4: float, v5: float
     m = max(abs(v0), abs(v1), abs(v2), abs(v3), abs(v4), abs(v5))
     if m == 0.0:
         raise ValueError("direction sextuple cannot be all zero")
-    # dividing by -m when the first nonzero quotient is negative negates
-    # every quotient exactly, zeros included
-    if (v0 / m or v1 / m or v2 / m or v3 / m or v4 / m or v5 / m) < 0.0:
-        m = -m
-    return (v0 / m, v1 / m, v2 / m, v3 / m, v4 / m, v5 / m)
+    q0, q1, q2, q3, q4, q5 = v0 / m, v1 / m, v2 / m, v3 / m, v4 / m, v5 / m
+    # -(v / m) is v / (-m) to the bit, zeros included
+    if (q0 or q1 or q2 or q3 or q4 or q5) < 0.0:
+        return (-q0, -q1, -q2, -q3, -q4, -q5)
+    return (q0, q1, q2, q3, q4, q5)
 
 
 class TriangleVariable(_Value):
@@ -153,18 +153,12 @@ def from_sides(
     basepoint or directions, and side-vectors whose length overflows, raise
     ``ValueError``.
     """
-    try:
-        a, b, c, basepoint = complex(a), complex(b), complex(c), complex(basepoint)
-    except OverflowError:
+    if not a.__class__ is b.__class__ is c.__class__ is basepoint.__class__ is complex:
         a, b, c, basepoint = (_number(v, field, complex) for field, v in zip(
             ("side a", "side b", "side c", "basepoint"), (a, b, c, basepoint)))
     c, dirs, xi = _side_record(a, b, c, basepoint, directions, free_arguments)
-    return TriangleVariable(
-        basepoint=basepoint,
-        sides=(a, b, c),
-        directions=dirs,
-        arguments=(AngleModPi(xi[0]), AngleModPi(xi[1]), AngleModPi(xi[2])),
-    )
+    return TriangleVariable(basepoint, (a, b, c), dirs,
+                            (_angle(xi[0]), _angle(xi[1]), _angle(xi[2])))
 
 
 def from_vertices(
@@ -175,18 +169,9 @@ def from_vertices(
     free_arguments: dict[str, AngleModPi] | None = None,
 ) -> TriangleVariable:
     """Triangle with vertices (A, B, C): a = C-B, b = A-C, c = B-A, basepoint B."""
-    try:
-        A, B, C = complex(A), complex(B), complex(C)
-    except OverflowError:
+    if not A.__class__ is B.__class__ is C.__class__ is complex:
         A, B, C = (_number(v, f"vertex {s}", complex) for s, v in zip("ABC", (A, B, C)))
-    return from_sides(
-        C - B,
-        A - C,
-        B - A,
-        basepoint=B,
-        directions=directions,
-        free_arguments=free_arguments,
-    )
+    return from_sides(C - B, A - C, B - A, B, directions, free_arguments)
 
 
 #: the stratum of each (triple, double, simple) combination
@@ -211,16 +196,17 @@ def classify(T: TriangleVariable) -> DegeneracyType:
     name the strata.
     """
     a, b, c = T.sides
-    tpl = not (a or b or c)
-    pa, pb, pc = T.direction_pairs()
-    dbl = abs(pa) <= DEFAULT_TOL or abs(pb) <= DEFAULT_TOL or abs(pc) <= DEFAULT_TOL
+    d0, d1, d2, d3, d4, d5 = T.directions
+    # abs of a complex, not math.hypot, which differs from it in the last bit
+    dbl = (abs(complex(d0, d1)) <= DEFAULT_TOL or abs(complex(d2, d3)) <= DEFAULT_TOL
+           or abs(complex(d4, d5)) <= DEFAULT_TOL)
     xa, xb, xc = T.arguments
     smp = (
         angle_dist(xa, xb) <= DEFAULT_TOL
         and angle_dist(xb, xc) <= DEFAULT_TOL
         and angle_dist(xa, xc) <= DEFAULT_TOL
     )
-    return _STRATA[tpl, dbl, smp]
+    return _STRATA[not (a or b or c), dbl, smp]
 
 
 def orientation(T: TriangleVariable) -> Orientation:
@@ -230,9 +216,9 @@ def orientation(T: TriangleVariable) -> Orientation:
     a, b, c = T.sides
     if not (a or b or c):
         return Orientation.ZERO
-    pa, pb, pc = T.direction_pairs()
-    scale = max(abs(pa), abs(pb), abs(pc))
-    s2 = (pa.conjugate() * pb).imag
+    d0, d1, d2, d3, d4, d5 = T.directions
+    scale = max(abs(complex(d0, d1)), abs(complex(d2, d3)), abs(complex(d4, d5)))
+    s2 = d0 * d3 + -d1 * d2  # Im(conj(pa) pb), as complex multiplication rounds it
     if s2 > DEFAULT_TOL * scale * scale:
         return Orientation.POSITIVE
     if s2 < -DEFAULT_TOL * scale * scale:

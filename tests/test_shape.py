@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trishape import shape, triangle
-from trishape.angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, reduce_mod_pi
+from trishape.angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _scaled, reduce_mod_pi
 from trishape.projections import TorusPoint, _torus_sides, to_torus, torus_inverse
 from trishape.triangle import GroupElement, act, classify, from_sides, from_vertices
 from trishape.shape import (
@@ -171,13 +171,31 @@ def test_shape_class_from_json_rejects_nan_side():
                               "angles": [0.0, 0.0, 0.0]})
 
 
-def test_shape_class_from_json_names_an_overflowing_side():
-    # finite parts whose modulus overflows: abs() raises OverflowError
-    with pytest.raises(ValueError, match="side a is too long"):
-        ShapeClass.from_json({"sides": [[1.5e308, 1.5e308], [-1.5e308, -1.5e308], [0, 0]],
-                              "angles": [0, 0, 0]})
-    with pytest.raises(ValueError, match="side c is too long"):
-        ProjTripleC(1, -1, complex(1.5e308, 1.5e308))
+def test_a_side_whose_modulus_overflows_is_canonicalized_or_refused_as_any_other():
+    """Finite parts whose modulus overflows (abs() raises OverflowError) are
+    taken in units of a power of two: the triple canonicalizes as it does at
+    1e308, or is refused for not closing, with its own sum in the message."""
+    huge = complex(1.5e308, 1.5e308)
+    for t in (ProjTripleC(huge, -huge, 0),
+              ShapeClass.from_json({"sides": [[1.5e308, 1.5e308], [-1.5e308, -1.5e308],
+                                              [0, 0]], "angles": [0, 0, 0]}).sides):
+        assert t.as_tuple() == ProjTripleC(1e308 + 1e308j, -1e308 - 1e308j, 0).as_tuple()
+        assert t.as_tuple() == (1 + 0j, -1 + 0j, 0j)
+    unit = ProjTripleC(1, 1j, -1 - 1j).as_tuple()
+    assert ProjTripleC(1.5e308, 1.5e308j, -huge).as_tuple() == unit
+    with pytest.raises(ValueError, match=r"does not close: a\+b\+c = \(1\.5e\+308\+1\.5e\+308j\)"):
+        ProjTripleC(1, -1, huge)
+    # |a + b + c| alone overflows
+    with pytest.raises(ValueError, match="does not close"):
+        ProjTripleC(1.2e308, 1.2e308j, 0)
+
+
+def test_a_nan_side_is_refused_by_name_whatever_errno_holds():
+    """abs() of a complex with a NaN part raises OverflowError when errno
+    still holds the ERANGE of an underflow, as right after _scaled's ldexp
+    of 5e-324; the side is refused as non-finite all the same."""
+    with pytest.raises(ValueError, match="side a must be finite"):
+        ProjTripleC(_scaled(complex(math.nan, 5e-324), -3), 1, -1)
 
 
 @pytest.mark.parametrize("data, field", [

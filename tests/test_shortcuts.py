@@ -1,7 +1,8 @@
 """The per-triangle path's shortcuts give the bits of the paths they skip.
 
-``AngleModPi`` wraps a plain float near [0, pi) inline instead of through
-``_wrap_pi``; ``hopf`` skips its rescaling by 2^-e at e = 0, where it is
+``AngleModPi`` stores the bits ``_wrap_pi`` gives, whose shortcuts on
+(-pi, 2 pi) ``tests/test_values.py`` compares with the former fmod path;
+``hopf`` skips its rescaling by 2^-e at e = 0, where it is
 the identity; ``TorusPoint`` and ``torus_inverse`` test the torus
 point's floats instead of calling ``angle_dist``, ``is_origin`` and
 ``is_zero``; ``from_sides`` canonicalizes its six floats without the

@@ -6,13 +6,15 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from trishape.angles import PI, angle_dist, reduce_mod_pi
+from trishape.angles import DEFAULT_TOL, PI, AngleModPi, angle_dist, reduce_mod_pi
 from trishape.triangle import (
+    _STRATA,
     DegeneracyType,
     GroupElement,
     Orientation,
     TriangleVariable,
     act,
+    canonical_directions,
     classify,
     from_sides,
     from_vertices,
@@ -314,3 +316,91 @@ def test_predicates_are_similarity_invariant(verts, k, turn, tx, ty, perm):
             Orientation.NEGATIVE if expected is Orientation.POSITIVE else Orientation.POSITIVE
         )
     assert orientation(T2) is expected
+
+
+def _stratum_by_pairs(T):
+    """classify on the complex direction pairs, as it was written."""
+    a, b, c = T.sides
+    pa, pb, pc = T.direction_pairs()
+    dbl = abs(pa) <= DEFAULT_TOL or abs(pb) <= DEFAULT_TOL or abs(pc) <= DEFAULT_TOL
+    xa, xb, xc = T.arguments
+    smp = (angle_dist(xa, xb) <= DEFAULT_TOL and angle_dist(xb, xc) <= DEFAULT_TOL
+           and angle_dist(xa, xc) <= DEFAULT_TOL)
+    return _STRATA[not (a or b or c), dbl, smp]
+
+
+def _orientation_by_pairs(T):
+    """orientation on the complex direction pairs, as it was written."""
+    a, b, c = T.sides
+    if not (a or b or c):
+        return Orientation.ZERO
+    pa, pb, pc = T.direction_pairs()
+    scale = max(abs(pa), abs(pb), abs(pc))
+    s2 = (pa.conjugate() * pb).imag
+    if s2 > DEFAULT_TOL * scale * scale:
+        return Orientation.POSITIVE
+    if s2 < -DEFAULT_TOL * scale * scale:
+        return Orientation.NEGATIVE
+    return Orientation.ZERO
+
+
+#: direction coordinates at and beside the tolerance, signed zeros and units
+_DIRECTION = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 6e-10, -8e-10, DEFAULT_TOL, -DEFAULT_TOL,
+                               math.nextafter(DEFAULT_TOL, 1.0), 0.5, 2.0, -3.0])
+              | st.floats(-4.0, 4.0))
+_SIDE = st.sampled_from([0j, complex(-0.0, -0.0), 1 + 0j, 1e-12j]) | st.complex_numbers(
+    max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(_DIRECTION, min_size=6, max_size=6), _SIDE, _SIDE, _SIDE,
+       st.lists(st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0, PI - 1e-10]),
+                min_size=3, max_size=3))
+def test_classify_and_orientation_read_the_directions_as_the_pairs_do(dirs, a, b, c, args):
+    """Hand-built triangles: the public constructor does not validate, so
+    the directions need not be canonical or match the sides."""
+    T = TriangleVariable(0j, (a, b, c), tuple(dirs), tuple(map(AngleModPi, args)))
+    assert classify(T) is _stratum_by_pairs(T)
+    assert orientation(T) is _orientation_by_pairs(T)
+
+
+@pytest.mark.parametrize("verts, free", [
+    ((0, 1, 1j), None), ((0, 1, 2), None), ((0, 1, 1), {"a": 1.0}), ((0, 0, 0), None),
+    ((0, 1, 1 + 1e-9j), None), ((0, 1, 0.5 + 1e-10j), None), ((1j, -0.0, 1), None),
+    ((0, 1e-9, 1), None), ((0, 1 + 1e-10j, 1), None),
+])
+def test_classify_and_orientation_agree_with_the_pairs_on_built_triangles(verts, free):
+    directions = (1.0, -0.0, -1.0, 0.0, 0.0, -0.0) if verts == (0, 0, 0) else None
+    T = from_vertices(*verts, directions=directions, free_arguments=free)
+    assert classify(T) is _stratum_by_pairs(T)
+    assert orientation(T) is _orientation_by_pairs(T)
+
+
+#: direction pairs whose moduli by abs(complex) and by math.hypot (CPython
+#: 3.11, x86-64 glibc) lie on opposite sides of DEFAULT_TOL
+_HYPOT_SPLIT = [("0x1.d4b70a38fa4f1p-31", "0x1.1f4b33c93ffbdp-31"),
+                ("0x1.949ceed877d0ep-31", "0x1.742eb3920352ap-31")]
+
+
+@pytest.mark.parametrize("x, y", _HYPOT_SPLIT)
+def test_a_pair_at_the_tolerance_is_measured_as_a_complex_modulus(x, y):
+    x, y = float.fromhex(x), float.fromhex(y)
+    for dirs in ((x, y, 1.0, 0.0, -1.0, 0.0), (1.0, 0.0, -1.0, -0.0, y, -x)):
+        T = TriangleVariable(0j, (1 + 0j, -1 + 0j, 0j), dirs, (AngleModPi(0.5),) * 3)
+        assert classify(T) is _stratum_by_pairs(T)
+
+
+def _canonical_by_signed_divisor(v):
+    """canonical_directions as it was written: one division by m or by -m."""
+    m = max(map(abs, v))
+    if next((x / m for x in v if x / m), 0.0) < 0.0:
+        m = -m
+    return tuple(x / m for x in v)
+
+
+@given(st.lists(_DIRECTION | st.floats(allow_nan=False, allow_infinity=False),
+                min_size=6, max_size=6))
+def test_canonical_directions_negate_the_quotients_to_the_bit(v):
+    """-(x / m) is x / (-m) for every x, zeros and subnormals included."""
+    assume(any(v))
+    got, want = canonical_directions(v), _canonical_by_signed_divisor(v)
+    assert [x.hex() for x in got] == [x.hex() for x in want]

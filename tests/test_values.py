@@ -5,14 +5,18 @@ those of the field tuple, as for a frozen dataclass; assignment and ``del``
 raise ``AttributeError``; copies and pickles restore the slots without
 running ``__init__`` again.
 """
+import cmath
 import copy
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from trishape.angles import PI, AngleModPi, angle_dist
+from trishape.angles import CLOSURE_BOUND, PI, AngleModPi, _angle, _number, _scaled, _wrap_pi
+from trishape.angles import angle_dist
 from trishape.triangle import GroupElement, TriangleVariable, classify, from_sides, from_vertices
 from trishape.shape import BlowupCoord, ProjTripleC, ShapeClass, class_of, phi, psi
 from trishape.shape import class_of_vertices
@@ -273,3 +277,133 @@ _OUT_OF_RANGE = [
 def test_an_int_too_large_for_a_float_is_a_value_error_that_names_the_field(build, field):
     with pytest.raises(ValueError, match=field):
         build()
+
+
+# ---------------------------------------------------------------------------
+# the constructors as they were before they did all the work themselves: the
+# references the one-pass AngleModPi, _angle and ProjTripleC keep every bit of
+
+
+def _former_wrap_pi(x):
+    """The former ``angles._wrap_pi``."""
+    if 0.0 <= x < PI:
+        return x
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite angle value: {x!r}")
+    r = math.fmod(x, PI)
+    if r < 0.0:
+        r += PI
+    if r >= PI:
+        r -= PI
+    return r
+
+
+def _former_angle(value):
+    """The value the former ``AngleModPi.__init__`` stored."""
+    if value.__class__ is not float:
+        value = _former_wrap_pi(_number(value, "angle value"))
+    elif not 0.0 <= value < PI:
+        if -PI < value < 0.0:
+            value += PI
+            if value >= PI:
+                value -= PI
+        else:
+            value = value - PI if PI <= value < 2.0 * PI else _former_wrap_pi(value)
+    return value
+
+
+def _former_triple(a, b, c):
+    """The slots the former ``ProjTripleC.__post_init__`` set."""
+    try:
+        a, b, c = complex(a), complex(b), complex(c)
+        ma, mb, mc = abs(a), abs(b), abs(c)
+    except OverflowError:
+        a, b, c = (_number(v, f"side {s}", complex) for s, v in zip("abc", (a, b, c)))
+        slot = next(name for name, v in zip("abc", (a, b, c))
+                    if math.hypot(v.real, v.imag) == math.inf)
+        raise ValueError(f"side {slot} is too long: its modulus overflows") from None
+    if not math.isfinite(ma + mb + mc):
+        for slot, v in zip("abc", (a, b, c)):
+            if not cmath.isfinite(v):
+                raise ValueError(f"side {slot} must be finite: {v}")
+    scale = max(ma, mb, mc)
+    if scale == 0.0:
+        raise ValueError("projective triple cannot be all zero")
+    if abs(a + b + c) > CLOSURE_BOUND * scale:
+        raise ValueError(f"triple does not close: a+b+c = {0 + a + b + c}")
+    if not 2.0 ** -1000 < scale < 2.0 ** 1000:
+        k = -math.frexp(scale)[1]
+        a, b, c = _scaled(a, k), _scaled(b, k), _scaled(c, k)
+        ma, mb, mc = abs(a), abs(b), abs(c)
+    if not (scale <= 1.0 + 2.0 ** -50 and (a == 1 or b == 1 or c == 1)):
+        k = 0 if ma >= mb and ma >= mc else 1 if mb >= mc else 2
+        p = (a, b, c)[k]
+        q = [a / p, b / p, c / p]
+        q[k] = 1 + 0j
+        a, b, c = q
+    return a, b, c
+
+
+def _outcome(build):
+    """_bits of what build returns, or the message of the ValueError it raises."""
+    try:
+        return _bits(build())
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+_TINY = 5e-324
+ANGLE_EDGES = [-PI, -_TINY, _TINY, -0.0, 0.0, PI, math.nextafter(PI, 0.0),
+               math.nextafter(-PI, 0.0), math.nextafter(2.0 * PI, 0.0), 2.0 * PI,
+               math.nextafter(2.0 * PI, 7.0), -2.0 * PI, 3.0 * PI, -1e-17, 1e300, -1e300,
+               math.nan, math.inf, -math.inf, 7, -3, True, 10**400, Fraction(-22, 7)]
+
+
+@given(st.floats() | st.floats(-2.0 * PI, 3.0 * PI) | st.integers() | st.sampled_from(ANGLE_EDGES))
+def test_an_angle_keeps_the_bits_and_refusals_of_the_former_constructor(x):
+    want = _outcome(lambda: _former_angle(x))
+    assert _outcome(lambda: AngleModPi(x).value) == want
+    if type(x) is float:
+        assert _outcome(lambda: _angle(x).value) == want
+        assert _outcome(lambda: _wrap_pi(x)) == _outcome(lambda: _former_wrap_pi(x))
+    if want[0] != "ValueError":
+        assert _bits((-AngleModPi(x)).value) == _bits(_former_angle(-_former_angle(x)))
+
+
+_PART = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.75, _TINY]) | st.floats(-4.0, 4.0)
+#: exponents of the scale: the unit, both sides of 2^+-1000, near the ends of the range
+_SCALES = [0, 0, 1, -1, 999, 1000, 1001, -999, -1000, -1001, 1020, 1023, -1040, -1070]
+
+
+@given(_PART, _PART, _PART, _PART, st.sampled_from(_SCALES), st.permutations(range(3)),
+       st.sampled_from(["closed", "tie", "mirror", "open", "nan", "inf"]))
+@example(1.0, 0.0, -1.0, 0.0, 0, [0, 1, 2], "closed")  # (1, -1, 0): kept as it is
+@example(1.0, -0.0, -0.5, 0.5, 0, [2, 0, 1], "closed")  # 1-0j and no larger side: kept
+@example(0.5, 0.5, 0.0, 0.0, -1000, [1, 0, 2], "tie")  # two largest moduli, the first wins
+@example(0.75, 0.25, 0.0, 0.0, 1001, [0, 2, 1], "mirror")
+def test_a_triple_keeps_the_bits_and_refusals_of_the_former_constructor(
+        p0, p1, p2, p3, k, perm, kind):
+    """Every slot's float.hex, or the refusal's message, is the former one.
+    "tie" makes b = -a (two equal largest moduli) and "mirror" b = -conj(a)
+    (a tie when |Im a| is small); "open" does not close; "nan" and "inf"
+    put a non-finite part into one slot."""
+    a = complex(p0, p1)
+    b = {"tie": -a, "mirror": complex(-p0, p1)}.get(kind, complex(p2, p3))
+    c = -a - b + (0.5 if kind == "open" else 0.0)
+    # by a multiplication, which gives inf past the range where ldexp raises
+    sides = [complex(v.real * 2.0 ** k, v.imag * 2.0 ** k) for v in (a, b, c)]
+    if kind in ("nan", "inf"):
+        sides[perm[0]] = complex(math.nan if kind == "nan" else -math.inf, p2)
+    sides = [sides[i] for i in perm]
+    try:
+        want = _outcome(lambda: _former_triple(*sides))
+    except OverflowError:
+        want = ("OverflowError",)  # |a + b + c| overflowed, uncaught
+    got = _outcome(lambda: ProjTripleC(*sides).as_tuple())
+    if want[0] == "OverflowError" or "too long" in want[-1]:
+        # the former refusals of a finite modulus or sum that overflows: now
+        # taken in units of 2^3 (see tests/test_shape.py), so only a triple
+        # that does not close or has a non-finite side is refused
+        assert got[0] != "ValueError" or "does not close" in got[1] or "finite" in got[1], got
+        return
+    assert got == want, (sides, got, want)
