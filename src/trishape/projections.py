@@ -18,7 +18,7 @@ import math
 import operator
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _number, _scaled, _set, _Value
+from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _number, _scaled, _Value
 from .angles import ROUNDING_SNAP, _wrap_pi, angle_dist
 from .shape import ProjTripleC, ShapeClass
 from .triangle import canonical_directions
@@ -41,9 +41,9 @@ class SpherePoint(_Value):
         n = math.hypot(x, y, z)  # hypot does not overflow where x**2 would
         if not abs(n - 1.0) <= ROUNDING_SNAP:  # NaN fails this test too
             raise ValueError(f"not a unit vector: |({x}, {y}, {z})| = {n}")
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -78,9 +78,9 @@ class TorusPoint(_Value):
         w = _wrap_pi(total)  # angle_dist(total, 0.0) is min(w, pi - w)
         if w > DEFAULT_TOL and PI - w > DEFAULT_TOL:
             raise ValueError(f"angle triple does not sum to 0 mod pi: {total}")
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "r", r)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_r(self, r)
 
     def as_tuple(self) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
         return (self.p, self.q, self.r)
@@ -113,6 +113,9 @@ class SphereLocus(enum.Enum):
 
 
 _LOCI = tuple(SphereLocus)
+#: the slot setters past _Value's refusing __setattr__
+_set_x, _set_y, _set_z = SpherePoint.x.__set__, SpherePoint.y.__set__, SpherePoint.z.__set__
+_set_p, _set_q, _set_r = TorusPoint.p.__set__, TorusPoint.q.__set__, TorusPoint.r.__set__
 
 
 def hopf(u: complex, v: complex) -> SpherePoint:

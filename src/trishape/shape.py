@@ -9,7 +9,7 @@ import math
 import operator
 
 from .angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _angle, _interior, _new, _number
-from .angles import _scaled, _set, _Value, _wrap_pi, angle_dist, reduce_mod_pi
+from .angles import _scaled, _Value, _wrap_pi, angle_dist, reduce_mod_pi
 from .triangle import SLOTS, GroupElement, TriangleVariable, _side_record
 from .triangle import from_sides, interior_angles
 
@@ -153,8 +153,8 @@ class BlowupCoord(_Value):
 
     def __init__(self, sides: ProjTripleC,
                  xi: tuple[AngleModPi, AngleModPi, AngleModPi]) -> None:
-        _set(self, "sides", sides)
-        _set(self, "xi", xi)
+        _set_coord_sides(self, sides)
+        _set_xi(self, xi)
 
 
 def class_of(T: TriangleVariable) -> ShapeClass:
@@ -246,11 +246,14 @@ _MUL = tuple(tuple(_GROUP.index((q[p[0]], q[p[1]], q[p[2]], p[3] ^ q[3])) for q 
 #: (own and negated) and image 0's moduli, which no flip changes
 _KEY = tuple(operator.itemgetter(*(3 * (f != ((j - i) % 3 != 1)) + x for x in (i, j, k)),
                                  6 + i, 6 + j, 6 + k) for i, j, k, f in _GROUP)
+#: _ASCENDING[s, i, j, k]: the element whose image's angles are theta_(i, j, k), negated if s
+_ASCENDING = {(f != ((j - i) % 3 != 1), i, j, k): e for e, (i, j, k, f) in enumerate(_GROUP)}
 #: _cosets by Stab: at most the 2,048 subsets of range(12) that hold 0
 _COSETS: dict = {}
 #: the slot setters past _Value's refusing __setattr__, for the constructors and _images
 _set_a, _set_b, _set_c = ProjTripleC.a.__set__, ProjTripleC.b.__set__, ProjTripleC.c.__set__
 _set_sides, _set_angles = ShapeClass.sides.__set__, ShapeClass.angles.__set__
+_set_coord_sides, _set_xi = BlowupCoord.sides.__set__, BlowupCoord.xi.__set__
 
 
 def _images(c: ShapeClass, group=_GROUP) -> list[ShapeClass]:
@@ -306,10 +309,22 @@ def _cosets(stab: tuple[int, ...]) -> tuple[int, ...]:
     return kept
 
 
+def _apart(six, tol: float) -> bool:
+    """Whether six floats, sorted, step by more than tol, and pi less their span is too."""
+    v = sorted(six)
+    return (v[1] - v[0] > tol and v[2] - v[1] > tol and v[3] - v[2] > tol
+            and v[4] - v[3] > tol and v[5] - v[4] > tol and PI - (v[5] - v[0]) > tol)
+
+
 def _members(c: ShapeClass, tol: float) -> tuple[tuple[int, ...], list[ShapeClass]]:
     """(kept, images): the _cosets of Stab, the elements whose image is
     class_equal to image 0, and the 12 images.  Kept for the last (c, tol),
-    so canonical_rep after orbit of one object reuses it."""
+    so canonical_rep after orbit of one object reuses it.  proj_dist runs
+    only where each slot's side modulus is within 4 tol + 2**-40 of image
+    0's.  Images share their moduli, so their norm n < 1.74; with X, Y =
+    x/n, y/n, d = |X - <X, Y> Y| <= 1 and |<X, Y>| >= 1 - d**2, ||x_s| -
+    |y_s|| <= n (d + d**2) < 3.5 d, and a computed proj_dist <= tol means
+    d <= tol + 2**-48, the moduli rounding by less than 2**-50."""
     global _last
     last = _last  # read once: another thread may replace it
     if last[0] is c and last[1] == tol:
@@ -317,15 +332,20 @@ def _members(c: ShapeClass, tol: float) -> tuple[tuple[int, ...], list[ShapeClas
     images = _images(c)
     first = images[0]
     b0, b1, b2 = (x.value for x in first.angles)
+    # each element but the identity compares, in some slot, two different ones of the six
+    # angles of images 0 and 1: by monotone rounding, if they are _apart no scan finds it
     stab = [0]
-    for h in range(1, 12):
-        # angle_dist: min(t, pi - t) on values already in [0, pi)
-        x, y, z = images[h].angles
-        t0, t1, t2 = abs(x.value - b0), abs(y.value - b1), abs(z.value - b2)
-        if ((t0 <= tol or PI - t0 <= tol) and (t1 <= tol or PI - t1 <= tol)
-                and (t2 <= tol or PI - t2 <= tol)
-                and proj_dist(images[h].sides, first.sides) <= tol):
-            stab.append(h)
+    if not _apart((b0, b1, b2, *(x.value for x in images[1].angles)), tol):
+        m, bound = first.sides.moduli(), 4.0 * tol + 2.0 ** -40
+        for h, (i, j, k, _) in enumerate(_GROUP[1:], 1):
+            # angle_dist: min(t, pi - t) on values already in [0, pi)
+            x, y, z = images[h].angles
+            t0, t1, t2 = abs(x.value - b0), abs(y.value - b1), abs(z.value - b2)
+            if ((t0 <= tol or PI - t0 <= tol) and (t1 <= tol or PI - t1 <= tol)
+                    and (t2 <= tol or PI - t2 <= tol)
+                    and max(abs(m[i] - m[0]), abs(m[j] - m[1]), abs(m[k] - m[2])) <= bound
+                    and proj_dist(images[h].sides, first.sides) <= tol):
+                stab.append(h)
     kept = _cosets(tuple(stab))
     _last = (c, tol, (kept, images))
     return kept, images
@@ -347,6 +367,10 @@ def canonical_rep(c: ShapeClass) -> ShapeClass:
     (x, y, z), (u, v, w) = images[0].angles, images[1].angles
     parts = [t - PI if PI - t <= DEFAULT_TOL else t
              for t in (x.value, y.value, z.value, u.value, v.value, w.value)]
+    if len(kept) == 12 and _apart(parts, DEFAULT_TOL):  # a strict order, least part first
+        s, i = divmod(parts.index(min(parts)), 3)  # its set, own (0) or negated (1)
+        j, k, held = (i + 1) % 3, (i + 2) % 3, parts[3 * s:]  # its set's parts first
+        return images[_ASCENDING[(s, i, j, k) if held[j] < held[k] else (s, i, k, j)]]
     parts += images[0].sides.moduli()
     best = kept[0]
     best_key = _KEY[best](parts)

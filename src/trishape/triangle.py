@@ -75,10 +75,10 @@ class TriangleVariable(_Value):
     def __init__(self, basepoint: complex, sides: tuple[complex, complex, complex],
                  directions: tuple[float, float, float, float, float, float],
                  arguments: tuple[AngleModPi, AngleModPi, AngleModPi]) -> None:
-        _set(self, "basepoint", basepoint)
-        _set(self, "sides", sides)
-        _set(self, "directions", directions)
-        _set(self, "arguments", arguments)
+        _set_basepoint(self, basepoint)
+        _set_sides(self, sides)
+        _set_directions(self, directions)
+        _set_arguments(self, arguments)
 
     @property
     def vertices(self) -> tuple[complex, complex, complex]:
@@ -174,6 +174,8 @@ def from_vertices(
     return from_sides(C - B, A - C, B - A, B, directions, free_arguments)
 
 
+_set_basepoint, _set_sides, _set_directions, _set_arguments = (  # past _Value's __setattr__
+    getattr(TriangleVariable, name).__set__ for name in TriangleVariable.__slots__)
 #: the stratum of each (triple, double, simple) combination
 _STRATA = {
     (False, False, False): DegeneracyType.NONDEGENERATE,
@@ -198,8 +200,11 @@ def classify(T: TriangleVariable) -> DegeneracyType:
     a, b, c = T.sides
     d0, d1, d2, d3, d4, d5 = T.directions
     # abs of a complex, not math.hypot, which differs from it in the last bit
-    dbl = (abs(complex(d0, d1)) <= DEFAULT_TOL or abs(complex(d2, d3)) <= DEFAULT_TOL
-           or abs(complex(d4, d5)) <= DEFAULT_TOL)
+    try:
+        dbl = (abs(complex(d0, d1)) <= DEFAULT_TOL or abs(complex(d2, d3)) <= DEFAULT_TOL
+               or abs(complex(d4, d5)) <= DEFAULT_TOL)
+    except OverflowError:  # a part near the float maximum, or a NaN after a stale errno
+        raise ValueError(f"directions must be finite and canonical: {T.directions}") from None
     xa, xb, xc = T.arguments
     smp = (
         angle_dist(xa, xb) <= DEFAULT_TOL
@@ -217,7 +222,10 @@ def orientation(T: TriangleVariable) -> Orientation:
     if not (a or b or c):
         return Orientation.ZERO
     d0, d1, d2, d3, d4, d5 = T.directions
-    scale = max(abs(complex(d0, d1)), abs(complex(d2, d3)), abs(complex(d4, d5)))
+    try:
+        scale = max(abs(complex(d0, d1)), abs(complex(d2, d3)), abs(complex(d4, d5)))
+    except OverflowError:  # as in classify
+        raise ValueError(f"directions must be finite and canonical: {T.directions}") from None
     s2 = d0 * d3 + -d1 * d2  # Im(conj(pa) pb), as complex multiplication rounds it
     if s2 > DEFAULT_TOL * scale * scale:
         return Orientation.POSITIVE

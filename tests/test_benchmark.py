@@ -41,8 +41,9 @@ def test_traced_workload_runs_and_is_correct(workload):
         # only the 18 doubled-simple ops have a zero side, and canonical_rep
         # reuses the orbit of its class: each is lifted once
         assert metrics["shape.lift_class.calls"] == 18
-        # 11 per doubled-simple orbit, whose images all share their angles
-        assert metrics["shape.proj_dist.calls"] == 198
+        # a doubled-simple orbit's images all share their angles; the side
+        # moduli leave proj_dist only its 3 stabilizer elements past the identity
+        assert metrics["shape.proj_dist.calls"] == 54
     if workload == "cli":
         # one class_of_vertices per row of `trace --family poncelet --samples 10000`
         calls = re.search(r"^shape\.class_of_vertices\.self_us .* \((\d+) calls, 0 failed\)$",

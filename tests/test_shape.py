@@ -1333,6 +1333,237 @@ def test_group_action_is_bit_identical():
         assert _action_digest(c) == rec["sha256"], f"{label}: {rec['class']}"
 
 
+# ---------------------------------------------------------------------------
+# the stabilizer and the representative decided from the six angles, at the
+# edges of that decision
+
+
+def _six(c):
+    """The six angle floats of images 0 and 1 (own and negated), sorted."""
+    images = shape._images(c)
+    return sorted(x.value for img in images[:2] for x in img.angles)
+
+
+def _gaps(c):
+    """The neighbour gaps of _six and the gap across the wrap at pi."""
+    v = _six(c)
+    return [b - a for a, b in zip(v, v[1:])] + [PI - (v[5] - v[0])]
+
+
+def _apart(v, tol):
+    """Every neighbour gap of the sorted floats v is more than tol."""
+    return all(b - a > tol for a, b in zip(v, v[1:]))
+
+
+def _around(t):
+    return [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+
+
+def _class_with_angles(alpha, beta):
+    """The class whose angles are, to the bit, alpha, beta and pi - alpha - beta."""
+    gamma = PI - alpha - beta
+    C = cmath.rect(math.sin(beta) / math.sin(gamma), alpha)
+    sides = class_of(from_vertices(0, 1, C)).sides.to_json()
+    return ShapeClass.from_json({"sides": sides, "angles": [alpha, beta, gamma]})
+
+
+def _isosceles_stored_off(off):
+    """The isosceles class with base angles 0.5, stored as 0.5 -+ off: its
+    mirror image is off by 2 off in two slots, and its sides are symmetric."""
+    sides = class_of(from_vertices(0, 1, complex(0.5, 0.5 * math.tan(0.5)))).sides.to_json()
+    return ShapeClass.from_json({"sides": sides, "angles": [0.5 - off, 0.5 + off, PI - 1.0]})
+
+
+def _collinear(share, turn, lift=0.0):
+    """A class whose sides are about share, 1 + share and 1, tilted by turn;
+    collinear unless the far vertex is lifted off the line by lift."""
+    w = cmath.exp(1j * turn)
+    return class_of(from_vertices(0, w, (1 + share + 1j * lift) * w))
+
+
+def _boundary_classes():
+    """A scalene class; a right angle, whose own angle and negation are both
+    pi/2; angles within DEFAULT_TOL of pi, from thin triangles and near
+    doubles; base angles DEFAULT_TOL apart, to the ulp of the angles; an
+    isosceles class stored with base angles off each other; and
+    near-equilateral classes."""
+    out = [class_of(from_vertices(0, 1, 0.3 + 0.8j)), class_of(from_vertices(0, 1, 1j)),
+           class_of(from_vertices(0, 1, 0.3 + 1j)), _class_with_angles(PI / 2, 0.4)]
+    for eps in (0.2e-9, 0.5e-9, 0.99e-9, 1e-9, 1.01e-9):
+        out.append(class_of(from_vertices(0, 1, complex(0.3, 0.3 * math.tan(eps)))))
+        out.append(_class_with_angles(0.6, PI - 0.6 + eps))  # gamma is -eps
+    ulp = 2.0 ** -53  # of angles in [0.5, 1)
+    n = int(DEFAULT_TOL / ulp)
+    out += [_class_with_angles(0.5, 0.5 + k * ulp) for k in range(n - 2, n + 3)]
+    # multiples of 2**-51, so that the negated angles are exact: the own and
+    # the negated base angles are the same float gap apart
+    out += [_isosceles_stored_off(k * 2.0 ** -51) for k in (1, 2**20, 2**21)]
+    w = complex(0.5, math.sqrt(3) / 2)
+    out += [class_of(from_vertices(0, 1, w + d)) for d in (1e-9, 1e-9j, 1e-12, 1e-6)]
+    return out
+
+
+def _orbit_by_stabilizer_scan(c, tol):
+    """The orbit as _members found it before it read the six angles: Stab
+    is every element whose image is class_equal to image 0 at tol, and the
+    orbit keeps the first element of each coset."""
+    images = shape._images(c)
+    stab = [0] + [h for h in range(1, 12) if class_equal(images[h], images[0], tol)]
+    return [images[e] for e in _cosets_by_scan(stab)]
+
+
+def _hexes(classes):
+    return [_hex(c) for c in classes]
+
+
+def test_orbit_keeps_the_bits_of_the_stabilizer_scan_at_each_gap_and_one_ulp_either_side():
+    """orbit at a tolerance equal to each gap between the six angles (and
+    across the wrap), and one ulp below and above it, where _members turns
+    from the scan to the closed form, is the stabilizer scan's orbit."""
+    decided = set()
+    for c in _boundary_classes() + [_collinear(share, 0.7) for share in (1e-3, 0.25)]:
+        for gap in _gaps(c):
+            for tol in _around(gap):
+                assert _hexes(orbit(c, tol)) == _hexes(_orbit_by_stabilizer_scan(c, tol)), tol
+                decided.add(_apart(_six(c), tol) and _gaps(c)[-1] > tol)
+    assert decided == {False, True}
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+def test_orbit_and_canonical_rep_keep_the_bits_of_the_scans_on_boundary_classes(tol):
+    for c in _boundary_classes():
+        want = _hexes(_orbit_by_pairs(c, tol))
+        assert _hexes(orbit(c, tol)) == want == _hexes(_pairwise_orbit(c, tol))
+        assert _hexes(_orbit_by_stabilizer_scan(c, tol)) == want
+        rep = _hex(canonical_rep(c))
+        assert rep == _hex(_canonical_rep_by_scan(c)) == _hex(_canonical_rep_by_pairs(c))
+
+
+def test_the_stabilizer_and_the_pairwise_scans_part_where_the_tolerance_is_not_transitive():
+    """Pinned as the former stabilizer scan gave them (a stabilizer that is
+    always a subgroup would change both).  At a tolerance equal to a gap of
+    its six angles, no image of this scalene class is within tol of its
+    own, so orbit keeps all 12, while some images are within tol of each
+    other and a pairwise scan keeps 9.  At tol 0 a collinear class's images
+    are equal up to the rounding of proj_dist, which differs between pairs:
+    orbit keeps 6 and a pairwise scan 8."""
+    c = class_of(from_vertices(0, 1, 0.3 + 1j))
+    tol = min(_gaps(c))
+    assert [len(orbit(c, tol)), len(_orbit_by_pairs(c, tol)),
+            len(_pairwise_orbit(c, tol))] == [12, 9, 9]
+    c = _collinear(0.25, 0.0)
+    assert [len(orbit(c, 0.0)), len(_orbit_by_pairs(c, 0.0)),
+            len(_pairwise_orbit(c, 0.0))] == [6, 8, 8]
+    for c, tol in ((class_of(from_vertices(0, 1, 0.3 + 1j)), tol), (c, 0.0)):
+        assert _hexes(orbit(c, tol)) == _hexes(_orbit_by_stabilizer_scan(c, tol))
+
+
+def _angle_parts(c):
+    """canonical_rep's six angle parts: an angle within DEFAULT_TOL of pi
+    read as near 0."""
+    return [t - PI if PI - t <= DEFAULT_TOL else t for t in _six(c)]
+
+
+def test_canonical_rep_keeps_the_bits_of_the_scans_where_two_angles_are_default_tol_apart():
+    """Base angles 0.5 and 0.5 + k ulps, k from 4 below to 4 above the
+    DEFAULT_TOL gap: the closed form decides some, the scan the others, and
+    both give the scans' representative, for the class and its 12 images."""
+    ulp = 2.0 ** -53
+    n = int(DEFAULT_TOL / ulp)
+    decided = set()
+    for k in range(n - 4, n + 5):
+        for c in shape._images(_class_with_angles(0.5, 0.5 + k * ulp)):
+            decided.add(_apart(sorted(_angle_parts(c)), DEFAULT_TOL))
+            rep = _hex(canonical_rep(c))
+            assert rep == _hex(_canonical_rep_by_scan(c)) == _hex(_canonical_rep_by_pairs(c))
+    assert decided == {False, True}
+
+
+def test_canonical_rep_reads_an_ascending_image_off_the_table():
+    """Where the closed form decides, the representative's angles ascend,
+    from the least of the six parts, and it is one of the 12 images."""
+    rng = random.Random(53)
+    taken = 0
+    for _ in range(300):
+        c = _random_class(rng)
+        if not _apart(sorted(_angle_parts(c)), DEFAULT_TOL):
+            continue
+        taken += 1
+        rep = canonical_rep(c)
+        parts = [t - PI if PI - t <= DEFAULT_TOL else t for t in (x.value for x in rep.angles)]
+        assert parts == sorted(parts) and parts[0] == min(_angle_parts(c))
+        assert _hex(rep) in _hexes(shape._images(c))
+    assert taken > 250
+
+
+def _moduli_gap(m, e):
+    """The largest slot-wise difference of image e's side moduli from image 0's."""
+    i, j, k, _ = shape._GROUP[e]
+    return max(abs(m[i] - m[0]), abs(m[j] - m[1]), abs(m[k] - m[2]))
+
+
+def test_the_moduli_prefilter_skips_no_image_that_proj_dist_keeps():
+    """Every image's moduli are within 4 proj_dist + 2**-40 of image 0's:
+    on seeded scalene, near-isosceles, near-equilateral and near-collinear
+    classes.  The largest ratio of the two is about 1.15, where the bound's
+    proof allows 3.5."""
+    rng = random.Random(59)
+    worst = 0.0
+    for n in range(2000):
+        eps = 10.0 ** rng.uniform(-15, -2)
+        turn = cmath.exp(1j * rng.uniform(0, 2 * PI))
+        c = [_random_class(rng),
+             class_of(from_vertices(0, 1, complex(0.5, 0.5 * math.tan(rng.uniform(0.1, 1.4)))
+                                    + eps * turn)),
+             class_of(from_vertices(0, 1, complex(0.5, math.sqrt(3) / 2) + eps * turn)),
+             _collinear(eps, rng.uniform(0, PI), 1e-3 * eps * rng.random())][n % 4]
+        images = shape._images(c)
+        m = images[0].sides.moduli()
+        for e in range(1, 12):
+            d = proj_dist(images[e].sides, images[0].sides)
+            assert _moduli_gap(m, e) <= 4.0 * d + 2.0 ** -40
+            if d > 1e-14:
+                worst = max(worst, _moduli_gap(m, e) / d)
+    assert 1.1 < worst < 3.5
+
+
+def test_orbit_keeps_the_bits_of_the_scans_with_moduli_near_the_prefilter_bound():
+    """Collinear classes: all 12 images pass the angle test, and the images
+    that swap the two long sides have moduli about share apart.  At
+    tolerances whose bound 4 tol + 2**-40 is such a gap, one ulp either
+    side, and at fractions of it, orbit is the scans' orbit."""
+    for share in (1e-3, 1e-6, 1e-9, 2.0 ** -38):
+        for turn in (0.0, 0.4, 2.5):
+            c = _collinear(share, turn)
+            m = shape._images(c)[0].sides.moduli()
+            for gap in {_moduli_gap(m, e) for e in range(1, 12)}:
+                for tol in _around((gap - 2.0 ** -40) / 4.0) + [gap / 3.5, gap / 2.0, gap]:
+                    want = _hexes(_orbit_by_pairs(c, tol))
+                    assert _hexes(orbit(c, tol)) == want == _hexes(_pairwise_orbit(c, tol))
+                    assert _hexes(_orbit_by_stabilizer_scan(c, tol)) == want
+
+
+def test_proj_dist_confirms_only_the_stabilizer_of_a_doubled_simple_orbit(monkeypatch):
+    """A doubled-simple class's images all share its angles; the moduli
+    prefilter leaves proj_dist the 3 elements of its stabilizer past the
+    identity, and a scalene class, decided by its angles, none."""
+    calls = []
+
+    def counting(t1, t2):
+        calls.append(1)
+        return proj_dist(t1, t2)
+
+    monkeypatch.setattr(shape, "proj_dist", counting)
+    rng = random.Random(61)
+    for _ in range(20):
+        c = _copy(*_base_shape("doubled-simple", rng), rng)
+        calls.clear()
+        assert len(orbit(c)) == 3 and len(calls) == 3
+        c = _copy(*_base_shape("scalene", rng), rng)
+        calls.clear()
+        assert len(orbit(c)) == 12 and not calls
+
+
 if __name__ == "__main__":
     records = [{"label": label, "class": _hex(c), "sha256": _action_digest(c)}
                for label, c in _golden_classes()]

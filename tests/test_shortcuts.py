@@ -1,19 +1,16 @@
 """The per-triangle path's shortcuts give the bits of the paths they skip.
 
-``AngleModPi`` stores the bits ``_wrap_pi`` gives, whose shortcuts on
-(-pi, 2 pi) ``tests/test_values.py`` compares with the former fmod path;
-``hopf`` skips its rescaling by 2^-e at e = 0, where it is
-the identity; ``TorusPoint`` and ``torus_inverse`` test the torus
-point's floats instead of calling ``angle_dist``, ``is_origin`` and
-``is_zero``; ``from_sides`` canonicalizes its six floats without the
-sequence checks of ``canonical_directions``.  Each test below runs the
-skipped path as it was written and compares every bit, the sign of a zero
-included.
+``hopf`` skips its rescaling by 2^-e at e = 0, where it is the identity;
+``TorusPoint`` and ``torus_inverse`` test the torus point's floats instead
+of calling ``angle_dist``, ``is_origin`` and ``is_zero``.  Each test below
+runs the skipped path as it was written and compares every bit, the sign
+of a zero included.  The wraps of ``AngleModPi`` and the canonical
+directions of ``from_sides`` are compared with their former code in
+``tests/test_values.py`` and ``tests/test_triangle.py``.
 """
 import cmath
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -22,7 +19,6 @@ from trishape.angles import DEFAULT_TOL, PI, AngleModPi, _interior, _scaled, _wr
 from trishape.angles import angle_dist
 from trishape.projections import TorusPoint, _torus_sides, hopf, torus_inverse
 from trishape.shape import ProjTripleC, ShapeClass
-from trishape.triangle import canonical_directions, from_sides
 
 TINY = 5e-324  # the least subnormal
 EDGES = [0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308, -1e-300, -1e-17, 1e-17,
@@ -35,35 +31,10 @@ def _same_bits(x: float, y: float) -> bool:
     return x.hex() == y.hex()
 
 
-@pytest.mark.parametrize("x", EDGES)
-def test_an_angle_wraps_an_edge_float_as_wrap_pi_does(x):
-    value = AngleModPi(x).value
-    assert type(value) is float and _same_bits(value, _wrap_pi(x))
-
-
 def test_a_tiny_negative_angle_wraps_to_zero_not_pi():
     # -1e-17 + pi rounds to pi, which _wrap_pi's fix-up takes back to 0.0
     assert -1e-17 + PI == PI
     assert _same_bits(AngleModPi(-1e-17).value, 0.0)
-
-
-@given(st.floats(allow_nan=False, allow_infinity=False)
-       | st.floats(-2.0 * PI, 3.0 * PI) | st.sampled_from(EDGES))
-def test_an_angle_wraps_every_float_as_wrap_pi_does(x):
-    value = AngleModPi(x).value
-    assert type(value) is float and _same_bits(value, _wrap_pi(x))
-
-
-class _Float(float):
-    pass
-
-
-@pytest.mark.parametrize("x", [0, 3, -4, 10**20, True, False, Fraction(1, 3),
-                               Fraction(-22, 7), _Float(0.5), _Float(-0.5), _Float(4.0),
-                               _Float(-0.0)])
-def test_an_angle_stores_a_plain_float_for_any_real(x):
-    value = AngleModPi(x).value
-    assert type(value) is float and _same_bits(value, _wrap_pi(float(x)))
 
 
 def _hopf_by_ldexp(u: complex, v: complex) -> tuple[float, float, float]:
@@ -180,14 +151,3 @@ def test_a_torus_point_tests_its_sum_as_angle_dist_does(d):
                 TorusPoint(p, q, r)
         else:
             assert TorusPoint(p, q, r).as_tuple() == tuple(map(AngleModPi, (p, q, r)))
-
-
-@given(st.lists(st.floats(-1e6, 1e6) | st.sampled_from(EDGES[:7]), min_size=4, max_size=4))
-def test_from_sides_canonicalizes_as_canonical_directions_does(parts):
-    a, b = complex(parts[0], parts[1]), complex(parts[2], parts[3])
-    c = -a - b
-    if not (a or b):
-        return  # a triple point needs explicit directions
-    got = from_sides(a, b, c).directions
-    want = canonical_directions((a.real, a.imag, b.real, b.imag, c.real, c.imag))
-    assert all(map(_same_bits, got, want))

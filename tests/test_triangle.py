@@ -249,6 +249,24 @@ def test_non_finite_basepoint_and_directions_raise():
         from_sides(0, 0, 0, directions=(1, 0, -0.5, 0.5, -math.inf, -0.5))
 
 
+@pytest.mark.parametrize("f", [classify, orientation])
+def test_a_direction_pair_whose_modulus_raises_is_refused_by_name(f):
+    """abs() of a direction pair raises OverflowError when a part is near the
+    float maximum, and, when errno still holds the ERANGE of an underflow,
+    for a NaN part: classify and orientation name the directions instead."""
+    sides, args = (1 + 0j, -1 + 0j, 0j), (AngleModPi(0.5),) * 3
+    huge = TriangleVariable(0j, sides, (1.7e308, 1.7e308, 1.0, 0.0, -1.0, 0.0), args)
+    with pytest.raises(ValueError, match="directions must be finite and canonical"):
+        f(huge)
+    nan = TriangleVariable(0j, sides, (math.nan, 5e-324, 1.0, 0.0, -1.0, 0.0), args)
+    for _ in range(2):
+        math.ldexp(5e-324, -3)  # underflows, which leaves errno at ERANGE
+        try:
+            f(nan)  # an interpreter whose abs() clears errno returns a value
+        except ValueError as exc:
+            assert "directions must be finite and canonical" in str(exc)
+
+
 @pytest.mark.parametrize("sides, basepoint, message", [
     ((math.nan, 1, -1), complex(math.inf, 0), "side-vectors must be finite"),
     ((1, 1, 1), complex(0, math.nan), "basepoint must be finite"),
@@ -403,4 +421,19 @@ def test_canonical_directions_negate_the_quotients_to_the_bit(v):
     """-(x / m) is x / (-m) for every x, zeros and subnormals included."""
     assume(any(v))
     got, want = canonical_directions(v), _canonical_by_signed_divisor(v)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@given(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                                         2.2250738585072014e-308, -1e-300,
+                                                         -1e-17]),
+                min_size=4, max_size=4))
+def test_from_sides_canonicalizes_as_the_signed_divisor_does(parts):
+    """from_sides' direction sextuple is, to the bit, canonical_directions as
+    it was written, of the sides a, b and c = -a - b."""
+    a, b = complex(parts[0], parts[1]), complex(parts[2], parts[3])
+    assume(a or b)  # a triple point needs explicit directions
+    c = -a - b
+    got = from_sides(a, b, c).directions
+    want = _canonical_by_signed_divisor((a.real, a.imag, b.real, b.imag, c.real, c.imag))
     assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -370,6 +370,34 @@ def test_an_angle_keeps_the_bits_and_refusals_of_the_former_constructor(x):
         assert _bits((-AngleModPi(x)).value) == _bits(_former_angle(-_former_angle(x)))
 
 
+#: floats at the ends of the wrap's branches: zeros, subnormals, +-pi and
+#: +-2 pi with their neighbours, and far out
+WRAP_EDGES = [0.0, -0.0, _TINY, -_TINY, 2.2250738585072014e-308, -1e-300, -1e-17, 1e-17,
+              PI, -PI, math.nextafter(PI, 0.0), math.nextafter(PI, 4.0),
+              math.nextafter(-PI, 0.0), math.nextafter(-PI, -4.0), 2.0 * PI,
+              math.nextafter(2.0 * PI, 0.0), -2.0 * PI, 3.0 * PI, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("x", WRAP_EDGES)
+def test_an_edge_float_keeps_the_bits_of_the_former_wrap(x):
+    want = _former_angle(x)
+    for value in (AngleModPi(x).value, _angle(x).value):
+        assert type(value) is float and value.hex() == want.hex()
+    assert _wrap_pi(x).hex() == _former_wrap_pi(x).hex()
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("x", [0, 3, -4, 10**20, True, False, Fraction(1, 3),
+                               Fraction(-22, 7), _Float(0.5), _Float(-0.5), _Float(4.0),
+                               _Float(-0.0)])
+def test_an_angle_stores_the_former_plain_float_for_any_real(x):
+    value = AngleModPi(x).value
+    assert type(value) is float and value.hex() == _former_angle(x).hex()
+
+
 _PART = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.75, _TINY]) | st.floats(-4.0, 4.0)
 #: exponents of the scale: the unit, both sides of 2^+-1000, near the ends of the range
 _SCALES = [0, 0, 1, -1, 999, 1000, 1001, -999, -1000, -1001, 1020, 1023, -1040, -1070]
