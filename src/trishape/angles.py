@@ -150,18 +150,49 @@ _set_value = AngleModPi.value.__set__
 
 
 def _angle(x: float) -> AngleModPi:
-    """``AngleModPi(x)`` for a float x, past the constructor's type test."""
+    """``AngleModPi(x)`` for a float x, past the constructor's type test, with
+    _wrap_pi's (-pi, 0) branch inline, bar a tiny x that lands on pi."""
     o = _new(AngleModPi)
-    if not 0.0 <= x < PI:  # _wrap_pi's (-pi, 0) branch inline, bar a tiny x that lands on pi
-        x = x + PI if -PI < x < 0.0 and x + PI < PI else _wrap_pi(x)
-    _set_value(o, x)
+    _set_value(o, x if 0.0 <= x < PI else x + PI if -PI < x < 0.0 and x + PI < PI else _wrap_pi(x))
     o.__post_init__()
     return o
 
 
+def _angles(x: float, y: float, z: float) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
+    """``(_angle(x), _angle(y), _angle(z))`` in one frame, written out: a loop is slower."""
+    a = _new(AngleModPi)
+    _set_value(a, x if 0.0 <= x < PI else x + PI if -PI < x < 0.0 and x + PI < PI else _wrap_pi(x))
+    a.__post_init__()
+    b = _new(AngleModPi)
+    _set_value(b, y if 0.0 <= y < PI else y + PI if -PI < y < 0.0 and y + PI < PI else _wrap_pi(y))
+    b.__post_init__()
+    c = _new(AngleModPi)
+    _set_value(c, z if 0.0 <= z < PI else z + PI if -PI < z < 0.0 and z + PI < PI else _wrap_pi(z))
+    c.__post_init__()
+    return a, b, c
+
+
 def _interior(xa: float, xb: float, xc: float) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
     """(alpha, beta, gamma) = (xi_b - xi_c, xi_c - xi_a, xi_a - xi_b) mod pi."""
-    return (_angle(xb - xc), _angle(xc - xa), _angle(xa - xb))
+    return _angles(xb - xc, xc - xa, xa - xb)
+
+
+def _angle_field(name: str, v: AngleModPi | float) -> AngleModPi:
+    """v itself if it is an ``AngleModPi``, else v wrapped into one; a value
+    that is not a finite real raises a ``ValueError`` that names the field."""
+    if isinstance(v, AngleModPi):
+        return v
+    try:
+        return AngleModPi(_number(v, name))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a finite angle: {exc}") from None
+
+
+def _apart(six, tol: float) -> bool:
+    """Whether six floats, sorted, step by more than tol, and pi less their span is too."""
+    v = sorted(six)
+    return (v[1] - v[0] > tol and v[2] - v[1] > tol and v[3] - v[2] > tol
+            and v[4] - v[3] > tol and v[5] - v[4] > tol and PI - (v[5] - v[0]) > tol)
 
 
 def _scaled(z: complex, k: int) -> complex:

@@ -14,54 +14,15 @@ import random
 from typing import Callable
 
 from .angles import PI, TANGENCY_BOUND, angle_dist, reduce_mod_pi
-from .triangle import (
-    GroupElement,
-    Orientation,
-    TriangleVariable,
-    act,
-    from_sides,
-    from_vertices,
-    interior_angles,
-    orientation,
-    vertex_angle,
-)
-from .shape import (
-    ProjTripleC,
-    ShapeClass,
-    act_class,
-    blowup_dist,
-    class_dist,
-    class_of,
-    orbit,
-    phi,
-    proj_dist,
-    psi,
-)
-from .projections import (
-    DELTA_A,
-    DELTA_B,
-    DELTA_C,
-    TorusPoint,
-    to_sphere,
-    to_torus,
-    torus_dist,
-    torus_fiber_limit,
-    torus_inverse,
-)
-from .families import (
-    Family,
-    Model,
-    PonceletConfig,
-    chord_tangency_residual,
-    constant_angle_family,
-    constant_ratio_family,
-    incircle_outcircle,
-    inscribed_family,
-    level_value,
-    limit_class,
-    poncelet_family,
-    separation_test,
-)
+from .triangle import GroupElement, Orientation, TriangleVariable, act, from_sides, from_vertices
+from .triangle import interior_angles, orientation, vertex_angle
+from .shape import ProjTripleC, ShapeClass, act_class, blowup_dist, class_dist, class_of, orbit
+from .shape import phi, proj_dist, psi
+from .projections import DELTA_A, DELTA_B, DELTA_C, TorusPoint, to_sphere, to_torus, torus_dist
+from .projections import torus_fiber_limit, torus_inverse
+from .families import Family, Model, PonceletConfig, chord_tangency_residual, constant_angle_family
+from .families import constant_ratio_family, incircle_outcircle, inscribed_family, level_value
+from .families import limit_class, poncelet_family, separation_test
 
 SEED = 20260824
 

@@ -17,13 +17,8 @@ from typing import Callable, Sequence
 
 from .angles import DEFAULT_TOL, AngleModPi, _number, _scaled, _set, _Value, angle_dist
 from .angles import ROUNDING_SNAP, TANGENCY_BOUND, reduce_mod_pi
-from .shape import ProjTripleC, ShapeClass, _pivot, class_dist, class_of
-from .triangle import (
-    DegeneracyType,
-    TriangleVariable,
-    classify,
-    from_vertices,
-)
+from .shape import ProjTripleC, ShapeClass, class_dist, class_of
+from .triangle import DegeneracyType, TriangleVariable, classify, from_vertices
 from .projections import sphere_dist, to_sphere, to_torus, torus_dist
 
 
@@ -105,9 +100,8 @@ class Family(_Value):
 
     def __init__(self, label: str, eval: Callable[[float], TriangleVariable],
                  domain: tuple[float, float]) -> None:
-        _set(self, "label", label)
-        _set(self, "eval", eval)
-        _set(self, "domain", domain)
+        for slot, v in zip(self.__slots__, (label, eval, domain)):
+            _set(self, slot, v)
 
 
 class Model(enum.Enum):
@@ -124,11 +118,8 @@ class SeparationReport(_Value):
 
     def __init__(self, model: Model, limit1: tuple[float, ...], limit2: tuple[float, ...],
                  distance: float, verdict: str) -> None:
-        _set(self, "model", model)
-        _set(self, "limit1", limit1)
-        _set(self, "limit2", limit2)
-        _set(self, "distance", distance)
-        _set(self, "verdict", verdict)
+        for slot, v in zip(self.__slots__, (model, limit1, limit2, distance, verdict)):
+            _set(self, slot, v)
 
     def to_json(self) -> dict:
         return {
@@ -354,6 +345,13 @@ def constant_ratio_family(ratio: float) -> Family:
         eval=_eval,
         domain=(0.0, t_max),
     )
+
+
+def _pivot(ma: float, mb: float, mc: float) -> int:
+    """Index of the largest of three moduli, the first one on a tie."""
+    if ma >= mb and ma >= mc:
+        return 0
+    return 1 if mb >= mc else 2
 
 
 def limit_class(f: Family) -> ShapeClass:

@@ -18,8 +18,8 @@ import math
 import operator
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, _interior, _number, _scaled, _Value
-from .angles import ROUNDING_SNAP, _wrap_pi, angle_dist
+from .angles import DEFAULT_TOL, PI, AngleModPi, _angle_field, _angles, _number, _scaled
+from .angles import ROUNDING_SNAP, _Value, _wrap_pi, angle_dist
 from .shape import ProjTripleC, ShapeClass
 from .triangle import canonical_directions
 
@@ -53,17 +53,6 @@ def sphere_dist(s1: SpherePoint, s2: SpherePoint) -> float:
     return math.dist(s1.as_tuple(), s2.as_tuple())
 
 
-def _angle_field(name: str, v: AngleModPi | float) -> AngleModPi:
-    """v itself if it is an ``AngleModPi``, else v wrapped into one; a value
-    that is not a finite real raises a ``ValueError`` that names the field."""
-    if isinstance(v, AngleModPi):
-        return v
-    try:
-        return AngleModPi(_number(v, name))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a finite angle: {exc}") from None
-
-
 class TorusPoint(_Value):
     """An angle triple (p, q, r) mod pi with p + q + r = 0 mod pi, each an
     ``AngleModPi`` or a finite real that is wrapped into one."""
@@ -75,7 +64,8 @@ class TorusPoint(_Value):
         if not p.__class__ is q.__class__ is r.__class__ is AngleModPi:
             p, q, r = _angle_field("p", p), _angle_field("q", q), _angle_field("r", r)
         total = p.value + q.value + r.value
-        w = _wrap_pi(total)  # angle_dist(total, 0.0) is min(w, pi - w)
+        # angle_dist(total, 0.0) is min(w, pi - w), w = _wrap_pi(total)
+        w = total - PI if PI <= total < 2.0 * PI else _wrap_pi(total)
         if w > DEFAULT_TOL and PI - w > DEFAULT_TOL:
             raise ValueError(f"angle triple does not sum to 0 mod pi: {total}")
         _set_p(self, p)
@@ -143,7 +133,7 @@ def hopf(u: complex, v: complex) -> SpherePoint:
 
 def to_sphere(c: ShapeClass) -> SpherePoint:
     """Project a class to the sphere through its side triple alone."""
-    a, b, _ = c.sides.as_tuple()
+    a, b = c.sides.a, c.sides.b
     return hopf(a + _K * b, _K * a + b)
 
 
@@ -151,17 +141,21 @@ def classify_sphere_locus(s: SpherePoint, tol: float = DEFAULT_TOL) -> frozenset
     """Flags for every special locus the point lies on, within tol.
 
     Circle and great-circle membership is tested by the defining linear
-    equation's residual; landmark membership by euclidean proximity.
+    equation's residual; landmark membership by euclidean proximity.  Every
+    landmark has y = 0 or |y| = 1, so none is within tol of a point in the
+    band 2 tol <= |y| <= 1 - 2 tol, whose distances are not computed.
     """
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
-    p = x, y, z = s.as_tuple()
+    p = x, y, z = s.x, s.y, s.z
+    ay = abs(y)
     # the residuals in SphereLocus order; the odd-side-a circle passes
     # through the double landmark with a = 0, which fixes the sign pairing
-    residuals = (abs(y), abs(x + _S3 * z), abs(x - _S3 * z), abs(x), abs(-_S3 * x + z + 1.0),
-                 abs(_S3 * x + z + 1.0), abs(z - 0.5), math.dist(p, (0.0, -1.0, 0.0)),
-                 math.dist(p, (0.0, 1.0, 0.0)), math.dist(p, DELTA_A), math.dist(p, DELTA_B),
-                 math.dist(p, DELTA_C))
+    residuals = (ay, abs(x + _S3 * z), abs(x - _S3 * z), abs(x), abs(-_S3 * x + z + 1.0),
+                 abs(_S3 * x + z + 1.0), abs(z - 0.5))
+    if not (2.0 * tol <= ay and 2.0 * tol <= 1.0 - ay):  # 1 - |y| is exact for |y| >= 1/2
+        residuals += (math.dist(p, (0.0, -1.0, 0.0)), math.dist(p, (0.0, 1.0, 0.0)),
+                      math.dist(p, DELTA_A), math.dist(p, DELTA_B), math.dist(p, DELTA_C))
     return frozenset(itertools.compress(_LOCI, map(operator.lt, residuals, itertools.repeat(tol))))
 
 
@@ -196,9 +190,10 @@ def torus_inverse(t: TorusPoint) -> ShapeClass:
         # side k is 0 and the other two cancel: [0 : 1 : -1] rotated, in the form
         sides = [(0j, 1 + 0j, -1 + 0j), (1 + 0j, 0j, -1 + 0j), (1 + 0j, -1 + 0j, 0j)][k]
         return ShapeClass(sides=ProjTripleC(*sides), angles=t.as_tuple())
-    raw = _torus_sides(p, q)
-    angles = _interior(*map(_wrap_pi, map(cmath.phase, raw)))
-    return ShapeClass(sides=ProjTripleC(*raw), angles=angles)
+    a, b, c = _torus_sides(p, q)
+    u, v, w = _wrap_pi(cmath.phase(a)), _wrap_pi(cmath.phase(b)), _wrap_pi(cmath.phase(c))
+    angles = _angles(v - w, w - u, u - v)  # _interior(u, v, w)
+    return ShapeClass(ProjTripleC(a, b, c), angles)
 
 
 def torus_fiber_limit(direction: Sequence[float]) -> tuple[float, float, float]:

@@ -8,21 +8,13 @@ import cmath
 import math
 import operator
 
-from .angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _angle, _interior, _new, _number
-from .angles import _scaled, _Value, _wrap_pi, angle_dist, reduce_mod_pi
-from .triangle import SLOTS, GroupElement, TriangleVariable, _side_record
-from .triangle import from_sides, interior_angles
+from .angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _angles, _apart, _interior, _new
+from .angles import _number, _scaled, _Value, _wrap_pi, angle_dist, reduce_mod_pi
+from .triangle import SLOTS, GroupElement, TriangleVariable, _arguments, _side_record, from_sides
 
 #: a class's side at or below this fraction of its largest is zero to
 #: lift_class, which then takes its argument from the stored angles
 _ZERO_SNAP = 1e-13
-
-
-def _pivot(ma: float, mb: float, mc: float) -> int:
-    """Index of the largest of three moduli, the first one on a tie."""
-    if ma >= mb and ma >= mc:
-        return 0
-    return 1 if mb >= mc else 2
 
 
 class ProjTripleC(_Value):
@@ -63,7 +55,7 @@ class ProjTripleC(_Value):
             a, b, c = _scaled(a, k), _scaled(b, k), _scaled(c, k)
             ma, mb, mc = abs(a), abs(b), abs(c)
         if not (scale <= 1.0 + 2.0 ** -50 and (a == 1 or b == 1 or c == 1)):
-            # by the first largest, as _pivot picks it; complex p / p is not always 1+0j
+            # by the first largest; complex p / p is not always 1+0j
             if ma >= mb and ma >= mc:
                 a, b, c = 1 + 0j, b / a, c / a
             elif mb >= mc:
@@ -159,8 +151,12 @@ class BlowupCoord(_Value):
 
 def class_of(T: TriangleVariable) -> ShapeClass:
     """Quotient map: forget the basepoint and projectivize the directions."""
-    pa, pb, pc = T.direction_pairs()
-    return ShapeClass(ProjTripleC(pa, pb, pc), interior_angles(T))
+    d0, d1, d2, d3, d4, d5 = T.directions
+    xa, xb, xc = T.arguments
+    if not xa.__class__ is xb.__class__ is xc.__class__ is AngleModPi:
+        xa, xb, xc = _arguments(T)
+    return ShapeClass(ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5)),
+                      _angles(xb.value - xc.value, xc.value - xa.value, xa.value - xb.value))
 
 
 def class_of_vertices(A: complex, B: complex, C: complex) -> ShapeClass:
@@ -194,16 +190,24 @@ def phi(c: ShapeClass) -> BlowupCoord:
     beta], each in [0, pi), shifted so that the largest side's is 0."""
     _alpha, beta, gamma = c.angles
     s = c.sides
-    xi = (0.0, _wrap_pi(-gamma.value), beta.value)
-    shift = xi[_pivot(abs(s.a), abs(s.b), abs(s.c))]
-    return BlowupCoord(s, (_angle(xi[0] - shift), _angle(xi[1] - shift), _angle(xi[2] - shift)))
+    ma, mb, mc = abs(s.a), abs(s.b), abs(s.c)
+    xb, xc = -gamma.value, beta.value
+    xb = xb + PI if -PI < xb < 0.0 and xb + PI < PI else _wrap_pi(xb)
+    shift = 0.0 if ma >= mb and ma >= mc else xb if mb >= mc else xc
+    b = _new(BlowupCoord)
+    _set_coord_sides(b, s)
+    _set_xi(b, _angles(0.0 - shift, xb - shift, xc - shift))  # not -shift: -0.0 at a zero shift
+    return b
 
 
 def psi(b: BlowupCoord) -> ShapeClass:
     """Blowup coordinate to class by the cross-product relation, whatever
     the diagonal representative of the xi."""
-    xi = b.xi
-    return ShapeClass(b.sides, _interior(xi[0].value, xi[1].value, xi[2].value))
+    xa, xb, xc = b.xi
+    c = _new(ShapeClass)
+    _set_sides(c, b.sides)
+    _set_angles(c, _angles(xb.value - xc.value, xc.value - xa.value, xa.value - xb.value))
+    return c
 
 
 def blowup_dist(b1: BlowupCoord, b2: BlowupCoord) -> float:
@@ -250,7 +254,7 @@ _KEY = tuple(operator.itemgetter(*(3 * (f != ((j - i) % 3 != 1)) + x for x in (i
 _ASCENDING = {(f != ((j - i) % 3 != 1), i, j, k): e for e, (i, j, k, f) in enumerate(_GROUP)}
 #: _cosets by Stab: at most the 2,048 subsets of range(12) that hold 0
 _COSETS: dict = {}
-#: the slot setters past _Value's refusing __setattr__, for the constructors and _images
+#: the slot setters past _Value's refusing __setattr__
 _set_a, _set_b, _set_c = ProjTripleC.a.__set__, ProjTripleC.b.__set__, ProjTripleC.c.__set__
 _set_sides, _set_angles = ShapeClass.sides.__set__, ShapeClass.angles.__set__
 _set_coord_sides, _set_xi = BlowupCoord.sides.__set__, BlowupCoord.xi.__set__
@@ -309,13 +313,6 @@ def _cosets(stab: tuple[int, ...]) -> tuple[int, ...]:
     return kept
 
 
-def _apart(six, tol: float) -> bool:
-    """Whether six floats, sorted, step by more than tol, and pi less their span is too."""
-    v = sorted(six)
-    return (v[1] - v[0] > tol and v[2] - v[1] > tol and v[3] - v[2] > tol
-            and v[4] - v[3] > tol and v[5] - v[4] > tol and PI - (v[5] - v[0]) > tol)
-
-
 def _members(c: ShapeClass, tol: float) -> tuple[tuple[int, ...], list[ShapeClass]]:
     """(kept, images): the _cosets of Stab, the elements whose image is
     class_equal to image 0, and the 12 images.  Kept for the last (c, tol),
@@ -352,7 +349,8 @@ def _members(c: ShapeClass, tol: float) -> tuple[tuple[int, ...], list[ShapeClas
 
 
 def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
-    """The class's distinct images under the 12 symmetries, in group order."""
+    """The class's images, one per coset of its tolerant stabilizer, in
+    group order; as tol is not transitive, two may be class_equal."""
     if math.isnan(tol):
         raise ValueError("orbit tolerance must not be NaN")
     kept, images = _members(c, tol)

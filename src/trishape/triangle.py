@@ -15,8 +15,8 @@ import math
 import operator
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, AngleModPi, _angle, _interior, _number, _set, _Value, angle_dist
-from .angles import reduce_mod_pi
+from .angles import DEFAULT_TOL, PI, AngleModPi, _angle_field, _angles, _new, _number, _set
+from .angles import _Value, angle_dist, reduce_mod_pi
 
 SLOTS = ("a", "b", "c")
 
@@ -157,8 +157,12 @@ def from_sides(
         a, b, c, basepoint = (_number(v, field, complex) for field, v in zip(
             ("side a", "side b", "side c", "basepoint"), (a, b, c, basepoint)))
     c, dirs, xi = _side_record(a, b, c, basepoint, directions, free_arguments)
-    return TriangleVariable(basepoint, (a, b, c), dirs,
-                            (_angle(xi[0]), _angle(xi[1]), _angle(xi[2])))
+    T = _new(TriangleVariable)
+    _set_basepoint(T, basepoint)
+    _set_sides(T, (a, b, c))
+    _set_directions(T, dirs)
+    _set_arguments(T, _angles(*xi))
+    return T
 
 
 def from_vertices(
@@ -206,11 +210,12 @@ def classify(T: TriangleVariable) -> DegeneracyType:
     except OverflowError:  # a part near the float maximum, or a NaN after a stale errno
         raise ValueError(f"directions must be finite and canonical: {T.directions}") from None
     xa, xb, xc = T.arguments
-    smp = (
-        angle_dist(xa, xb) <= DEFAULT_TOL
-        and angle_dist(xb, xc) <= DEFAULT_TOL
-        and angle_dist(xa, xc) <= DEFAULT_TOL
-    )
+    if not xa.__class__ is xb.__class__ is xc.__class__ is AngleModPi:
+        xa, xb, xc = _arguments(T)
+    # each angle_dist <= tol, as t <= tol or pi - t <= tol on values in [0, pi)
+    t0, t1, t2 = abs(xa.value - xb.value), abs(xb.value - xc.value), abs(xa.value - xc.value)
+    smp = ((t0 <= DEFAULT_TOL or PI - t0 <= DEFAULT_TOL) and (t1 <= DEFAULT_TOL
+           or PI - t1 <= DEFAULT_TOL) and (t2 <= DEFAULT_TOL or PI - t2 <= DEFAULT_TOL))
     return _STRATA[not (a or b or c), dbl, smp]
 
 
@@ -237,8 +242,16 @@ def orientation(T: TriangleVariable) -> Orientation:
 def interior_angles(T: TriangleVariable) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
     """Interior angles (alpha, beta, gamma) mod pi: differences of the side
     arguments, as ``angles._interior`` gives them."""
-    args = T.arguments
-    return _interior(args[0].value, args[1].value, args[2].value)
+    xa, xb, xc = T.arguments
+    if not xa.__class__ is xb.__class__ is xc.__class__ is AngleModPi:
+        xa, xb, xc = _arguments(T)
+    return _angles(xb.value - xc.value, xc.value - xa.value, xa.value - xb.value)
+
+
+def _arguments(T: TriangleVariable) -> tuple[AngleModPi, ...]:
+    """A hand-built triangle's arguments, for classify, interior_angles and class_of:
+    each finite real wrapped into an angle, anything else a ValueError naming them."""
+    return tuple(_angle_field("arguments", v) for v in T.arguments)
 
 
 def validate(T: TriangleVariable) -> list[str]:

@@ -194,6 +194,65 @@ def test_isosceles_circles_contain_their_double_landmark():
     assert SphereLocus.ISOSCELES_C in classify_sphere_locus(SpherePoint(*DELTA_C), 1e-9)
 
 
+_S3 = math.sqrt(3.0)
+_LANDMARKS = [(0.0, -1.0, 0.0), (0.0, 1.0, 0.0), DELTA_A, DELTA_B, DELTA_C]
+
+
+def _loci_by_residuals(s, tol):
+    """The loci whose residual is below tol, every one of the 12 computed:
+    the defining equations of the seven circles, then the distances to the
+    two equilateral poles and the three double landmarks."""
+    x, y, z = s.x, s.y, s.z
+    residuals = [abs(y), abs(x + _S3 * z), abs(x - _S3 * z), abs(x), abs(-_S3 * x + z + 1.0),
+                 abs(_S3 * x + z + 1.0), abs(z - 0.5)]
+    residuals += [math.dist((x, y, z), p) for p in _LANDMARKS]
+    return frozenset(locus for locus, r in zip(SphereLocus, residuals) if r < tol)
+
+
+def _steps(v, n):
+    """v moved by n ulps, up for n > 0."""
+    for _ in range(abs(n)):
+        v = math.nextafter(v, math.inf if n > 0 else -math.inf)
+    return v
+
+
+def _toward(landmark, y):
+    """The unit vector at height y above or below the landmark's meridian."""
+    lx, _, lz = landmark
+    r = math.hypot(lx, lz)
+    m = math.sqrt(max(0.0, 1.0 - y * y))
+    return (lx / r * m, y, lz / r * m) if r else (m, y, 0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6, 0.3, -1e-9, 1e-17, 5e-324])
+def test_the_landmark_band_skips_no_locus(tol):
+    """classify_sphere_locus computes no landmark distance in the band
+    2 tol <= |y| <= 1 - 2 tol.  At its edges, a few ulps either side, at
+    half a tol from every landmark and on it, the loci are those of all 12
+    residuals.  A tol below 2**-54 makes 1 - 2 tol round to 1, so the band
+    must be tested as 2 tol <= 1 - |y|."""
+    heights = [2.0 * tol, 1.0 - 2.0 * tol, tol / 2.0, 1.0 - tol / 2.0, 0.0, 1.0]
+    points = [SpherePoint(*p) for p in _LANDMARKS]
+    for h, n, sign, landmark in itertools.product(heights, range(-3, 4), (1.0, -1.0), _LANDMARKS):
+        y = sign * _steps(h, n)
+        if abs(y) <= 1.0:
+            points.append(SpherePoint(*_toward(landmark, y)))
+    # half a tol off each landmark, along the sphere
+    for lx, ly, lz in _LANDMARKS:
+        d = abs(tol) / 2.0
+        p = (lx + d, ly, lz) if ly else (lx, d, lz)
+        n = math.hypot(*p)
+        points.append(SpherePoint(p[0] / n, p[1] / n, p[2] / n))
+    inside = [2.0 * tol <= abs(s.y) and 2.0 * tol <= 1.0 - abs(s.y) for s in points]
+    assert any(inside) or tol > 0.25
+    assert not all(inside) or tol <= 0.0
+    for s in points:
+        assert classify_sphere_locus(s, tol) == _loci_by_residuals(s, tol), (s, tol)
+    if 0.0 < tol <= 1e-6:  # a point on a landmark, or half a tol off it, is on it
+        assert all(any(classify_sphere_locus(s, tol) & {locus} for s in points)
+                   for locus in list(SphereLocus)[7:])
+
+
 def test_torus_point_sum_constraint():
     with pytest.raises(ValueError):
         TorusPoint(reduce_mod_pi(0.3), reduce_mod_pi(0.3), reduce_mod_pi(0.3))

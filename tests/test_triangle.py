@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -23,6 +24,7 @@ from trishape.triangle import (
     validate,
     vertex_angle,
 )
+from trishape.shape import class_of
 
 
 def test_vertices_from_sides():
@@ -391,6 +393,48 @@ def test_classify_and_orientation_agree_with_the_pairs_on_built_triangles(verts,
     T = from_vertices(*verts, directions=directions, free_arguments=free)
     assert classify(T) is _stratum_by_pairs(T)
     assert orientation(T) is _orientation_by_pairs(T)
+
+
+#: the sides and directions of a doubled-simple triangle built by hand
+_BY_HAND = ((1 + 0j, -1 + 0j, 0j), (1.0, 0.0, -1.0, 0.0, 0.0, 0.0))
+_SCALENE = from_vertices(0.2, 1.3 + 0.1j, 0.4 + 0.9j)
+
+
+@pytest.mark.parametrize("sides, dirs, args", [
+    (*_BY_HAND, (0.5, 0.5, 0.5)),
+    (*_BY_HAND, (0.5 + PI, 0.5 - 3.0 * PI, 0.5 + 1e-12)),
+    (*_BY_HAND, (1, Fraction(1, 3), True)),
+    (*_BY_HAND, (-0.0, 0.0, math.nextafter(PI, 0.0))),
+    (*_BY_HAND, (AngleModPi(0.25), 0.25 + PI, -1e-17)),
+    (*_BY_HAND, (PI, -PI, 2.0 * PI)),
+    (_SCALENE.sides, _SCALENE.directions,
+     tuple(x.value + k * PI for x, k in zip(_SCALENE.arguments, (1, -2, 0)))),
+])
+def test_real_arguments_are_wrapped_as_angles_by_classify_interior_angles_and_class_of(
+        sides, dirs, args):
+    """A hand-built triangle whose arguments are finite reals gives classify,
+    interior_angles and class_of the bits of the same triangle with each real
+    wrapped by AngleModPi."""
+    T = TriangleVariable(0j, sides, dirs, args)
+    wrapped = TriangleVariable(0j, sides, dirs, tuple(
+        v if isinstance(v, AngleModPi) else AngleModPi(v) for v in args))
+    assert classify(T) is classify(wrapped) is _stratum_by_pairs(T)
+    got, want = interior_angles(T), interior_angles(wrapped)
+    assert [x.value.hex() for x in got] == [x.value.hex() for x in want]
+    c, cw = class_of(T), class_of(wrapped)
+    assert c == cw and [x.value.hex() for x in c.angles] == [x.value.hex() for x in cw.angles]
+    if args == (0.5, 0.5, 0.5):
+        assert classify(T) is DegeneracyType.DOUBLED_SIMPLE
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, "half", None, 1j,
+                                 (0.5,)])
+@pytest.mark.parametrize("f", [classify, interior_angles, class_of])
+def test_an_argument_that_is_not_a_finite_real_is_refused_by_name(f, bad):
+    sides, dirs = _BY_HAND
+    for args in ((bad, 0.5, 0.5), (AngleModPi(0.5), AngleModPi(0.5), bad)):
+        with pytest.raises(ValueError, match="^arguments must be a finite angle: "):
+            f(TriangleVariable(0j, sides, dirs, args))
 
 
 #: direction pairs whose moduli by abs(complex) and by math.hypot (CPython

@@ -15,8 +15,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from trishape.angles import CLOSURE_BOUND, PI, AngleModPi, _angle, _number, _scaled, _wrap_pi
-from trishape.angles import angle_dist
+from trishape.angles import CLOSURE_BOUND, PI, AngleModPi, _angle, _angles, _number, _scaled
+from trishape.angles import _wrap_pi, angle_dist
 from trishape.triangle import GroupElement, TriangleVariable, classify, from_sides, from_vertices
 from trishape.shape import BlowupCoord, ProjTripleC, ShapeClass, class_of, phi, psi
 from trishape.shape import class_of_vertices
@@ -236,6 +236,52 @@ def test_the_chain_past_class_of_passes_the_hooks_a_known_number_of_times(
         assert built["ProjTripleC"][-1] is back.sides
 
 
+def test_three_angles_in_one_frame_pass_their_hooks_once_in_order(built):
+    three = _angles(-1.0, 0.5, 4.0)
+    assert _counts(built) == (3, 0)
+    assert all(x is y for x, y in zip(built["AngleModPi"], three))
+
+
+def _past_constructors():
+    """(name, value) of what from_sides, class_of, phi, psi and torus_inverse
+    return, whose objects or angles are built past the public constructors
+    (the slot setters, _angles), and of _angles' own angles; on a scalene,
+    a simple and a double triangle and one with a -0.0 vertex."""
+    out = []
+    for verts, free in (((0.25, 1.5 + 0.125j, 0.5 + 1j), None), ((0, 1, 2), None),
+                        ((0, 1, 1), {"a": 1.0}), ((1j, -0.0, 1), None)):
+        T = from_vertices(*verts, free_arguments=free)
+        c = class_of(T)
+        b = phi(c)
+        out += [("from_sides", T), ("class_of", c), ("phi", b), ("psi", psi(b))]
+        if classify(T).value != "Simple":
+            out.append(("torus_inverse", torus_inverse(to_torus(c))))
+    out += [("_angles", x) for x in _angles(-0.0, -1.0, 4.0) + _angles(0.0, PI, -1e-17)]
+    return out
+
+
+_PAST = _past_constructors()
+
+
+@pytest.mark.parametrize("name, x", _PAST, ids=[f"{n}-{i}" for i, (n, _) in enumerate(_PAST)])
+def test_a_value_built_past_its_constructor_is_the_constructors_value(name, x):
+    """Equality, hash, repr, copies and pickles are those of the public
+    constructor called with the same fields."""
+    cls = type(x)
+    fields = tuple(getattr(x, n) for n in cls.__slots__)
+    y = cls(*fields)
+    assert x == y and y == x and not x != y and hash(x) == hash(y) == hash(fields)
+    assert repr(x) == repr(y) and _bits(x) == _bits(y)
+    copies = [copy.copy(x), copy.deepcopy(x)]
+    copies += [pickle.loads(pickle.dumps(x, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for z in copies:
+        assert type(z) is cls and z == y and hash(z) == hash(y) and repr(z) == repr(y)
+        assert _bits(z) == _bits(y)
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(AttributeError, match="cannot assign"):
+        setattr(x, cls.__slots__[0], 1.0)
+
+
 _HUGE = "9" * 401  # a valid JSON integer that no float holds
 _BIG = 10**400
 
@@ -384,6 +430,15 @@ def test_an_edge_float_keeps_the_bits_of_the_former_wrap(x):
     for value in (AngleModPi(x).value, _angle(x).value):
         assert type(value) is float and value.hex() == want.hex()
     assert _wrap_pi(x).hex() == _former_wrap_pi(x).hex()
+
+
+@pytest.mark.parametrize("x", WRAP_EDGES + [math.nan, math.inf, -math.inf])
+def test_three_angles_wrap_each_place_as_one_angle_does(x):
+    want = _outcome(lambda: _angle(x).value)
+    for k in range(3):
+        args = [0.5, -0.5, 4.0]
+        args[k] = x
+        assert _outcome(lambda: _angles(*args)[k].value) == want
 
 
 class _Float(float):
