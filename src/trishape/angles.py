@@ -51,13 +51,21 @@ def _wrap_pi(x: float) -> float:
 
 
 def _number(v: object, field: str, kind: type = float) -> float | complex:
-    """kind(v), with kind float or complex.  A value out of the float range,
-    such as an int of 309 digits, raises a ``ValueError`` that names the
-    field, not an ``OverflowError``, and does not print the value."""
-    try:
-        return kind(v)
-    except OverflowError:
-        raise ValueError(f"{field} is out of the float range") from None
+    """kind(v), with kind float or complex.  A string, which kind would
+    parse, a value kind refuses, or one out of the float range, such as an
+    int of 309 digits, raises a ``ValueError`` that names the field and
+    does not print the value."""
+    if v.__class__ is kind:
+        return v
+    if not isinstance(v, (str, bytes, bytearray)):
+        try:
+            return kind(v)
+        except OverflowError:
+            raise ValueError(f"{field} is out of the float range") from None
+        except TypeError:
+            pass
+    name = "real" if kind is float else "complex"
+    raise ValueError(f"{field} must be a {name} number, not {type(v).__name__}")
 
 
 #: sets a field of a value object past its refusing ``__setattr__``
@@ -188,9 +196,8 @@ def _angle_field(name: str, v: AngleModPi | float) -> AngleModPi:
         raise ValueError(f"{name} must be a finite angle: {exc}") from None
 
 
-def _apart(six, tol: float) -> bool:
-    """Whether six floats, sorted, step by more than tol, and pi less their span is too."""
-    v = sorted(six)
+def _apart(v, tol: float) -> bool:
+    """Whether six sorted floats step by more than tol, and pi less their span is too."""
     return (v[1] - v[0] > tol and v[2] - v[1] > tol and v[3] - v[2] > tol
             and v[4] - v[3] > tol and v[5] - v[4] > tol and PI - (v[5] - v[0]) > tol)
 

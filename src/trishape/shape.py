@@ -22,9 +22,7 @@ class ProjTripleC(_Value):
 
     Canonical form: divided by the first largest coordinate, which becomes
     1+0j.  A triple holding a 1 and no modulus above 1 + 2**-50 is kept, so
-    the form is idempotent and kept by permuting and conjugating.  The
-    constructor tests and canonicalizes; ``__post_init__`` does nothing and
-    runs once per construction, so a wrapper put on the class counts them."""
+    the form is idempotent and kept by permuting and conjugating."""
 
     __slots__ = ("a", "b", "c")
 
@@ -152,7 +150,10 @@ class BlowupCoord(_Value):
 def class_of(T: TriangleVariable) -> ShapeClass:
     """Quotient map: forget the basepoint and projectivize the directions."""
     d0, d1, d2, d3, d4, d5 = T.directions
-    xa, xb, xc = T.arguments
+    try:
+        xa, xb, xc = T.arguments
+    except (TypeError, ValueError):
+        xa, xb, xc = _arguments(T)
     if not xa.__class__ is xb.__class__ is xc.__class__ is AngleModPi:
         xa, xb, xc = _arguments(T)
     return ShapeClass(ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5)),
@@ -241,17 +242,23 @@ def lift_class(c: ShapeClass) -> TriangleVariable:
     return from_sides(*snapped, free_arguments=free or None)
 
 
-#: (i, j, k, flip) of the 12 symmetries, in the order orbit lists their images
-_GROUP = tuple((*g.perm, g.flip) for g in GroupElement.all_elements())
+def _row(i, j, k, f) -> tuple:
+    """The row of g = ((i, j, k), f): its image takes the angles theta_(i, j, k)
+    of set s, own (0) or negated (1: one of the flip and an odd permutation),
+    and the sides z_(i, j, k), conjugated on a flip."""
+    return i, j, k, f != ((j - i) % 3 != 1), f
+
+
+#: the rows in orbit order; elements 2p and 2p + 1 share a permutation
+_GROUP = tuple(_row(*g.perm, g.flip) for g in GroupElement.all_elements())
 #: _MUL[e][h]: the index of _GROUP[e] * _GROUP[h], by GroupElement.__mul__
-_MUL = tuple(tuple(_GROUP.index((q[p[0]], q[p[1]], q[p[2]], p[3] ^ q[3])) for q in _GROUP)
+_MUL = tuple(tuple(_GROUP.index(_row(q[p[0]], q[p[1]], q[p[2]], p[4] ^ q[4])) for q in _GROUP)
              for p in _GROUP)
-#: _KEY[e] picks image e's canonical_rep key out of images 0 and 1's angles
-#: (own and negated) and image 0's moduli, which no flip changes
-_KEY = tuple(operator.itemgetter(*(3 * (f != ((j - i) % 3 != 1)) + x for x in (i, j, k)),
-                                 6 + i, 6 + j, 6 + k) for i, j, k, f in _GROUP)
-#: _ASCENDING[s, i, j, k]: the element whose image's angles are theta_(i, j, k), negated if s
-_ASCENDING = {(f != ((j - i) % 3 != 1), i, j, k): e for e, (i, j, k, f) in enumerate(_GROUP)}
+#: _KEY[e]: image e's canonical_rep key, out of the six angle parts and the moduli
+_KEY = tuple(operator.itemgetter(3 * s + i, 3 * s + j, 3 * s + k, 6 + i, 6 + j, 6 + k)
+             for i, j, k, s, _ in _GROUP)
+#: _ASCENDING[i, j, k, s]: the element whose image has theta_(i, j, k) of set s
+_ASCENDING = {g[:4]: e for e, g in enumerate(_GROUP)}
 #: _cosets by Stab: at most the 2,048 subsets of range(12) that hold 0
 _COSETS: dict = {}
 #: the slot setters past _Value's refusing __setattr__
@@ -260,28 +267,29 @@ _set_sides, _set_angles = ShapeClass.sides.__set__, ShapeClass.angles.__set__
 _set_coord_sides, _set_xi = BlowupCoord.sides.__set__, BlowupCoord.xi.__set__
 
 
-def _images(c: ShapeClass, group=_GROUP) -> list[ShapeClass]:
-    """The class's images under ``group`` (all 12), in order.  g = (i, j, k,
-    flip) takes the angles (theta_i, theta_j, theta_k), negated mod pi when
-    exactly one of the flip and an odd permutation holds, and the sides
-    (z_i, z_j, z_k), conjugated on a flip, which keep ProjTripleC's
-    canonical form.  z is the class's own sides, or at the zero snap its
-    lift's direction pairs, whose zero is 0j."""
-    own = c.angles
-    signed = (own, (-own[0], -own[1], -own[2]))
-    sides = c.sides
-    m = sides.moduli()
+def _frame(c: ShapeClass) -> tuple:
+    """(z, m, zs, signed): the sides, or at the zero snap the lift's, whose
+    zero is 0j; their moduli; them, conjugated; the angles, negated."""
+    z = c.sides
+    m = z.moduli()
     if min(m) <= _ZERO_SNAP * max(m):
-        sides = ProjTripleC(*lift_class(c).direction_pairs())
-    z = sides.as_tuple()
-    zs = (z, (z[0].conjugate(), z[1].conjugate(), z[2].conjugate()))
+        z = ProjTripleC(*lift_class(c).direction_pairs())
+        m = z.moduli()
+    a, b, g = t = z.as_tuple()
+    x, y, w = own = c.angles
+    return z, m, (t, (a.conjugate(), b.conjugate(), g.conjugate())), (
+        own, _angles(-x.value, -y.value, -w.value))
+
+
+def _build(zs, signed, rows) -> list[ShapeClass]:
+    """The rows' images, bare: moved sides keep the canonical form."""
     out = []
-    for i, j, k, flip in group:
-        w, s = signed[flip != ((j - i) % 3 != 1)], zs[flip]
+    for i, j, k, s, f in rows:
+        z, w = zs[f], signed[s]
         moved = _new(ProjTripleC)
-        _set_a(moved, s[i])
-        _set_b(moved, s[j])
-        _set_c(moved, s[k])
+        _set_a(moved, z[i])
+        _set_b(moved, z[j])
+        _set_c(moved, z[k])
         image = _new(ShapeClass)
         _set_sides(image, moved)
         _set_angles(image, (w[i], w[j], w[k]))
@@ -290,12 +298,12 @@ def _images(c: ShapeClass, group=_GROUP) -> list[ShapeClass]:
 
 
 def act_class(g: GroupElement, c: ShapeClass) -> ShapeClass:
-    """The class's image under g, as in _images (``triangle.act`` on a lift
-    is the independent path)."""
-    return _images(c, ((*g.perm, g.flip),))[0]
+    """The class's image under g, as orbit builds it (``triangle.act`` on a
+    lift is the independent path)."""
+    return _build(*_frame(c)[2:], (_row(*g.perm, g.flip),))[0]
 
 
-#: (c, tol, result) of the last _members call; matched by identity, since
+#: (c, tol, result) of the last _dedup call; matched by identity, since
 #: equal classes may differ in the sign of a zero
 _last: tuple = (None, None, None)
 
@@ -313,39 +321,48 @@ def _cosets(stab: tuple[int, ...]) -> tuple[int, ...]:
     return kept
 
 
-def _members(c: ShapeClass, tol: float) -> tuple[tuple[int, ...], list[ShapeClass]]:
-    """(kept, images): the _cosets of Stab, the elements whose image is
-    class_equal to image 0, and the 12 images.  Kept for the last (c, tol),
-    so canonical_rep after orbit of one object reuses it.  proj_dist runs
-    only where each slot's side modulus is within 4 tol + 2**-40 of image
-    0's.  Images share their moduli, so their norm n < 1.74; with X, Y =
-    x/n, y/n, d = |X - <X, Y> Y| <= 1 and |<X, Y>| >= 1 - d**2, ||x_s| -
-    |y_s|| <= n (d + d**2) < 3.5 d, and a computed proj_dist <= tol means
-    d <= tol + 2**-48, the moduli rounding by less than 2**-50."""
+def _dedup(c: ShapeClass, tol: float) -> tuple:
+    """(kept, images, six, v, m): the _cosets of Stab, the elements whose image
+    is class_equal to image 0; their images; the own and negated angles; v
+    them sorted; the moduli.  Kept for the last (c, tol).  Each element but
+    0 compares two of the six in some slot: _apart, Stab is {0}.  Else
+    proj_dist runs only where each slot's modulus is within 4 tol + 2**-40
+    of image 0's, for both elements of a permutation: with n < 1.74 the
+    images' norm, X, Y = x/n, y/n, d = |X - <X, Y> Y| and |<X, Y>| >= 1 -
+    d**2, ||x_s| - |y_s|| <= n (d + d**2) < 3.5 d; proj_dist <= tol means
+    d <= tol + 2**-48."""
     global _last
     last = _last  # read once: another thread may replace it
     if last[0] is c and last[1] == tol:
         return last[2]
-    images = _images(c)
-    first = images[0]
-    b0, b1, b2 = (x.value for x in first.angles)
-    # each element but the identity compares, in some slot, two different ones of the six
-    # angles of images 0 and 1: by monotone rounding, if they are _apart no scan finds it
+    sides, m, zs, signed = _frame(c)
+    (x, y, w), (p, q, r) = signed
+    b0, b1, b2 = x.value, y.value, w.value
+    six = (b0, b1, b2, p.value, q.value, r.value)
+    v = sorted(six)
     stab = [0]
-    if not _apart((b0, b1, b2, *(x.value for x in images[1].angles)), tol):
-        m, bound = first.sides.moduli(), 4.0 * tol + 2.0 ** -40
-        for h, (i, j, k, _) in enumerate(_GROUP[1:], 1):
-            # angle_dist: min(t, pi - t) on values already in [0, pi)
-            x, y, z = images[h].angles
-            t0, t1, t2 = abs(x.value - b0), abs(y.value - b1), abs(z.value - b2)
-            if ((t0 <= tol or PI - t0 <= tol) and (t1 <= tol or PI - t1 <= tol)
-                    and (t2 <= tol or PI - t2 <= tol)
-                    and max(abs(m[i] - m[0]), abs(m[j] - m[1]), abs(m[k] - m[2])) <= bound
-                    and proj_dist(images[h].sides, first.sides) <= tol):
-                stab.append(h)
+    if not _apart(v, tol):
+        bound = 4.0 * tol + 2.0 ** -40
+        for e in range(0, 12, 2):
+            i, j, k, _, _ = _GROUP[e]
+            if not max(abs(m[i] - m[0]), abs(m[j] - m[1]), abs(m[k] - m[2])) <= bound:
+                continue
+            for h in (e, e + 1) if e else (1,):
+                s, f = _GROUP[h][3:]
+                o = 3 * s  # angle_dist: min(t, pi - t) on values already in [0, pi)
+                t0, t1, t2 = abs(six[o + i] - b0), abs(six[o + j] - b1), abs(six[o + k] - b2)
+                if ((t0 <= tol or PI - t0 <= tol) and (t1 <= tol or PI - t1 <= tol)
+                        and (t2 <= tol or PI - t2 <= tol)):
+                    z, moved = zs[f], _new(ProjTripleC)
+                    _set_a(moved, z[i])
+                    _set_b(moved, z[j])
+                    _set_c(moved, z[k])
+                    if proj_dist(moved, sides) <= tol:
+                        stab.append(h)
     kept = _cosets(tuple(stab))
-    _last = (c, tol, (kept, images))
-    return kept, images
+    result = kept, _build(zs, signed, map(_GROUP.__getitem__, kept)), six, v, m
+    _last = (c, tol, result)
+    return result
 
 
 def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
@@ -353,30 +370,28 @@ def orbit(c: ShapeClass, tol: float = DEFAULT_TOL) -> list[ShapeClass]:
     group order; as tol is not transitive, two may be class_equal."""
     if math.isnan(tol):
         raise ValueError("orbit tolerance must not be NaN")
-    kept, images = _members(c, tol)
-    return [images[e] for e in kept]
+    return _dedup(c, tol)[1][:]
 
 
 def canonical_rep(c: ShapeClass) -> ShapeClass:
     """The first orbit member with the least key, compared component by
     component, those within DEFAULT_TOL counted equal: slot-ordered angles,
     one within DEFAULT_TOL of pi read as near 0, then side moduli."""
-    kept, images = _members(c, DEFAULT_TOL)
-    (x, y, z), (u, v, w) = images[0].angles, images[1].angles
-    parts = [t - PI if PI - t <= DEFAULT_TOL else t
-             for t in (x.value, y.value, z.value, u.value, v.value, w.value)]
-    if len(kept) == 12 and _apart(parts, DEFAULT_TOL):  # a strict order, least part first
-        s, i = divmod(parts.index(min(parts)), 3)  # its set, own (0) or negated (1)
-        j, k, held = (i + 1) % 3, (i + 2) % 3, parts[3 * s:]  # its set's parts first
-        return images[_ASCENDING[(s, i, j, k) if held[j] < held[k] else (s, i, k, j)]]
-    parts += images[0].sides.moduli()
-    best = kept[0]
-    best_key = _KEY[best](parts)
-    for e in kept[1:]:
-        key = _KEY[e](parts)
-        for t, b in zip(key, best_key):
-            if abs(t - b) > DEFAULT_TOL:
-                if t < b:
-                    best, best_key = e, key
-                break
-    return images[best]
+    kept, members, six, v, m = _dedup(c, DEFAULT_TOL)
+    parts = six
+    if PI - v[5] <= DEFAULT_TOL:
+        parts = [t - PI if PI - t <= DEFAULT_TOL else t for t in six]
+    if len(kept) < 12 or not _apart(v if parts is six else sorted(parts), DEFAULT_TOL):
+        parts += m
+        best, best_key = 0, _KEY[0](parts)
+        for n in range(1, len(kept)):
+            key = _KEY[kept[n]](parts)
+            for t, b in zip(key, best_key):
+                if abs(t - b) > DEFAULT_TOL:
+                    if t < b:
+                        best, best_key = n, key
+                    break
+        return members[best]
+    s, i = divmod(parts.index(min(parts)), 3)  # strictly ordered: the least part's set
+    j, k, held = (i + 1) % 3, (i + 2) % 3, parts[3 * s:]
+    return members[_ASCENDING[(i, j, k, s) if held[j] < held[k] else (i, k, j, s)]]

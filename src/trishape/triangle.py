@@ -209,7 +209,10 @@ def classify(T: TriangleVariable) -> DegeneracyType:
                or abs(complex(d4, d5)) <= DEFAULT_TOL)
     except OverflowError:  # a part near the float maximum, or a NaN after a stale errno
         raise ValueError(f"directions must be finite and canonical: {T.directions}") from None
-    xa, xb, xc = T.arguments
+    try:
+        xa, xb, xc = T.arguments
+    except (TypeError, ValueError):
+        xa, xb, xc = _arguments(T)
     if not xa.__class__ is xb.__class__ is xc.__class__ is AngleModPi:
         xa, xb, xc = _arguments(T)
     # each angle_dist <= tol, as t <= tol or pi - t <= tol on values in [0, pi)
@@ -242,7 +245,10 @@ def orientation(T: TriangleVariable) -> Orientation:
 def interior_angles(T: TriangleVariable) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
     """Interior angles (alpha, beta, gamma) mod pi: differences of the side
     arguments, as ``angles._interior`` gives them."""
-    xa, xb, xc = T.arguments
+    try:
+        xa, xb, xc = T.arguments
+    except (TypeError, ValueError):
+        xa, xb, xc = _arguments(T)
     if not xa.__class__ is xb.__class__ is xc.__class__ is AngleModPi:
         xa, xb, xc = _arguments(T)
     return _angles(xb.value - xc.value, xc.value - xa.value, xa.value - xb.value)
@@ -250,8 +256,13 @@ def interior_angles(T: TriangleVariable) -> tuple[AngleModPi, AngleModPi, AngleM
 
 def _arguments(T: TriangleVariable) -> tuple[AngleModPi, ...]:
     """A hand-built triangle's arguments, for classify, interior_angles and class_of:
-    each finite real wrapped into an angle, anything else a ValueError naming them."""
-    return tuple(_angle_field("arguments", v) for v in T.arguments)
+    each finite real wrapped into an angle, anything else, or other than three of
+    them, a ValueError naming them."""
+    try:
+        xa, xb, xc = T.arguments
+    except (TypeError, ValueError):
+        raise ValueError("arguments must be three angles") from None
+    return tuple(_angle_field("arguments", v) for v in (xa, xb, xc))
 
 
 def validate(T: TriangleVariable) -> list[str]:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trishape import shape, triangle
-from trishape.angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _scaled, reduce_mod_pi
+from trishape.angles import (CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _scaled, angle_dist,
+                             reduce_mod_pi)
 from trishape.projections import TorusPoint, _torus_sides, to_torus, torus_inverse
 from trishape.triangle import GroupElement, act, classify, from_sides, from_vertices
 from trishape.shape import (
@@ -46,6 +47,12 @@ def _random_double(rng):
     z = cmath.exp(1j * rng.uniform(0, 2 * PI))
     free = {"b": reduce_mod_pi(rng.uniform(0, PI))}
     return class_of(from_sides(z, 0, -z, free_arguments=free))
+
+
+def _images(c):
+    """All 12 images of the class, in group order, by the builder orbit uses
+    for the images it keeps."""
+    return shape._build(*shape._frame(c)[2:], shape._GROUP)
 
 
 def _hex(c):
@@ -864,35 +871,53 @@ def test_canonical_rep_matches_a_scan_of_the_orbit():
 
 
 def _count_images(monkeypatch):
-    """The list of every image shape._images builds from now on."""
+    """The list of every image shape._build builds from now on."""
     built = []
 
-    def counting_images(c, _orig=shape._images):
-        images = _orig(c)
+    def counting_build(zs, signed, rows, _orig=shape._build):
+        images = _orig(zs, signed, rows)
         built.extend(images)
         return images
 
-    monkeypatch.setattr(shape, "_images", counting_images)
+    monkeypatch.setattr(shape, "_build", counting_build)
     return built
 
 
-def test_canonical_rep_after_orbit_builds_no_image(monkeypatch):
-    c = class_of(from_vertices(0, 1, 0.3 + 0.8j))
-    built = _count_images(monkeypatch)
-    assert len(orbit(c)) == 12
-    assert len(built) == 12
-    canonical_rep(c)
-    assert len(built) == 12  # canonical_rep reuses orbit's images
+@pytest.mark.parametrize("kind, size", [("doubled-simple", 3), ("simple", 6), ("scalene", 12)])
+def test_orbit_builds_only_the_kept_images_and_canonical_rep_none(monkeypatch, kind, size):
+    """orbit builds one image per coset, and canonical_rep right after it
+    builds none and sorts nothing: it reads orbit's images and six floats."""
+    rng = random.Random(62)
+    sorts = []
+
+    def counting_sorted(v):
+        sorts.append(1)
+        return sorted(v)
+
+    for _ in range(10):
+        c = _copy(*_base_shape(kind, rng), rng)
+        built = _count_images(monkeypatch)
+        members = orbit(c)
+        assert len(members) == len(built) == size
+        assert all(img is b for img, b in zip(members, built))
+        monkeypatch.setattr(shape, "sorted", counting_sorted, raising=False)
+        assert any(canonical_rep(c) is img for img in members)
+        assert len(built) == size and not sorts
+        monkeypatch.undo()
 
 
 def test_member_angles_are_the_image_angles():
-    """The angles the orbit dedup compares, those of the images it keeps,
-    are to the bit the class's own angles, signed and permuted."""
+    """The angles of the builder's images, and the six floats the orbit
+    dedup compares (those of images 0 and 1), are to the bit the class's
+    own angles, signed and permuted."""
     for label, c in _golden_classes():
-        _, images = shape._members(c, DEFAULT_TOL)
+        images = _images(c)
         for e, g in enumerate(GroupElement.all_elements()):
             want = [float.hex(x.value) for x in _signed_permutation(g, c.angles)]
             assert [float.hex(x.value) for x in images[e].angles] == want, label
+        six = shape._dedup(c, DEFAULT_TOL)[2]
+        want = [float.hex(x.value) for img in images[:2] for x in img.angles]
+        assert [float.hex(v) for v in six] == want, label
 
 
 # ---------------------------------------------------------------------------
@@ -903,7 +928,7 @@ def _orbit_by_pairs(c, tol):
     """The images of c that a pairwise scan keeps, in group order: each
     image unless class_equal to an earlier kept one, by float angles first
     and then by proj_dist of the sides."""
-    images = shape._images(c)
+    images = _images(c)
     angles = [tuple(x.value for x in img.angles) for img in images]
     kept = []
     for e, (a0, a1, a2) in enumerate(angles):
@@ -992,9 +1017,12 @@ def test_closed_form_keys_are_the_keys_of_the_images():
     classes += _torus_doubles(rng, 200)
     near_pi = 0
     for c in classes:
-        _, images = shape._members(c, DEFAULT_TOL)
+        images = _images(c)
         parts = [*_rep_key(images[0])[:3], *_rep_key(images[1])[:3],
                  *images[0].sides.moduli()]
+        _, _, six, _, m = shape._dedup(c, DEFAULT_TOL)
+        read = [t - PI if PI - t <= DEFAULT_TOL else t for t in six] + list(m)
+        assert [float.hex(v) for v in read] == [float.hex(v) for v in parts]
         near_pi += any(PI - x.value <= DEFAULT_TOL for x in c.angles)
         for e, img in enumerate(images):
             assert ([float.hex(v) for v in shape._KEY[e](parts)]
@@ -1033,11 +1061,11 @@ def test_orbit_and_canonical_rep_keep_the_bits_of_a_pairwise_scan():
 
 
 def _assert_images_are_the_moved_sides(c):
-    """Every image of _members and of act_class is, to the bit, the moved
+    """Every image of the builder and of act_class is, to the bit, the moved
     sides and the class's angles, signed and permuted; its sides are within
     2e-15 of those of the moved lift.  Returns the largest such distance."""
     T = lift_class(c)
-    _, images = shape._members(c, DEFAULT_TOL)
+    images = _images(c)
     worst = 0.0
     for e, g in enumerate(GroupElement.all_elements()):
         want = _hex(_image_by_move(g, c))
@@ -1057,8 +1085,9 @@ def test_images_are_the_moved_sides_and_the_signed_angles():
     classes += [_random_class(rng) for _ in range(2000)] + [_random_double(rng) for _ in range(200)]
     for c in classes:
         _assert_images_are_the_moved_sides(c)
-        kept, images = shape._members(c, DEFAULT_TOL)
-        members = [_hex(images[e]) for e in kept]
+        kept, images = shape._dedup(c, DEFAULT_TOL)[:2]
+        members = [_hex(img) for img in images]
+        assert members == [_hex(_images(c)[e]) for e in kept]
         assert [_hex(img) for img in orbit(c)] == members
         assert _hex(canonical_rep(c)) in members
 
@@ -1312,7 +1341,7 @@ def test_orbit_keeps_the_sign_of_a_zero_angle():
     c = class_of(from_vertices(0, 1, 0.25))
     T = lift_class(c)
     elements = GroupElement.all_elements()
-    kept, _ = shape._members(c, DEFAULT_TOL)
+    kept = shape._dedup(c, DEFAULT_TOL)[0]
     images = orbit(c)
     assert len(images) == len(kept) == 6
     angles = {float.hex(x.value) for img in images for x in img.angles}
@@ -1340,7 +1369,7 @@ def test_group_action_is_bit_identical():
 
 def _six(c):
     """The six angle floats of images 0 and 1 (own and negated), sorted."""
-    images = shape._images(c)
+    images = _images(c)
     return sorted(x.value for img in images[:2] for x in img.angles)
 
 
@@ -1404,10 +1433,10 @@ def _boundary_classes():
 
 
 def _orbit_by_stabilizer_scan(c, tol):
-    """The orbit as _members found it before it read the six angles: Stab
+    """The orbit as the dedup found it before it read the six angles: Stab
     is every element whose image is class_equal to image 0 at tol, and the
     orbit keeps the first element of each coset."""
-    images = shape._images(c)
+    images = _images(c)
     stab = [0] + [h for h in range(1, 12) if class_equal(images[h], images[0], tol)]
     return [images[e] for e in _cosets_by_scan(stab)]
 
@@ -1418,7 +1447,7 @@ def _hexes(classes):
 
 def test_orbit_keeps_the_bits_of_the_stabilizer_scan_at_each_gap_and_one_ulp_either_side():
     """orbit at a tolerance equal to each gap between the six angles (and
-    across the wrap), and one ulp below and above it, where _members turns
+    across the wrap), and one ulp below and above it, where _dedup turns
     from the scan to the closed form, is the stabilizer scan's orbit."""
     decided = set()
     for c in _boundary_classes() + [_collinear(share, 0.7) for share in (1e-3, 0.25)]:
@@ -1472,7 +1501,7 @@ def test_canonical_rep_keeps_the_bits_of_the_scans_where_two_angles_are_default_
     n = int(DEFAULT_TOL / ulp)
     decided = set()
     for k in range(n - 4, n + 5):
-        for c in shape._images(_class_with_angles(0.5, 0.5 + k * ulp)):
+        for c in _images(_class_with_angles(0.5, 0.5 + k * ulp)):
             decided.add(_apart(sorted(_angle_parts(c)), DEFAULT_TOL))
             rep = _hex(canonical_rep(c))
             assert rep == _hex(_canonical_rep_by_scan(c)) == _hex(_canonical_rep_by_pairs(c))
@@ -1492,13 +1521,13 @@ def test_canonical_rep_reads_an_ascending_image_off_the_table():
         rep = canonical_rep(c)
         parts = [t - PI if PI - t <= DEFAULT_TOL else t for t in (x.value for x in rep.angles)]
         assert parts == sorted(parts) and parts[0] == min(_angle_parts(c))
-        assert _hex(rep) in _hexes(shape._images(c))
+        assert _hex(rep) in _hexes(_images(c))
     assert taken > 250
 
 
 def _moduli_gap(m, e):
     """The largest slot-wise difference of image e's side moduli from image 0's."""
-    i, j, k, _ = shape._GROUP[e]
+    i, j, k = shape._GROUP[e][:3]
     return max(abs(m[i] - m[0]), abs(m[j] - m[1]), abs(m[k] - m[2]))
 
 
@@ -1506,9 +1535,13 @@ def test_the_moduli_prefilter_skips_no_image_that_proj_dist_keeps():
     """Every image's moduli are within 4 proj_dist + 2**-40 of image 0's:
     on seeded scalene, near-isosceles, near-equilateral and near-collinear
     classes.  The largest ratio of the two is about 1.15, where the bound's
-    proof allows 3.5."""
+    proof allows 3.5.  Elements 2p and 2p + 1 share a permutation and so
+    their moduli: where the bound skips a permutation at a tolerance,
+    neither element is in the stabilizer scan's Stab, the flipped one
+    included, whose angles alone may pass."""
     rng = random.Random(59)
     worst = 0.0
+    skipped = passing = 0
     for n in range(2000):
         eps = 10.0 ** rng.uniform(-15, -2)
         turn = cmath.exp(1j * rng.uniform(0, 2 * PI))
@@ -1517,14 +1550,24 @@ def test_the_moduli_prefilter_skips_no_image_that_proj_dist_keeps():
                                     + eps * turn)),
              class_of(from_vertices(0, 1, complex(0.5, math.sqrt(3) / 2) + eps * turn)),
              _collinear(eps, rng.uniform(0, PI), 1e-3 * eps * rng.random())][n % 4]
-        images = shape._images(c)
+        images = _images(c)
         m = images[0].sides.moduli()
         for e in range(1, 12):
             d = proj_dist(images[e].sides, images[0].sides)
             assert _moduli_gap(m, e) <= 4.0 * d + 2.0 ** -40
             if d > 1e-14:
                 worst = max(worst, _moduli_gap(m, e) / d)
+        for e in range(0, 12, 2):
+            assert shape._GROUP[e][:3] == shape._GROUP[e + 1][:3]
+            assert _moduli_gap(m, e) == _moduli_gap(m, e + 1)
+            for tol in (1e-12, 1e-9, 1e-6, 1e-3):
+                if _moduli_gap(m, e) > 4.0 * tol + 2.0 ** -40:
+                    assert not any(class_equal(images[h], images[0], tol) for h in (e, e + 1))
+                    skipped += 1
+                    passing += all(angle_dist(x, y) <= tol for x, y in
+                                   zip(images[e + 1].angles, images[0].angles))
     assert 1.1 < worst < 3.5
+    assert skipped > 10000 and passing > 1000
 
 
 def test_orbit_keeps_the_bits_of_the_scans_with_moduli_near_the_prefilter_bound():
@@ -1535,7 +1578,7 @@ def test_orbit_keeps_the_bits_of_the_scans_with_moduli_near_the_prefilter_bound(
     for share in (1e-3, 1e-6, 1e-9, 2.0 ** -38):
         for turn in (0.0, 0.4, 2.5):
             c = _collinear(share, turn)
-            m = shape._images(c)[0].sides.moduli()
+            m = _images(c)[0].sides.moduli()
             for gap in {_moduli_gap(m, e) for e in range(1, 12)}:
                 for tol in _around((gap - 2.0 ** -40) / 4.0) + [gap / 3.5, gap / 2.0, gap]:
                     want = _hexes(_orbit_by_pairs(c, tol))

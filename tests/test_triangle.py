@@ -437,6 +437,15 @@ def test_an_argument_that_is_not_a_finite_real_is_refused_by_name(f, bad):
             f(TriangleVariable(0j, sides, dirs, args))
 
 
+@pytest.mark.parametrize("args", [(AngleModPi(0.5), AngleModPi(0.5)), (0.5, 0.5, 0.5, 0.5), (),
+                                  None, 0.5], ids=["two", "four", "none-held", "None", "float"])
+@pytest.mark.parametrize("f", [classify, interior_angles, class_of])
+def test_arguments_that_are_not_three_are_refused_by_name(f, args):
+    sides, dirs = _BY_HAND
+    with pytest.raises(ValueError, match="^arguments must be three angles$"):
+        f(TriangleVariable(0j, sides, dirs, args))
+
+
 #: direction pairs whose moduli by abs(complex) and by math.hypot (CPython
 #: 3.11, x86-64 glibc) lie on opposite sides of DEFAULT_TOL
 _HYPOT_SPLIT = [("0x1.d4b70a38fa4f1p-31", "0x1.1f4b33c93ffbdp-31"),

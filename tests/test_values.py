@@ -10,13 +10,14 @@ import copy
 import json
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from trishape.angles import CLOSURE_BOUND, PI, AngleModPi, _angle, _angles, _number, _scaled
-from trishape.angles import _wrap_pi, angle_dist
+from trishape.angles import _wrap_pi, angle_dist, reduce_mod_pi
 from trishape.triangle import GroupElement, TriangleVariable, classify, from_sides, from_vertices
 from trishape.shape import BlowupCoord, ProjTripleC, ShapeClass, class_of, phi, psi
 from trishape.shape import class_of_vertices
@@ -322,6 +323,44 @@ _OUT_OF_RANGE = [
 ] + [(build, f"^{field} is out of the float range$") for build, field in _OUT_OF_RANGE])
 def test_an_int_too_large_for_a_float_is_a_value_error_that_names_the_field(build, field):
     with pytest.raises(ValueError, match=field):
+        build()
+
+
+#: (build, message) of each entry point that converts a number itself, given
+#: a numeric string, bytes or bytearray that float() or complex() would
+#: parse, or a value they refuse with a TypeError
+_NOT_A_NUMBER = [
+    (lambda: AngleModPi("0.5"), "angle value must be a real number, not str"),
+    (lambda: AngleModPi(b"0.5"), "angle value must be a real number, not bytes"),
+    (lambda: AngleModPi(None), "angle value must be a real number, not NoneType"),
+    (lambda: reduce_mod_pi("1e-1"), "angle value must be a real number, not str"),
+    (lambda: reduce_mod_pi([1]), "angle value must be a real number, not list"),
+    (lambda: angle_dist("0.1", 0.2), "angle a must be a real number, not str"),
+    (lambda: angle_dist(0.1, bytearray(b"0.2")), "angle b must be a real number, not bytearray"),
+    (lambda: TorusPoint("0.5", "0.5", "-1"), "p must be a finite angle: p must be a real"),
+    (lambda: TorusPoint(0.5, 0.5, None), "r must be a finite angle: r must be a real"),
+    (lambda: from_vertices("0", "1", "1j"), "vertex A must be a complex number, not str"),
+    (lambda: from_vertices(0, 1, None), "vertex C must be a complex number, not NoneType"),
+    (lambda: from_sides(1, "-1", 0), "side b must be a complex number, not str"),
+    (lambda: from_sides(1, -1, 0, basepoint=b"0"), "basepoint must be a complex number"),
+    (lambda: class_of_vertices(0, "1", 1j), "vertex B must be a complex number, not str"),
+    (lambda: ProjTripleC("1", "-1", 0), "side a must be a complex number, not str"),
+    (lambda: ProjTripleC(1, -1, [0]), "side c must be a complex number, not list"),
+    (lambda: hopf("1", 0), "u must be a complex number, not str"),
+    (lambda: torus_fiber_limit(("1", -1, 0)), "direction must be a real number, not str"),
+    (lambda: level_value((0.5, "0.5", 1)), "angle must be a real number, not str"),
+    (lambda: constant_angle_family("0.5"), "constant angle must be a real number, not str"),
+    (lambda: constant_ratio_family("2"), "side ratio must be a real number, not str"),
+    (lambda: ShapeClass.from_json({"sides": [[1, 0], [-1, 0], [0, 0]],
+                                   "angles": ["0", "0", "0"]}),
+     "'angles' must be three finite numbers"),
+]
+
+
+@pytest.mark.parametrize("build, message", _NOT_A_NUMBER)
+def test_a_string_or_a_value_that_is_no_number_is_a_value_error_that_names_the_field(
+        build, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
         build()
 
 
