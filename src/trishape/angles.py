@@ -196,6 +196,14 @@ def _angle_field(name: str, v: AngleModPi | float) -> AngleModPi:
         raise ValueError(f"{name} must be a finite angle: {exc}") from None
 
 
+def _dist2(x, y) -> float:
+    """The squared angle_dist of two triples of angles, added by sum: each
+    min(t, pi - t) on values already in [0, pi)."""
+    (x0, x1, x2), (y0, y1, y2) = x, y
+    t0, t1, t2 = abs(x0.value - y0.value), abs(x1.value - y1.value), abs(x2.value - y2.value)
+    return sum((min(t0, PI - t0) ** 2, min(t1, PI - t1) ** 2, min(t2, PI - t2) ** 2))
+
+
 def _apart(v, tol: float) -> bool:
     """Whether six sorted floats step by more than tol, and pi less their span is too."""
     return (v[1] - v[0] > tol and v[2] - v[1] > tol and v[3] - v[2] > tol

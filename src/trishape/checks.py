@@ -32,11 +32,17 @@ SEED = 20260824
 
 
 def random_nondegenerate(rng: random.Random) -> TriangleVariable:
+    """Vertices with parts drawn by rng.uniform(-1, 1), redrawn until the
+    triangle is neither small nor thin."""
+    r = rng.random
     while True:
-        pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
-        T = from_vertices(*pts)
-        scale = max(abs(s) for s in T.sides)
-        if scale > 0.1 and abs((T.sides[0].conjugate() * T.sides[1]).imag) > 0.05 * scale**2:
+        # rng.uniform(-1, 1) is -1 + 2 * r(): 2.0 * r() - 1.0 to the bit
+        T = from_vertices(complex(2.0 * r() - 1.0, 2.0 * r() - 1.0),
+                          complex(2.0 * r() - 1.0, 2.0 * r() - 1.0),
+                          complex(2.0 * r() - 1.0, 2.0 * r() - 1.0))
+        a, b, c = T.sides
+        scale = max(abs(a), abs(b), abs(c))
+        if scale > 0.1 and abs((a.conjugate() * b).imag) > 0.05 * scale**2:
             return T
 
 
@@ -302,12 +308,12 @@ def check_group_action() -> tuple[bool, str]:
     elements = GroupElement.all_elements()
     triangles = [random_nondegenerate(rng) for _ in range(20)]
     images = [[act(h, T) for T in triangles] for h in elements]
+    # act(g * h, T) is images[g * h][T]: the left sides are built once
+    image_of = dict(zip(elements, images))
     worst_law = 0.0
     for g in elements:
         for h, h_images in zip(elements, images):
-            gh = g * h
-            for T, hT in zip(triangles, h_images):
-                left = act(gh, T)
+            for left, hT in zip(image_of[g * h], h_images):
                 right = act(g, hT)
                 worst_law = max(
                     worst_law,

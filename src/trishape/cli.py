@@ -8,8 +8,6 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import random
@@ -95,12 +93,17 @@ def _triangle_from_args(args: argparse.Namespace) -> TriangleVariable:
 
 
 def _emit(obj, fmt: str, csv_rows=None, csv_header=None) -> None:
+    # json and csv are loaded by the output that needs them, not by every command
     if fmt == "csv" and csv_rows is not None:
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(csv_header)
         for row in csv_rows:
             writer.writerow(row)
     else:
+        import json
+
         print(json.dumps(obj, indent=2, allow_nan=False))
 
 
@@ -182,35 +185,35 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             t = lo + (hi - lo) * (k + 1) / (args.samples + 1)
             return t, class_of(fam.eval(t))
 
-    def row(k: int):
-        t_par, c = sample(k)
-        s, t = to_sphere(c), to_torus(c)
-        # json.dumps(c.to_json()), written directly: floats by repr.  to_torus
-        # keeps the class's own angle objects, so p, q, r are formatted once
-        p, q, r = repr(t.p.value), repr(t.q.value), repr(t.r.value)
-        a, b, cc = c.sides.as_tuple()
-        text = (f'{{"sides": [[{a.real!r}, {a.imag!r}], [{b.real!r}, {b.imag!r}], '
-                f'[{cc.real!r}, {cc.imag!r}]], "angles": [{p}, {q}, {r}]}}')
-        return t_par, text, s, t, p, q, r
-
-    header = ["t", "class", "x", "y", "z", "p", "q", "r"]
     if args.format == "json":
-        _emit([dict(zip(header, (t_par, text, s.x, s.y, s.z, *map(float, t.as_tuple()))))
-               for t_par, text, s, t, *_ in map(row, range(args.samples))], "json")
+        import json
+
+        header, rows = ("t", "class", "x", "y", "z", "p", "q", "r"), []
+        for k in range(args.samples):
+            t_par, c = sample(k)
+            s, t = to_sphere(c), to_torus(c)
+            rows.append(dict(zip(header, (t_par, json.dumps(c.to_json()), s.x, s.y, s.z,
+                                          *map(float, t.as_tuple())))))
+        _emit(rows, "json")
         return 0
 
     def line(k: int) -> tuple[str, bool]:
-        # what csv.writer writes: floats by repr, and the class quoted with
-        # its quotes doubled
-        t_par, text, s, _, p, q, r = row(k)
-        quoted = text.replace('"', '""')
-        return f'{t_par!r},"{quoted}",{s.x!r},{s.y!r},{s.z!r},{p},{q},{r}\n', True
+        # what csv.writer writes: floats by repr, and the class, which is
+        # json.dumps(c.to_json()), quoted, its quotes doubled.  to_torus keeps
+        # the class's own angle objects, so p, q, r are formatted once
+        t_par, c = sample(k)
+        s, t = to_sphere(c), to_torus(c)
+        p, q, r = repr(t.p.value), repr(t.q.value), repr(t.r.value)
+        a, b, cc = c.sides.as_tuple()
+        return (f'{t_par!r},"{{""sides"": [[{a.real!r}, {a.imag!r}], [{b.real!r}, {b.imag!r}], '
+                f'[{cc.real!r}, {cc.imag!r}]], ""angles"": [{p}, {q}, {r}]}}",'
+                f'{s.x!r},{s.y!r},{s.z!r},{p},{q},{r}\n'), True
 
     from ._fork import write_rows
 
     # the header waits for the first row, so a family that fails on its
     # first sample leaves stdout empty; see write_rows for the two processes
-    write_rows(",".join(header) + "\n", args.samples, line)
+    write_rows("t,class,x,y,z,p,q,r\n", args.samples, line)
     return 0
 
 
@@ -268,6 +271,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_figure(args: argparse.Namespace) -> int:
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.name == "poncelet-levels":
         from .families import level_curves

@@ -15,7 +15,7 @@ import enum
 import math
 from typing import Callable, Sequence
 
-from .angles import DEFAULT_TOL, AngleModPi, _number, _scaled, _set, _Value, angle_dist
+from .angles import DEFAULT_TOL, AngleModPi, _number, _scaled, _set, _Value, _wrap_pi
 from .angles import ROUNDING_SNAP, TANGENCY_BOUND, reduce_mod_pi
 from .shape import ProjTripleC, ShapeClass, class_dist, class_of
 from .triangle import DegeneracyType, TriangleVariable, classify, from_vertices
@@ -150,10 +150,11 @@ def incircle_outcircle(T: TriangleVariable) -> PonceletConfig:
     """
     if classify(T) is not DegeneracyType.NONDEGENERATE:
         raise ValueError("incircle and outcircle require a nondegenerate triangle")
-    vertices = T.vertices
-    e = math.frexp(max(abs(x) for P in vertices for x in (P.real, P.imag)))[1]
-    A, B, C = (_scaled(P, -e) for P in vertices)
-    a, b, _ = (_scaled(s, -e) for s in T.sides)
+    A, B, C = T.vertices
+    a, b, _ = T.sides
+    e = math.frexp(max(abs(A.real), abs(A.imag), abs(B.real), abs(B.imag),
+                       abs(C.real), abs(C.imag)))[1]
+    A, B, C, a, b = _scaled(A, -e), _scaled(B, -e), _scaled(C, -e), _scaled(a, -e), _scaled(b, -e)
     la, lb, lc = abs(C - B), abs(A - C), abs(B - A)
     area = abs((a.conjugate() * b).imag) / 2.0
     perimeter = la + lb + lc
@@ -173,15 +174,21 @@ def level_value(angles: Sequence[AngleModPi | float]) -> float:
     Accepts either orientation's mod-pi representatives; returns 0 for a
     degenerate (zero-angle) triple.
     """
-    reps = [float(reduce_mod_pi(_number(v, "angle"))) for v in angles]
-    if len(reps) != 3:
-        raise ValueError("expected an angle triple")
-    if any(angle_dist(v, 0.0) <= ROUNDING_SNAP for v in reps):
+    try:
+        a, b, c = angles
+    except ValueError:
+        raise ValueError("expected an angle triple") from None
+    # floats wrapped as AngleModPi wraps them; _number reads an angle's value
+    a = _wrap_pi(_number(a, "angle"))
+    b = _wrap_pi(_number(b, "angle"))
+    c = _wrap_pi(_number(c, "angle"))
+    # some angle_dist(v, 0.0) <= ROUNDING_SNAP, on values in [0, pi) or -0.0
+    if min(a, b, c) <= ROUNDING_SNAP or math.pi - max(a, b, c) <= ROUNDING_SNAP:
         return 0.0
-    total = sum(reps)
+    total = sum((a, b, c))  # not a + b + c: from Python 3.12, sum compensates
     if abs(total - 2.0 * math.pi) < abs(total - math.pi):
-        reps = [math.pi - v for v in reps]  # mirror to the positive lift
-    return 4.0 * math.prod(math.sin(v / 2.0) for v in reps)
+        a, b, c = math.pi - a, math.pi - b, math.pi - c  # mirror to the positive lift
+    return 4.0 * (math.sin(a / 2.0) * math.sin(b / 2.0) * math.sin(c / 2.0))
 
 
 def level_curves(levels: Sequence[float], grid: int) -> list[tuple[float, ...]]:
@@ -232,16 +239,16 @@ def _poncelet_vertices(cfg: PonceletConfig, theta: float) -> tuple[complex, comp
     center = complex(cfg.d, 0.0)
     w = center - A
     # Chapple guarantees R - d > r, so A is strictly outside the incircle
-    phi = math.asin(cfg.r / abs(w))
-    others = []
-    for sign in (1.0, -1.0):
-        direction = (w / abs(w)) * cmath.exp(1j * sign * phi)
-        # second intersection of the line A + s*direction with |z| = R
-        s = -2.0 * (A.conjugate() * direction).real
-        others.append(A + s * direction)
-    # the +phi tangent meets the outcircle counterclockwise of the -phi one;
-    # naming them (C, B) keeps the triangle positively oriented
-    C, B = others
+    n = abs(w)
+    u, phi = w / n, math.asin(cfg.r / n)
+    # the tangents from A run along u e^{+-i phi}; each meets |z| = R again at
+    # A + s*direction, s = -2 Re(conj(A) direction).  The +phi one meets it
+    # counterclockwise of the -phi one: naming them (C, B) keeps the
+    # triangle positively oriented
+    direction = u * cmath.exp(1j * phi)
+    C = A + -2.0 * (A.conjugate() * direction).real * direction
+    direction = u * cmath.exp(-1j * phi)
+    B = A + -2.0 * (A.conjugate() * direction).real * direction
     residual = abs(_line_distance(B, C, center) - cfg.r)
     if residual > TANGENCY_BOUND * cfg.R:
         raise ValueError(f"third chord failed tangency: residual {residual}")

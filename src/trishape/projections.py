@@ -18,8 +18,8 @@ import math
 import operator
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, _angle_field, _angles, _number, _scaled
-from .angles import ROUNDING_SNAP, _Value, _wrap_pi, angle_dist
+from .angles import DEFAULT_TOL, PI, AngleModPi, _angle_field, _angles, _dist2, _new, _number
+from .angles import ROUNDING_SNAP, _scaled, _Value, _wrap_pi, angle_dist
 from .shape import ProjTripleC, ShapeClass
 from .triangle import canonical_directions
 
@@ -38,12 +38,7 @@ class SpherePoint(_Value):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: float, y: float, z: float) -> None:
-        n = math.hypot(x, y, z)  # hypot does not overflow where x**2 would
-        if not abs(n - 1.0) <= ROUNDING_SNAP:  # NaN fails this test too
-            raise ValueError(f"not a unit vector: |({x}, {y}, {z})| = {n}")
-        _set_x(self, x)
-        _set_y(self, y)
-        _set_z(self, z)
+        _unit(self, x, y, z)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -82,9 +77,7 @@ class TorusPoint(_Value):
 def torus_dist(t1: TorusPoint, t2: TorusPoint) -> float:
     """Euclidean distance on the torus built from per-coordinate wraparound
     distances."""
-    return math.sqrt(
-        sum(angle_dist(u, v) ** 2 for u, v in zip(t1.as_tuple(), t2.as_tuple()))
-    )
+    return math.sqrt(_dist2((t1.p, t1.q, t1.r), (t2.p, t2.q, t2.r)))
 
 
 class SphereLocus(enum.Enum):
@@ -108,6 +101,17 @@ _set_x, _set_y, _set_z = SpherePoint.x.__set__, SpherePoint.y.__set__, SpherePoi
 _set_p, _set_q, _set_r = TorusPoint.p.__set__, TorusPoint.q.__set__, TorusPoint.r.__set__
 
 
+def _unit(s: SpherePoint, x: float, y: float, z: float) -> SpherePoint:
+    """s with the slots (x, y, z), which must be a unit vector."""
+    n = math.hypot(x, y, z)  # hypot does not overflow where x**2 would
+    if not abs(n - 1.0) <= ROUNDING_SNAP:  # NaN fails this test too
+        raise ValueError(f"not a unit vector: |({x}, {y}, {z})| = {n}")
+    _set_x(s, x)
+    _set_y(s, y)
+    _set_z(s, z)
+    return s
+
+
 def hopf(u: complex, v: complex) -> SpherePoint:
     """The Hopf map on nonzero (u, v), scale-invariant for complex scalars.
 
@@ -128,7 +132,7 @@ def hopf(u: complex, v: complex) -> SpherePoint:
     if n == 0.0:
         raise ValueError("hopf is undefined at (0, 0)")
     w = u.conjugate() * v
-    return SpherePoint((uu - vv) / n, -2.0 * w.imag / n, 2.0 * w.real / n)
+    return _unit(_new(SpherePoint), (uu - vv) / n, -2.0 * w.imag / n, 2.0 * w.real / n)
 
 
 def to_sphere(c: ShapeClass) -> SpherePoint:

@@ -8,9 +8,10 @@ import cmath
 import math
 import operator
 
-from .angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _angles, _apart, _interior, _new
-from .angles import _number, _scaled, _Value, _wrap_pi, angle_dist, reduce_mod_pi
-from .triangle import SLOTS, GroupElement, TriangleVariable, _arguments, _side_record, from_sides
+from .angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _angles, _apart, _dist2, _interior
+from .angles import _new, _number, _scaled, _Value, _wrap_pi, angle_dist, reduce_mod_pi
+from .triangle import _NOT_SIX, SLOTS, GroupElement, TriangleVariable, _arguments, _side_record
+from .triangle import from_sides
 
 #: a class's side at or below this fraction of its largest is zero to
 #: lift_class, which then takes its argument from the stored angles
@@ -149,7 +150,10 @@ class BlowupCoord(_Value):
 
 def class_of(T: TriangleVariable) -> ShapeClass:
     """Quotient map: forget the basepoint and projectivize the directions."""
-    d0, d1, d2, d3, d4, d5 = T.directions
+    try:
+        d0, d1, d2, d3, d4, d5 = T.directions
+    except (TypeError, ValueError):
+        raise ValueError(_NOT_SIX) from None
     try:
         xa, xb, xc = T.arguments
     except (TypeError, ValueError):
@@ -166,15 +170,17 @@ def class_of_vertices(A: complex, B: complex, C: complex) -> ShapeClass:
     if not A.__class__ is B.__class__ is C.__class__ is complex:
         A, B, C = (_number(v, f"vertex {s}", complex) for s, v in zip("ABC", (A, B, C)))
     # finite sides imply a finite B, so the basepoint needs no test
-    _, (d0, d1, d2, d3, d4, d5), x = _side_record(C - B, A - C, B - A)
-    return ShapeClass(sides=ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5)),
-                      angles=_interior(_wrap_pi(x[0]), _wrap_pi(x[1]), _wrap_pi(x[2])))
+    _, (d0, d1, d2, d3, d4, d5), (x0, x1, x2) = _side_record(C - B, A - C, B - A)
+    x0, x1, x2 = _wrap_pi(x0), _wrap_pi(x1), _wrap_pi(x2)
+    c = _new(ShapeClass)
+    _set_sides(c, ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5)))
+    _set_angles(c, _angles(x1 - x2, x2 - x0, x0 - x1))  # _interior(x0, x1, x2)
+    return c
 
 
 def class_dist(c1: ShapeClass, c2: ShapeClass) -> float:
     """Chordal side distance plus the euclidean norm of the angle distances."""
-    d2 = sum(angle_dist(x, y) ** 2 for x, y in zip(c1.angles, c2.angles))
-    return proj_dist(c1.sides, c2.sides) + math.sqrt(d2)
+    return proj_dist(c1.sides, c2.sides) + math.sqrt(_dist2(c1.angles, c2.angles))
 
 
 def class_equal(c1: ShapeClass, c2: ShapeClass, tol: float = DEFAULT_TOL) -> bool:
@@ -214,9 +220,10 @@ def psi(b: BlowupCoord) -> ShapeClass:
 def blowup_dist(b1: BlowupCoord, b2: BlowupCoord) -> float:
     """Chordal side distance plus the worst spread of the xi differences,
     0 exactly when the xi triples differ by a diagonal shift."""
-    diffs = [x - y for x, y in zip(b1.xi, b2.xi)]
-    spread = max(angle_dist(diffs[0], d) for d in diffs[1:])
-    return proj_dist(b1.sides, b2.sides) + spread
+    (x0, x1, x2), (y0, y1, y2) = b1.xi, b2.xi
+    w0, w1, w2 = _angles(x0.value - y0.value, x1.value - y1.value, x2.value - y2.value)
+    t1, t2 = abs(w0.value - w1.value), abs(w0.value - w2.value)  # angle_dist, as in _dist2
+    return proj_dist(b1.sides, b2.sides) + max(min(t1, PI - t1), min(t2, PI - t2))
 
 
 def lift_class(c: ShapeClass) -> TriangleVariable:

@@ -20,6 +20,9 @@ from .angles import _Value, angle_dist, reduce_mod_pi
 
 SLOTS = ("a", "b", "c")
 
+#: what a hand-built triangle whose directions are not six values raises
+_NOT_SIX = "directions must be six coordinates"
+
 
 class DegeneracyType(enum.Enum):
     NONDEGENERATE = "Nondegenerate"
@@ -202,7 +205,10 @@ def classify(T: TriangleVariable) -> DegeneracyType:
     name the strata.
     """
     a, b, c = T.sides
-    d0, d1, d2, d3, d4, d5 = T.directions
+    try:
+        d0, d1, d2, d3, d4, d5 = T.directions
+    except (TypeError, ValueError):
+        raise ValueError(_NOT_SIX) from None
     # abs of a complex, not math.hypot, which differs from it in the last bit
     try:
         dbl = (abs(complex(d0, d1)) <= DEFAULT_TOL or abs(complex(d2, d3)) <= DEFAULT_TOL
@@ -229,7 +235,10 @@ def orientation(T: TriangleVariable) -> Orientation:
     a, b, c = T.sides
     if not (a or b or c):
         return Orientation.ZERO
-    d0, d1, d2, d3, d4, d5 = T.directions
+    try:
+        d0, d1, d2, d3, d4, d5 = T.directions
+    except (TypeError, ValueError):
+        raise ValueError(_NOT_SIX) from None
     try:
         scale = max(abs(complex(d0, d1)), abs(complex(d2, d3)), abs(complex(d4, d5)))
     except OverflowError:  # as in classify
@@ -245,23 +254,21 @@ def orientation(T: TriangleVariable) -> Orientation:
 def interior_angles(T: TriangleVariable) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
     """Interior angles (alpha, beta, gamma) mod pi: differences of the side
     arguments, as ``angles._interior`` gives them."""
-    try:
-        xa, xb, xc = T.arguments
-    except (TypeError, ValueError):
-        xa, xb, xc = _arguments(T)
-    if not xa.__class__ is xb.__class__ is xc.__class__ is AngleModPi:
-        xa, xb, xc = _arguments(T)
+    xa, xb, xc = _arguments(T)
     return _angles(xb.value - xc.value, xc.value - xa.value, xa.value - xb.value)
 
 
 def _arguments(T: TriangleVariable) -> tuple[AngleModPi, ...]:
-    """A hand-built triangle's arguments, for classify, interior_angles and class_of:
-    each finite real wrapped into an angle, anything else, or other than three of
-    them, a ValueError naming them."""
+    """A hand-built triangle's arguments, as classify, interior_angles, class_of
+    and act read them: three angles as they are, each finite real wrapped
+    into an angle, anything else, or other than three of them, a ValueError
+    naming them."""
     try:
-        xa, xb, xc = T.arguments
+        xa, xb, xc = x = T.arguments
     except (TypeError, ValueError):
         raise ValueError("arguments must be three angles") from None
+    if xa.__class__ is xb.__class__ is xc.__class__ is AngleModPi:
+        return x
     return tuple(_angle_field("arguments", v) for v in (xa, xb, xc))
 
 
@@ -270,18 +277,18 @@ def validate(T: TriangleVariable) -> list[str]:
     ``DEFAULT_TOL``."""
     problems: list[str] = []
     a, b, c = T.sides
+    try:
+        d0, d1, d2, d3, d4, d5 = T.directions
+    except (TypeError, ValueError):
+        raise ValueError(_NOT_SIX) from None
     scale = max(abs(a), abs(b), abs(c))
     if scale > 0.0:
         if abs(a + b + c) > DEFAULT_TOL * scale:
             problems.append("side-vectors do not sum to zero")
-        expected = canonical_directions(
-            (a.real, a.imag, b.real, b.imag, c.real, c.imag)
-        )
+        expected = _canonical6(a.real, a.imag, b.real, b.imag, c.real, c.imag)
         if any(abs(u - v) > DEFAULT_TOL for u, v in zip(expected, T.directions)):
             problems.append("direction sextuple inconsistent with side-vectors")
-    s1 = T.directions[0] + T.directions[2] + T.directions[4]
-    s2 = T.directions[1] + T.directions[3] + T.directions[5]
-    if abs(s1) > DEFAULT_TOL or abs(s2) > DEFAULT_TOL:
+    if abs(d0 + d2 + d4) > DEFAULT_TOL or abs(d1 + d3 + d5) > DEFAULT_TOL:
         problems.append("direction triple violates a1+b1+c1=0 or a2+b2+c2=0")
     for slot, pair, xi in zip(SLOTS, T.direction_pairs(), T.arguments):
         if abs(pair) > DEFAULT_TOL:
@@ -336,20 +343,27 @@ def act(g: GroupElement, T: TriangleVariable) -> TriangleVariable:
     The permutation shuffles the alphabetical slots of sides, direction
     pairs, and arguments.  The flip takes the mirror image (complex
     conjugation), which negates arguments mod pi and reverses orientation.
+    Arguments are read as :func:`classify` reads them.
     """
     i, j, k = g.perm
-    s, d, x = T.sides, T.directions, T.arguments
-    sides = (s[i], s[j], s[k])
-    coords = [d[2 * i], d[2 * i + 1], d[2 * j], d[2 * j + 1], d[2 * k], d[2 * k + 1]]
-    args = (x[i], x[j], x[k])
-    basepoint = T.basepoint
+    try:  # the unpack only tests that there are six
+        d0, d1, d2, d3, d4, d5 = d = T.directions
+    except (TypeError, ValueError):
+        raise ValueError(_NOT_SIX) from None
+    s, x, b, m = T.sides, _arguments(T), T.basepoint, 1.0
+    s, x = (s[i], s[j], s[k]), (x[i], x[j], x[k])
     if g.flip:
-        sides = (sides[0].conjugate(), sides[1].conjugate(), sides[2].conjugate())
-        coords[1::2] = [-v for v in coords[1::2]]
-        args = (-args[0], -args[1], -args[2])
-        basepoint = basepoint.conjugate()
-    dirs = canonical_directions(coords)
-    return TriangleVariable(basepoint=basepoint, sides=sides, directions=dirs, arguments=args)
+        s = (s[0].conjugate(), s[1].conjugate(), s[2].conjugate())
+        x = _angles(-x[0].value, -x[1].value, -x[2].value)
+        b, m = b.conjugate(), -1.0
+    image = _new(TriangleVariable)
+    _set_basepoint(image, b)
+    _set_sides(image, s)
+    # m * v is v or -v to the bit, signed zeros included
+    _set_directions(image, _canonical6(d[2 * i], m * d[2 * i + 1], d[2 * j], m * d[2 * j + 1],
+                                       d[2 * k], m * d[2 * k + 1]))
+    _set_arguments(image, x)
+    return image
 
 
 def vertex_angle(T: TriangleVariable, slot: int) -> AngleModPi:
@@ -359,11 +373,16 @@ def vertex_angle(T: TriangleVariable, slot: int) -> AngleModPi:
     two sides at the vertex are nonzero.
     """
     A, B, C = T.vertices
-    corners = {0: (A, B, C), 1: (B, C, A), 2: (C, A, B)}
-    if slot not in corners:
+    if slot == 0:
+        P, Q, R = A, B, C
+    elif slot == 1:
+        P, Q, R = B, C, A
+    elif slot == 2:
+        P, Q, R = C, A, B
+    else:
         raise ValueError(f"slot must be 0, 1 or 2, got {slot!r}")
-    P, Q, R = corners[slot]
     u, v = Q - P, R - P
     if abs(u) == 0.0 or abs(v) == 0.0:
         raise ValueError("vertex angle undefined at a coincident vertex")
-    return reduce_mod_pi(math.atan2((u.conjugate() * v).imag, (u.conjugate() * v).real))
+    w = u.conjugate() * v
+    return reduce_mod_pi(math.atan2(w.imag, w.real))

@@ -67,6 +67,28 @@ print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - bare)), file=sys.s
 """
 
 
+#: the output modules each step loads: json and csv wait for the output that
+#: writes them, so the CSV trace rows and the selftest lines, written
+#: directly, load neither
+OUTPUT_PROBE = """
+import contextlib, io, sys
+bare = set(sys.modules)
+from trishape import cli
+
+def step(name, argv=None):
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    print(name, sorted(m for m in ("json", "csv") if m in sys.modules and m not in bare),
+          file=sys.stderr)
+
+step("import")
+step("trace-csv", ["trace", "--family", "poncelet", "--samples", "3", "--format", "csv"])
+step("selftest", ["selftest"])
+step("classify-json", ["classify", "--vertices", "0,0", "1,0", "0,1"])
+"""
+
+
 def _run_probe(probe, env):
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -80,6 +102,11 @@ def test_import_and_per_triangle_commands_leave_families_unloaded(child_env):
 
 def test_no_module_loads_dataclasses_or_inspect(child_env):
     assert _run_probe(FULL_PROBE, child_env) == "[]\n"
+
+
+def test_json_and_csv_load_only_for_the_output_that_writes_them(child_env):
+    assert _run_probe(OUTPUT_PROBE, child_env) == (
+        "import []\ntrace-csv []\nselftest []\nclassify-json ['json']\n")
 
 
 @pytest.mark.parametrize("name", FAMILIES_NAMES)

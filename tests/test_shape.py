@@ -1586,6 +1586,28 @@ def test_orbit_keeps_the_bits_of_the_scans_with_moduli_near_the_prefilter_bound(
                     assert _hexes(_orbit_by_stabilizer_scan(c, tol)) == want
 
 
+#: an isosceles class (seeded by random_isosceles) whose mirror image under
+#: perm (1, 0, 2) has proj_dist 0.0 to it, while the moduli of the two differ
+#: by one ulp, 2**-53
+_ULP_ISOSCELES = (("0x1.11810bc62eae0p-4", "0x1.eabd5f2e78d72p-1"),
+                  ("-0x1.ad098ae623bc7p-1", "0x1.10e73131c0366p+0"),
+                  ("-0x1.5cfb4bf7261e5p-2", "0x1.6398f0e9295dap+0"))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-17, 3e-17])
+def test_the_moduli_bound_keeps_a_mirror_whose_moduli_differ_by_rounding(tol):
+    """The mirror is class_equal to the class at tol, and its moduli are
+    more than 3 tol from the class's: 4 tol + 2**-40 lets proj_dist see it,
+    so the mirror is in the stabilizer and the orbit has 6 images, not 12."""
+    c = class_of(from_vertices(*(complex(float.fromhex(x), float.fromhex(y))
+                                 for x, y in _ULP_ISOSCELES)))
+    mirror = act_class(GroupElement((1, 0, 2), True), c)
+    gap = max(abs(u - v) for u, v in zip(mirror.sides.moduli(), c.sides.moduli()))
+    assert class_equal(mirror, c, tol) and proj_dist(mirror.sides, c.sides) == 0.0
+    assert gap == 2.0 ** -53 > 3.0 * tol
+    assert len(orbit(c, tol)) == 6
+
+
 def test_proj_dist_confirms_only_the_stabilizer_of_a_doubled_simple_orbit(monkeypatch):
     """A doubled-simple class's images all share its angles; the moduli
     prefilter leaves proj_dist the 3 elements of its stabilizer past the

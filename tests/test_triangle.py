@@ -446,6 +446,53 @@ def test_arguments_that_are_not_three_are_refused_by_name(f, args):
         f(TriangleVariable(0j, sides, dirs, args))
 
 
+#: a plain and a flipped element, each moving every slot
+_MOVERS = [GroupElement((1, 2, 0), False), GroupElement((1, 2, 0), True)]
+
+
+@pytest.mark.parametrize("g", _MOVERS, ids=["plain", "flipped"])
+@pytest.mark.parametrize("args", [
+    tuple(x.value + k * PI for x, k in zip(_SCALENE.arguments, (1, -2, 0))),
+    (_SCALENE.arguments[0].value, 1, _SCALENE.arguments[2]),
+])
+def test_act_wraps_real_arguments_as_classify_does(g, args):
+    """act of a hand-built triangle whose arguments are finite reals is, to
+    the bit, act of the same triangle with each real wrapped by AngleModPi."""
+    T = TriangleVariable(_SCALENE.basepoint, _SCALENE.sides, _SCALENE.directions, args)
+    wrapped = TriangleVariable(_SCALENE.basepoint, _SCALENE.sides, _SCALENE.directions,
+                               tuple(v if isinstance(v, AngleModPi) else AngleModPi(v)
+                                     for v in args))
+    got, want = act(g, T), act(g, wrapped)
+    assert all(type(x) is AngleModPi for x in got.arguments)
+    assert [x.value.hex() for x in got.arguments] == [x.value.hex() for x in want.arguments]
+    assert got == want and interior_angles(got) == interior_angles(want)
+
+
+@pytest.mark.parametrize("g", _MOVERS, ids=["plain", "flipped"])
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, 0.5, 0.5), "^arguments must be a finite angle: "),
+    ((AngleModPi(0.5), None, AngleModPi(0.5)), "^arguments must be a finite angle: "),
+    ((AngleModPi(0.5), AngleModPi(0.5)), "^arguments must be three angles$"),
+], ids=["nan", "None", "two"])
+def test_act_refuses_arguments_that_classify_refuses(g, args, message):
+    T = TriangleVariable(0j, _SCALENE.sides, _SCALENE.directions, args)
+    with pytest.raises(ValueError, match=message):
+        classify(T)
+    with pytest.raises(ValueError, match=message):
+        act(g, T)
+
+
+@pytest.mark.parametrize("directions", [(1.0, 0.0, -1.0), _SCALENE.directions + (0.0,), None,
+                                        ()], ids=["three", "seven", "None", "empty"])
+@pytest.mark.parametrize("f", [classify, orientation, class_of, validate,
+                               lambda T: act(_MOVERS[1], T)],
+                         ids=["classify", "orientation", "class_of", "validate", "act"])
+def test_directions_that_are_not_six_are_refused_by_name(f, directions):
+    T = TriangleVariable(0j, _SCALENE.sides, directions, _SCALENE.arguments)
+    with pytest.raises(ValueError, match="^directions must be six coordinates$"):
+        f(T)
+
+
 #: direction pairs whose moduli by abs(complex) and by math.hypot (CPython
 #: 3.11, x86-64 glibc) lie on opposite sides of DEFAULT_TOL
 _HYPOT_SPLIT = [("0x1.d4b70a38fa4f1p-31", "0x1.1f4b33c93ffbdp-31"),
