@@ -18,9 +18,9 @@ import math
 import operator
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, _angle_field, _angles, _dist2, _new, _number
+from .angles import DEFAULT_TOL, PI, AngleModPi, _angle_field, _dist2, _new, _number
 from .angles import ROUNDING_SNAP, _scaled, _Value, _wrap_pi, angle_dist
-from .shape import ProjTripleC, ShapeClass
+from .shape import ProjTripleC, ShapeClass, _set_angles, _set_sides
 from .triangle import canonical_directions
 
 _S3 = math.sqrt(3.0)
@@ -169,18 +169,23 @@ def to_torus(c: ShapeClass) -> TorusPoint:
 
 
 def _torus_sides(alpha: float, beta: float) -> tuple[complex, complex, complex]:
-    # vertices (e^{2 i beta}, e^{-2 i alpha}, 1) inscribed in the unit circle
-    ea = cmath.exp(-2j * alpha)
-    eb = cmath.exp(2j * beta)
-    return (1.0 - ea, eb - 1.0, ea - eb)
+    """The sides 1 - e^{-2i alpha}, e^{2i beta} - 1 and e^{-2i alpha} - e^{2i beta}
+    of the triangle (e^{2i beta}, e^{-2i alpha}, 1) inscribed in the unit
+    circle, over 2i: sin(alpha) e^{-i alpha}, sin(beta) e^{i beta} and
+    -sin(alpha + beta) e^{i(beta - alpha)}.  No direction comes from a
+    difference of nearly equal numbers, so a side that tends to 0 keeps it."""
+    ea, eb = cmath.exp(-1j * alpha), cmath.exp(1j * beta)
+    # sin(alpha + beta) = Im(e^{i alpha} e^{i beta}), two products: sin of the
+    # rounded alpha + beta would err by an ulp of pi where both sines are small
+    return (math.sin(alpha) * ea, math.sin(beta) * eb, -(ea.conjugate() * eb).imag * (ea * eb))
 
 
 def torus_inverse(t: TorusPoint) -> ShapeClass:
-    """The class with interior angles t, for t away from the origin.
-
-    Sides come from the triangle inscribed in the unit circle whose angles
-    are t.  At the origin every simple point has been collapsed together,
-    so no unique class exists there.
+    """The class with interior angles t, for t away from the origin: t's own
+    angle objects, so ``to_torus(torus_inverse(t))`` is t, and the sides of
+    the triangle inscribed in the unit circle whose angles they are.  At
+    the origin every simple point has been collapsed together, so no unique
+    class exists there.
     """
     p, q, r = t.p.value, t.q.value, t.r.value
     # t.is_origin(), then the first of p, q, r.is_zero(ROUNDING_SNAP), on the floats
@@ -188,23 +193,26 @@ def torus_inverse(t: TorusPoint) -> ShapeClass:
             and (r < DEFAULT_TOL or PI - r < DEFAULT_TOL)):
         raise ValueError("blown-down point: no unique class over the torus origin")
     snap = ROUNDING_SNAP
-    k = (0 if p < snap or PI - p < snap else 1 if q < snap or PI - q < snap
-         else 2 if r < snap or PI - r < snap else -1)
-    if k >= 0:
-        # side k is 0 and the other two cancel: [0 : 1 : -1] rotated, in the form
-        sides = [(0j, 1 + 0j, -1 + 0j), (1 + 0j, 0j, -1 + 0j), (1 + 0j, -1 + 0j, 0j)][k]
-        return ShapeClass(sides=ProjTripleC(*sides), angles=t.as_tuple())
-    a, b, c = _torus_sides(p, q)
-    u, v, w = _wrap_pi(cmath.phase(a)), _wrap_pi(cmath.phase(b)), _wrap_pi(cmath.phase(c))
-    angles = _angles(v - w, w - u, u - v)  # _interior(u, v, w)
-    return ShapeClass(ProjTripleC(a, b, c), angles)
+    # at a zero slot that side is 0 and the other two cancel: [0 : 1 : -1] rotated
+    if p < snap or PI - p < snap:
+        sides = ProjTripleC(0j, 1 + 0j, -1 + 0j)
+    elif q < snap or PI - q < snap:
+        sides = ProjTripleC(1 + 0j, 0j, -1 + 0j)
+    elif r < snap or PI - r < snap:
+        sides = ProjTripleC(1 + 0j, -1 + 0j, 0j)
+    else:
+        sides = ProjTripleC(*_torus_sides(p, q))
+    c = _new(ShapeClass)
+    _set_sides(c, sides)
+    _set_angles(c, t.as_tuple())
+    return c
 
 
 def torus_fiber_limit(direction: Sequence[float]) -> tuple[float, float, float]:
     """Approach direction of the torus origin, resolved into a side triple.
 
     Along t * direction the sides of :func:`torus_inverse`'s inscribed
-    triangle are 2i t (d_a, d_b, -d_a - d_b) + O(t^2), so the limit is that
+    triangle, over 2i, are t (d_a, d_b, -d_a - d_b) + O(t^2), so the limit is that
     real triple: largest modulus 1, first nonzero coordinate positive, mean
     removed.  The third coordinate is read mod pi, so only d_a and d_b
     enter.  The sum is tested to DEFAULT_TOL plus 4 ulps of the largest

@@ -10,8 +10,8 @@ import operator
 
 from .angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _angles, _apart, _dist2, _interior
 from .angles import _new, _number, _scaled, _Value, _wrap_pi, angle_dist, reduce_mod_pi
-from .triangle import _NOT_SIX, SLOTS, GroupElement, TriangleVariable, _arguments, _side_record
-from .triangle import from_sides
+from .triangle import _NOT_REAL, _NOT_SIX, SLOTS, GroupElement, TriangleVariable, _arguments
+from .triangle import _side_record, from_sides
 
 #: a class's side at or below this fraction of its largest is zero to
 #: lift_class, which then takes its argument from the stored angles
@@ -160,8 +160,11 @@ def class_of(T: TriangleVariable) -> ShapeClass:
         xa, xb, xc = _arguments(T)
     if not xa.__class__ is xb.__class__ is xc.__class__ is AngleModPi:
         xa, xb, xc = _arguments(T)
-    return ShapeClass(ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5)),
-                      _angles(xb.value - xc.value, xc.value - xa.value, xa.value - xb.value))
+    try:
+        sides = ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5))
+    except TypeError:
+        raise ValueError(_NOT_REAL) from None
+    return ShapeClass(sides, _angles(xb.value - xc.value, xc.value - xa.value, xa.value - xb.value))
 
 
 def class_of_vertices(A: complex, B: complex, C: complex) -> ShapeClass:

@@ -22,6 +22,8 @@ SLOTS = ("a", "b", "c")
 
 #: what a hand-built triangle whose directions are not six values raises
 _NOT_SIX = "directions must be six coordinates"
+#: and what one raises whose six directions are not all numbers
+_NOT_REAL = "directions must be real numbers"
 
 
 class DegeneracyType(enum.Enum):
@@ -215,6 +217,8 @@ def classify(T: TriangleVariable) -> DegeneracyType:
                or abs(complex(d4, d5)) <= DEFAULT_TOL)
     except OverflowError:  # a part near the float maximum, or a NaN after a stale errno
         raise ValueError(f"directions must be finite and canonical: {T.directions}") from None
+    except TypeError:
+        raise ValueError(_NOT_REAL) from None
     try:
         xa, xb, xc = T.arguments
     except (TypeError, ValueError):
@@ -243,6 +247,8 @@ def orientation(T: TriangleVariable) -> Orientation:
         scale = max(abs(complex(d0, d1)), abs(complex(d2, d3)), abs(complex(d4, d5)))
     except OverflowError:  # as in classify
         raise ValueError(f"directions must be finite and canonical: {T.directions}") from None
+    except TypeError:
+        raise ValueError(_NOT_REAL) from None
     s2 = d0 * d3 + -d1 * d2  # Im(conj(pa) pb), as complex multiplication rounds it
     if s2 > DEFAULT_TOL * scale * scale:
         return Orientation.POSITIVE
@@ -282,15 +288,19 @@ def validate(T: TriangleVariable) -> list[str]:
     except (TypeError, ValueError):
         raise ValueError(_NOT_SIX) from None
     scale = max(abs(a), abs(b), abs(c))
-    if scale > 0.0:
-        if abs(a + b + c) > DEFAULT_TOL * scale:
-            problems.append("side-vectors do not sum to zero")
-        expected = _canonical6(a.real, a.imag, b.real, b.imag, c.real, c.imag)
-        if any(abs(u - v) > DEFAULT_TOL for u, v in zip(expected, T.directions)):
-            problems.append("direction sextuple inconsistent with side-vectors")
-    if abs(d0 + d2 + d4) > DEFAULT_TOL or abs(d1 + d3 + d5) > DEFAULT_TOL:
-        problems.append("direction triple violates a1+b1+c1=0 or a2+b2+c2=0")
-    for slot, pair, xi in zip(SLOTS, T.direction_pairs(), T.arguments):
+    if scale > 0.0 and abs(a + b + c) > DEFAULT_TOL * scale:
+        problems.append("side-vectors do not sum to zero")
+    try:
+        if scale > 0.0:
+            expected = _canonical6(a.real, a.imag, b.real, b.imag, c.real, c.imag)
+            if any(abs(u - v) > DEFAULT_TOL for u, v in zip(expected, T.directions)):
+                problems.append("direction sextuple inconsistent with side-vectors")
+        if abs(d0 + d2 + d4) > DEFAULT_TOL or abs(d1 + d3 + d5) > DEFAULT_TOL:
+            problems.append("direction triple violates a1+b1+c1=0 or a2+b2+c2=0")
+        pairs = T.direction_pairs()
+    except TypeError:
+        raise ValueError(_NOT_REAL) from None
+    for slot, pair, xi in zip(SLOTS, pairs, T.arguments):
         if abs(pair) > DEFAULT_TOL:
             expected_xi = reduce_mod_pi(math.atan2(pair.imag, pair.real))
             if angle_dist(expected_xi, xi) > DEFAULT_TOL:
@@ -359,9 +369,11 @@ def act(g: GroupElement, T: TriangleVariable) -> TriangleVariable:
     image = _new(TriangleVariable)
     _set_basepoint(image, b)
     _set_sides(image, s)
-    # m * v is v or -v to the bit, signed zeros included
-    _set_directions(image, _canonical6(d[2 * i], m * d[2 * i + 1], d[2 * j], m * d[2 * j + 1],
-                                       d[2 * k], m * d[2 * k + 1]))
+    try:  # m * v is v or -v to the bit, signed zeros included
+        _set_directions(image, _canonical6(d[2 * i], m * d[2 * i + 1], d[2 * j],
+                                           m * d[2 * j + 1], d[2 * k], m * d[2 * k + 1]))
+    except TypeError:
+        raise ValueError(_NOT_REAL) from None
     _set_arguments(image, x)
     return image
 

@@ -1,4 +1,4 @@
-"""A 50-digit reference for the side triple of a class, from its definition.
+"""50-digit references for the side triple of a class, from its definition.
 
 Test-only: it needs ``mpmath``, which the tests load with
 ``pytest.importorskip("mpmath")`` before importing this module.  Every
@@ -18,6 +18,14 @@ def vertex_sides(A: complex, B: complex, C: complex) -> tuple:
     """The sides a = C - B, b = A - C, c = B - A of the float vertices, exactly."""
     A, B, C = exact(A), exact(B), exact(C)
     return (C - B, A - C, B - A)
+
+
+def inscribed_sides(alpha: float, beta: float) -> tuple:
+    """The sides 1 - e^{-2i alpha}, e^{2i beta} - 1 and e^{-2i alpha} - e^{2i beta}
+    of the triangle (e^{2i beta}, e^{-2i alpha}, 1) inscribed in the unit
+    circle, whose interior angles are (alpha, beta, -alpha - beta) mod pi."""
+    ea, eb = mpmath.expj(-2 * mpmath.mpf(alpha)), mpmath.expj(2 * mpmath.mpf(beta))
+    return (1 - ea, eb - 1, ea - eb)
 
 
 def direction_error(sides: tuple, truth: tuple) -> float:

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (visible with -s or on failure)
 and asserts the check's verdict at its stated tolerance.  The heavy lifting
 lives in trishape.checks so the CLI selftest runs the identical code.
 """
+import cmath
 import re
 import subprocess
 import sys
@@ -11,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from trishape import checks
+from trishape import checks, projections
 from trishape.angles import reduce_mod_pi
 from trishape.cli import main
-from trishape.projections import TorusPoint
+from trishape.projections import TorusPoint, torus_inverse
+from trishape.shape import ProjTripleC, ShapeClass
 
 #: a measured figure as the checks print it; its last digits follow libm
 _FIGURE = re.compile(r"\d\.\d{2,3}e[+-]\d{2}")
@@ -106,6 +108,33 @@ def test_a_torus_inverse_that_accepts_the_origin_fails_with_every_figure(monkeyp
     assert _FIGURE.sub("<figure>", detail) == (
         "1000 round trips, max error <figure>; origin rejected False")
     assert float(_FIGURE.search(detail)[0]) < 1e-9
+
+
+def _cancelling_sides(alpha, beta):
+    """The inscribed sides as differences of points on the unit circle,
+    which lose the direction of a side that tends to 0."""
+    ea, eb = cmath.exp(-2j * alpha), cmath.exp(2j * beta)
+    return (1.0 - ea, eb - 1.0, ea - eb)
+
+
+def _swapped_sides(t):
+    c = torus_inverse(t)
+    a, b, g = c.sides.as_tuple()
+    return ShapeClass(ProjTripleC(b, a, g), c.angles)
+
+
+@pytest.mark.parametrize("target, name, fault", [
+    (projections, "_torus_sides", _cancelling_sides),
+    (checks, "torus_inverse", _swapped_sides),
+], ids=["cancelling", "swapped"])
+def test_torus_inverse_sides_off_their_angles_fail_with_every_figure(
+        monkeypatch, target, name, fault):
+    monkeypatch.setattr(target, name, fault)
+    passed, detail = checks.check_torus_inverse()
+    assert not passed
+    assert _FIGURE.sub("<figure>", detail) == (
+        "1000 round trips, max error <figure>; origin rejected True")
+    assert float(_FIGURE.search(detail)[0]) > 1e-9
 
 
 def test_an_act_class_that_returns_its_input_fails_with_every_figure(monkeypatch):

@@ -327,6 +327,27 @@ def test_torus_round_trip():
         assert torus_dist(to_torus(torus_inverse(t)), t) < 1e-9
 
 
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_torus_inverse_keeps_the_direction_of_a_side_that_tends_to_0(slot):
+    """From 1e-11 to 1e-3 off the zero-angle circle of a slot, on either
+    side, the sides are those of the inscribed triangle at 50 digits, to
+    1e-15 in direction and by chordal distance, and the angles are t's own."""
+    pytest.importorskip("mpmath")
+    import mp_oracle
+
+    rng = random.Random(48 + slot)
+    for n in range(80):
+        d = 10.0 ** (-11.0 + 8.0 * (n // 2) / 39)
+        near, x = d if n % 2 else -d, rng.uniform(0.01, PI - 0.01)
+        angles = (near, x, -x - near)
+        t = TorusPoint(*(angles[(i - slot) % 3] for i in range(3)))
+        c = torus_inverse(t)
+        sides, truth = c.sides.as_tuple(), mp_oracle.inscribed_sides(t.p.value, t.q.value)
+        assert mp_oracle.direction_error(sides, truth) <= 1e-15, t
+        assert mp_oracle.chordal_distance(sides, truth) <= 1e-15, t
+        assert all(a is b for a, b in zip(c.angles, t.as_tuple()))
+
+
 def test_fiber_limit_examples():
     limit = torus_fiber_limit((1, 1, -2))
     assert proj_dist(ProjTripleC(1, 1, -2), ProjTripleC(*limit)) < 1e-6

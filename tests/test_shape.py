@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from trishape import shape, triangle
 from trishape.angles import (CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _scaled, angle_dist,
                              reduce_mod_pi)
-from trishape.projections import TorusPoint, _torus_sides, to_torus, torus_inverse
+from trishape.projections import TorusPoint, to_torus, torus_inverse
 from trishape.triangle import GroupElement, act, classify, from_sides, from_vertices
 from trishape.shape import (
     BlowupCoord,
@@ -1205,14 +1205,20 @@ def test_torus_inverse_cancels_the_sides_of_a_double_exactly():
 
 def test_lift_class_keeps_the_free_argument_when_side_c_is_a_residue():
     """A double class whose zero side c is a rounding residue under the
-    zero snap, not 0j: the inscribed sides that torus_inverse used to
-    return.  from_sides resets c = -a - b, so lift_class must pass b = -a
-    to keep c at 0j and its free argument solved from the angles."""
+    zero snap, not 0j, as the inscribed sides of torus_inverse once left
+    it: sides (a, -a - rho, rho) with |rho| 1e-16 to 1e-14 of |a|, in any
+    direction, so a + b is not 0 either.  from_sides resets c = -a - b, so
+    lift_class must pass b = -a to keep c at 0j and its free argument
+    solved from the angles."""
     rng = random.Random(45)
     for _ in range(300):
         p = rng.uniform(0.01, PI - 0.01)
         t = TorusPoint(reduce_mod_pi(p), reduce_mod_pi(-p), reduce_mod_pi(0.0))
-        c = ShapeClass(sides=ProjTripleC(*_torus_sides(t.p.value, t.q.value)), angles=t.as_tuple())
+        a = cmath.exp(-1j * p)
+        rho = a * cmath.rect(10.0 ** rng.uniform(-16.0, -14.0), rng.uniform(0.0, 2.0 * PI))
+        c = ShapeClass(sides=ProjTripleC(a, -a - rho, rho), angles=t.as_tuple())
+        sides = c.sides
+        assert sides.c != 0 and sides.a + sides.b != 0
         assert class_dist(class_of(lift_class(c)), c) <= 1e-9
 
 

@@ -2,23 +2,24 @@
 
 ``hopf`` skips its rescaling by 2^-e at e = 0, where it is the identity;
 ``TorusPoint`` and ``torus_inverse`` test the torus point's floats instead
-of calling ``angle_dist``, ``is_origin`` and ``is_zero``.  Each test below
-runs the skipped path as it was written and compares every bit, the sign
-of a zero included.  The wraps of ``AngleModPi`` and the canonical
-directions of ``from_sides`` are compared with their former code in
-``tests/test_values.py`` and ``tests/test_triangle.py``.
+of calling ``angle_dist``, ``is_origin`` and ``is_zero``.  The tests of
+``hopf`` and ``TorusPoint`` run the skipped path as it was written and
+compare every bit, the sign of a zero included; that of ``torus_inverse``
+asserts each of its decisions where the methods make it.  The wraps of
+``AngleModPi`` and the canonical directions of ``from_sides`` are compared
+with their former code in ``tests/test_values.py`` and
+``tests/test_triangle.py``.
 """
-import cmath
 import itertools
 import math
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from trishape.angles import DEFAULT_TOL, PI, AngleModPi, _interior, _scaled, _wrap_pi
+from trishape.angles import DEFAULT_TOL, PI, AngleModPi, _scaled
 from trishape.angles import angle_dist
-from trishape.projections import TorusPoint, _torus_sides, hopf, torus_inverse
-from trishape.shape import ProjTripleC, ShapeClass
+from trishape.projections import TorusPoint, hopf, torus_inverse
+from trishape.shape import ProjTripleC
 
 TINY = 5e-324  # the least subnormal
 EDGES = [0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308, -1e-300, -1e-17, 1e-17,
@@ -103,20 +104,6 @@ def test_hopf_must_rescale_at_e_1(re, v):
     assert hopf(u, v).as_tuple() != _hopf_unscaled(u, v)
 
 
-def _inverse_by_methods(t: TorusPoint) -> ShapeClass:
-    """torus_inverse as it decided through is_origin and is_zero."""
-    if t.is_origin():
-        raise ValueError("blown-down point: no unique class over the torus origin")
-    raw = _torus_sides(t.p.value, t.q.value)
-    zero = (t.p.is_zero(1e-12), t.q.is_zero(1e-12), t.r.is_zero(1e-12))
-    if any(zero):
-        k = zero.index(True)
-        sides = [(0j, 1 + 0j, -1 + 0j), (1 + 0j, 0j, -1 + 0j), (1 + 0j, -1 + 0j, 0j)][k]
-        return ShapeClass(sides=ProjTripleC(*sides), angles=t.as_tuple())
-    angles = _interior(*(_wrap_pi(cmath.phase(s)) for s in raw))
-    return ShapeClass(sides=ProjTripleC(*raw), angles=angles)
-
-
 def _near(x: float) -> list[float]:
     return [math.nextafter(x, -1.0), x, math.nextafter(x, 4.0)]
 
@@ -127,19 +114,29 @@ TORUS_EDGES = sorted({v for x in (DEFAULT_TOL, 1e-12) for v in _near(x) + _near(
 
 
 def test_torus_inverse_decides_the_origin_and_a_zero_slot_as_the_methods_do():
+    """torus_inverse refuses a point exactly where is_origin() holds, gives
+    [0 : 1 : -1] rotated to the first slot exactly where is_zero(1e-12)
+    holds, and sides with no zero elsewhere; its angles are t's own."""
+    zero_slot = [ProjTripleC(0j, 1 + 0j, -1 + 0j), ProjTripleC(1 + 0j, 0j, -1 + 0j),
+                 ProjTripleC(1 + 0j, -1 + 0j, 0j)]
     decided = set()
     for p, q in itertools.product(TORUS_EDGES, repeat=2):
         t = TorusPoint(p, q, -(p + q))
-        try:
-            want = _inverse_by_methods(t)
-        except ValueError:
+        if t.is_origin():
             with pytest.raises(ValueError, match="torus origin"):
                 torus_inverse(t)
             decided.add("origin")
             continue
-        # repr shows every float by its shortest round trip, the sign of a zero too
-        assert repr(torus_inverse(t)) == repr(want)
-        decided.add(next((k for k in range(3) if abs(want.sides.as_tuple()[k]) == 0.0), None))
+        c = torus_inverse(t)
+        assert all(x is y for x, y in zip(c.angles, t.as_tuple()))
+        zero = [x.is_zero(1e-12) for x in t.as_tuple()]
+        k = zero.index(True) if any(zero) else None
+        if k is None:
+            assert min(c.sides.moduli()) > 0.0
+        else:
+            # repr shows every float by its shortest round trip, the sign of a zero too
+            assert repr(c.sides) == repr(zero_slot[k])
+        decided.add(k)
     assert decided == {"origin", 0, 1, 2, None}
 
 

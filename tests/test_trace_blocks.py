@@ -41,7 +41,7 @@ _FAMILIES = {
 _PONCELET_10000 = ["trace", "--family", "poncelet", "--samples", "10000", "--format", "csv"]
 _PONCELET_10000_MD5 = "7e01e8a2d42d132140048bd35e1f5d0d"
 #: ``selftest``'s stdout, the same under Python 3.10 to 3.13
-_SELFTEST_MD5 = "2eca12848096d9dc165bae9ee2af48dc"
+_SELFTEST_MD5 = "5a5dbd493daead415abc36a4f56f1535"
 
 _COMMANDS = ["trace", "selftest"]
 

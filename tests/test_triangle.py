@@ -493,6 +493,17 @@ def test_directions_that_are_not_six_are_refused_by_name(f, directions):
         f(T)
 
 
+@pytest.mark.parametrize("directions", [("1",) * 6, (None,) * 6, (1.0, 0.0, "-1", 0.0, 0.0, 0.0)],
+                         ids=["strings", "None", "one-string"])
+@pytest.mark.parametrize("f", [classify, orientation, class_of, validate,
+                               lambda T: act(_MOVERS[1], T)],
+                         ids=["classify", "orientation", "class_of", "validate", "act"])
+def test_six_directions_that_are_not_numbers_are_refused_by_name(f, directions):
+    T = TriangleVariable(0j, _SCALENE.sides, directions, _SCALENE.arguments)
+    with pytest.raises(ValueError, match="^directions must be real numbers$"):
+        f(T)
+
+
 #: direction pairs whose moduli by abs(complex) and by math.hypot (CPython
 #: 3.11, x86-64 glibc) lie on opposite sides of DEFAULT_TOL
 _HYPOT_SPLIT = [("0x1.d4b70a38fa4f1p-31", "0x1.1f4b33c93ffbdp-31"),

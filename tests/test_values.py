@@ -203,7 +203,7 @@ def test_class_of_a_triangle_passes_the_hooks_a_known_number_of_times(built):
 #: (vertices, free arguments, stratum, (angles, triples) that torus_inverse
 #: builds, or None where it refuses the torus origin)
 CHAIN = [
-    ((0, 1, 1j), None, "Nondegenerate", (3, 1)),
+    ((0, 1, 1j), None, "Nondegenerate", (0, 1)),
     ((0, 1, 2), None, "Simple", None),
     ((0, 1, 1), {"a": 1.0}, "Double", (0, 1)),
 ]
@@ -214,8 +214,8 @@ CHAIN = [
 def test_the_chain_past_class_of_passes_the_hooks_a_known_number_of_times(
         built, vertices, free, stratum, inverse):
     """phi and psi wrap three angles each; to_sphere builds none; to_torus
-    keeps the class's own angles.  torus_inverse builds a triple and three
-    interior angles, or at a zero slot reuses the torus point's angles."""
+    keeps the class's own angles.  torus_inverse builds a triple and keeps
+    the torus point's angles, at a zero slot and off it."""
     T = from_vertices(*vertices, free_arguments=free)
     assert classify(T).value == stratum
     c = class_of(T)
@@ -235,6 +235,7 @@ def test_the_chain_past_class_of_passes_the_hooks_a_known_number_of_times(
         back = torus_inverse(t)
         assert _counts(built) == (12 + inverse[0], 1 + inverse[1])
         assert built["ProjTripleC"][-1] is back.sides
+        assert all(x is y for x, y in zip(back.angles, t.as_tuple()))
 
 
 def test_three_angles_in_one_frame_pass_their_hooks_once_in_order(built):
