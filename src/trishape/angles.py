@@ -185,15 +185,19 @@ def _interior(xa: float, xb: float, xc: float) -> tuple[AngleModPi, AngleModPi, 
     return _angles(xb - xc, xc - xa, xa - xb)
 
 
-def _angle_field(name: str, v: AngleModPi | float) -> AngleModPi:
-    """v itself if it is an ``AngleModPi``, else v wrapped into one; a value
-    that is not a finite real raises a ``ValueError`` that names the field."""
-    if isinstance(v, AngleModPi):
-        return v
+def _angle_value(name: str, v: AngleModPi | float) -> float:
+    """v's value if it is an ``AngleModPi``, else v wrapped as ``AngleModPi``
+    wraps it, with no angle built; a value that is not a finite real raises
+    a ``ValueError`` that names the field."""
     try:
-        return AngleModPi(_number(v, name))
-    except (TypeError, ValueError) as exc:
+        return v.value if isinstance(v, AngleModPi) else _wrap_pi(_number(v, name))
+    except ValueError as exc:
         raise ValueError(f"{name} must be a finite angle: {exc}") from None
+
+
+def _angle_field(name: str, v: AngleModPi | float) -> AngleModPi:
+    """v itself if it is an ``AngleModPi``, else an angle of _angle_value's."""
+    return v if isinstance(v, AngleModPi) else _angle(_angle_value(name, v))
 
 
 def _dist2(x, y) -> float:

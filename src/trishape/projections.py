@@ -21,7 +21,7 @@ from typing import Sequence
 from .angles import DEFAULT_TOL, PI, AngleModPi, _angle_field, _dist2, _new, _number
 from .angles import ROUNDING_SNAP, _scaled, _Value, _wrap_pi, angle_dist
 from .shape import ProjTripleC, ShapeClass, _set_angles, _set_sides
-from .triangle import canonical_directions
+from .triangle import _canonical6
 
 _S3 = math.sqrt(3.0)
 _K = 2.0 - _S3
@@ -225,6 +225,6 @@ def torus_fiber_limit(direction: Sequence[float]) -> tuple[float, float, float]:
         raise ValueError(f"direction must sum to 0 mod pi: sum = {sum(d)}")
     if not (d[0] or d[1]):
         raise ValueError("direction must be a nonzero real triple")
-    vals = canonical_directions((d[0], 0.0, d[1], 0.0, -d[0] - d[1], 0.0))[::2]
+    vals = _canonical6(d[0], 0.0, d[1], 0.0, -d[0] - d[1], 0.0)[::2]
     mean = sum(vals) / 3.0
     return tuple(v - mean for v in vals)

@@ -10,8 +10,7 @@ import operator
 
 from .angles import CLOSURE_BOUND, DEFAULT_TOL, PI, AngleModPi, _angles, _apart, _dist2, _interior
 from .angles import _new, _number, _scaled, _Value, _wrap_pi, angle_dist, reduce_mod_pi
-from .triangle import _NOT_REAL, _NOT_SIX, SLOTS, GroupElement, TriangleVariable, _arguments
-from .triangle import _side_record, from_sides
+from .triangle import SLOTS, GroupElement, TriangleVariable, _side_record, from_sides
 
 #: a class's side at or below this fraction of its largest is zero to
 #: lift_class, which then takes its argument from the stored angles
@@ -150,21 +149,10 @@ class BlowupCoord(_Value):
 
 def class_of(T: TriangleVariable) -> ShapeClass:
     """Quotient map: forget the basepoint and projectivize the directions."""
-    try:
-        d0, d1, d2, d3, d4, d5 = T.directions
-    except (TypeError, ValueError):
-        raise ValueError(_NOT_SIX) from None
-    try:
-        xa, xb, xc = T.arguments
-    except (TypeError, ValueError):
-        xa, xb, xc = _arguments(T)
-    if not xa.__class__ is xb.__class__ is xc.__class__ is AngleModPi:
-        xa, xb, xc = _arguments(T)
-    try:
-        sides = ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5))
-    except TypeError:
-        raise ValueError(_NOT_REAL) from None
-    return ShapeClass(sides, _angles(xb.value - xc.value, xc.value - xa.value, xa.value - xb.value))
+    d0, d1, d2, d3, d4, d5 = T.directions
+    xa, xb, xc = T.arguments
+    return ShapeClass(ProjTripleC(complex(d0, d1), complex(d2, d3), complex(d4, d5)),
+                      _angles(xb.value - xc.value, xc.value - xa.value, xa.value - xb.value))
 
 
 def class_of_vertices(A: complex, B: complex, C: complex) -> ShapeClass:
@@ -352,6 +340,8 @@ def _dedup(c: ShapeClass, tol: float) -> tuple:
     v = sorted(six)
     stab = [0]
     if not _apart(v, tol):
+        # 4 is a margin, not the least factor: n (d + d**2) < 2.33 d for
+        # tol < 1/3, and no gap exceeds 1, so 3 tol keeps the same images
         bound = 4.0 * tol + 2.0 ** -40
         for e in range(0, 12, 2):
             i, j, k, _, _ = _GROUP[e]

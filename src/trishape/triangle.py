@@ -15,15 +15,10 @@ import math
 import operator
 from typing import Sequence
 
-from .angles import DEFAULT_TOL, PI, AngleModPi, _angle_field, _angles, _new, _number, _set
-from .angles import _Value, angle_dist, reduce_mod_pi
+from .angles import DEFAULT_TOL, PI, AngleModPi, _angle_field, _angle_value, _angles, _new
+from .angles import _number, _set, _Value, angle_dist, reduce_mod_pi
 
 SLOTS = ("a", "b", "c")
-
-#: what a hand-built triangle whose directions are not six values raises
-_NOT_SIX = "directions must be six coordinates"
-#: and what one raises whose six directions are not all numbers
-_NOT_REAL = "directions must be real numbers"
 
 
 class DegeneracyType(enum.Enum):
@@ -43,17 +38,9 @@ class Orientation(enum.Enum):
     ZERO = "Zero"
 
 
-def canonical_directions(coords: Sequence[float]) -> tuple[float, ...]:
-    """Canonicalize a point of P^5(R): max-abs coordinate 1, first nonzero
-    coordinate positive."""
-    vals = list(map(float, coords))
-    if len(vals) != 6:
-        raise ValueError("direction sextuple must have six coordinates")
-    return _canonical6(*vals)
-
-
 def _canonical6(v0: float, v1: float, v2: float, v3: float, v4: float, v5: float) -> tuple:
-    """:func:`canonical_directions` of six floats."""
+    """Canonicalize a point of P^5(R) given by six floats: max-abs coordinate
+    1, first nonzero coordinate positive."""
     m = max(abs(v0), abs(v1), abs(v2), abs(v3), abs(v4), abs(v5))
     if m == 0.0:
         raise ValueError("direction sextuple cannot be all zero")
@@ -64,8 +51,42 @@ def _canonical6(v0: float, v1: float, v2: float, v3: float, v4: float, v5: float
     return (q0, q1, q2, q3, q4, q5)
 
 
+def _direction_field(v: Sequence[float]) -> tuple[float, float, float, float, float, float]:
+    """v as six floats, as a ``TriangleVariable`` stores its directions and
+    from_sides reads a triple point's.  Other than six values, a value that
+    is no real number (a string among them), or one that is not finite or
+    whose pair's modulus is not, raises a ``ValueError`` naming directions."""
+    try:
+        d0, d1, d2, d3, d4, d5 = v
+    except (TypeError, ValueError):
+        raise ValueError("directions must be six coordinates") from None
+    if any(isinstance(x, (str, bytes, bytearray)) for x in (d0, d1, d2, d3, d4, d5)):
+        raise ValueError("directions must be real numbers")  # which float() would parse
+    d = "a coordinate is out of the float range"  # until the floats replace it
+    try:
+        d = d0, d1, d2, d3, d4, d5 = tuple(map(float, (d0, d1, d2, d3, d4, d5)))
+        finite = all(map(math.isfinite, (abs(complex(d0, d1)), abs(complex(d2, d3)),
+                                         abs(complex(d4, d5)))))
+    except (TypeError, ValueError):
+        raise ValueError("directions must be real numbers") from None
+    except OverflowError:  # float() or abs() over the float range, or abs() of a NaN
+        finite = False     # part after a stale errno
+    if not finite:
+        raise ValueError(f"directions must be finite and canonical: {d}")
+    return d
+
+
 class TriangleVariable(_Value):
     """Full geometric variable of a labeled, oriented triangle.
+
+    The constructor checks each field once and refuses a malformed one with
+    a ``ValueError`` that names it: a finite complex basepoint, three finite
+    complex sides, six finite real directions whose three pair moduli are
+    finite, and three arguments, each an ``AngleModPi`` or a finite real,
+    which it wraps.  The fields are stored converted (a real side as a
+    complex, an int direction as a float), and the functions below read them
+    as stored.  ``from_sides`` and ``act`` build their triangles past the
+    constructor, and copies and pickles restore the fields unchecked.
 
     Invariants (checked by :func:`validate`):
       * sides sum to zero;
@@ -80,10 +101,24 @@ class TriangleVariable(_Value):
     def __init__(self, basepoint: complex, sides: tuple[complex, complex, complex],
                  directions: tuple[float, float, float, float, float, float],
                  arguments: tuple[AngleModPi, AngleModPi, AngleModPi]) -> None:
+        try:
+            a, b, c = sides
+        except (TypeError, ValueError):
+            raise ValueError("sides must be three side-vectors") from None
+        basepoint, a, b, c = (_number(v, name, complex) for name, v in zip(
+            ("basepoint", "side a", "side b", "side c"), (basepoint, a, b, c)))
+        if not (cmath.isfinite(basepoint) and cmath.isfinite(a) and cmath.isfinite(b)
+                and cmath.isfinite(c)):
+            raise ValueError(f"basepoint and side-vectors must be finite: "
+                             f"basepoint = {basepoint}, a = {a}, b = {b}, c = {c}")
         _set_basepoint(self, basepoint)
-        _set_sides(self, sides)
-        _set_directions(self, directions)
-        _set_arguments(self, arguments)
+        _set_sides(self, (a, b, c))
+        _set_directions(self, _direction_field(directions))
+        try:
+            xa, xb, xc = arguments
+        except (TypeError, ValueError):
+            raise ValueError("arguments must be three angles") from None
+        _set_arguments(self, tuple(_angle_field("arguments", x) for x in (xa, xb, xc)))
 
     @property
     def vertices(self) -> tuple[complex, complex, complex]:
@@ -122,9 +157,7 @@ def _side_record(a: complex, b: complex, c: complex, basepoint: complex = 0j,
                 "underdetermined triple point: zero side-vectors need an "
                 "explicit direction sextuple"
             )
-        dirs = canonical_directions(directions)
-        if not all(map(math.isfinite, dirs)):
-            raise ValueError(f"directions must be finite: {tuple(directions)}")
+        dirs = _canonical6(*_direction_field(directions))
         s1 = dirs[0] + dirs[2] + dirs[4]
         s2 = dirs[1] + dirs[3] + dirs[5]
         if abs(s1) > DEFAULT_TOL or abs(s2) > DEFAULT_TOL:
@@ -136,8 +169,8 @@ def _side_record(a: complex, b: complex, c: complex, basepoint: complex = 0j,
           for k in (0, 2, 4)]
     free = free_arguments or {}
     line = next(x for x in xi if x is not None)
-    xi = [x if x is not None else float(free[slot]) if slot in free else line
-          for slot, x in zip(SLOTS, xi)]
+    xi = [x if x is not None else _angle_value("free_arguments", free[slot]) if slot in free
+          else line for slot, x in zip(SLOTS, xi)]
     return c, dirs, xi
 
 
@@ -154,9 +187,10 @@ def from_sides(
     The closure defect a + b + c is checked against ``DEFAULT_TOL`` and then
     removed exactly by setting c = -a - b.  Zero sides get their argument from
     ``free_arguments``; unspecified free arguments default to the direction
-    of the line through the remaining vertices.  Non-finite side-vectors,
-    basepoint or directions, and side-vectors whose length overflows, raise
-    ``ValueError``.
+    of the line through the remaining vertices.  Non-finite side-vectors or
+    basepoint, side-vectors whose length overflows, a triple point's
+    directions that ``TriangleVariable`` refuses and a free argument read
+    that is not an angle or a finite real raise ``ValueError``.
     """
     if not a.__class__ is b.__class__ is c.__class__ is basepoint.__class__ is complex:
         a, b, c, basepoint = (_number(v, field, complex) for field, v in zip(
@@ -207,24 +241,11 @@ def classify(T: TriangleVariable) -> DegeneracyType:
     name the strata.
     """
     a, b, c = T.sides
-    try:
-        d0, d1, d2, d3, d4, d5 = T.directions
-    except (TypeError, ValueError):
-        raise ValueError(_NOT_SIX) from None
+    d0, d1, d2, d3, d4, d5 = T.directions
     # abs of a complex, not math.hypot, which differs from it in the last bit
-    try:
-        dbl = (abs(complex(d0, d1)) <= DEFAULT_TOL or abs(complex(d2, d3)) <= DEFAULT_TOL
-               or abs(complex(d4, d5)) <= DEFAULT_TOL)
-    except OverflowError:  # a part near the float maximum, or a NaN after a stale errno
-        raise ValueError(f"directions must be finite and canonical: {T.directions}") from None
-    except TypeError:
-        raise ValueError(_NOT_REAL) from None
-    try:
-        xa, xb, xc = T.arguments
-    except (TypeError, ValueError):
-        xa, xb, xc = _arguments(T)
-    if not xa.__class__ is xb.__class__ is xc.__class__ is AngleModPi:
-        xa, xb, xc = _arguments(T)
+    dbl = (abs(complex(d0, d1)) <= DEFAULT_TOL or abs(complex(d2, d3)) <= DEFAULT_TOL
+           or abs(complex(d4, d5)) <= DEFAULT_TOL)
+    xa, xb, xc = T.arguments
     # each angle_dist <= tol, as t <= tol or pi - t <= tol on values in [0, pi)
     t0, t1, t2 = abs(xa.value - xb.value), abs(xb.value - xc.value), abs(xa.value - xc.value)
     smp = ((t0 <= DEFAULT_TOL or PI - t0 <= DEFAULT_TOL) and (t1 <= DEFAULT_TOL
@@ -239,16 +260,8 @@ def orientation(T: TriangleVariable) -> Orientation:
     a, b, c = T.sides
     if not (a or b or c):
         return Orientation.ZERO
-    try:
-        d0, d1, d2, d3, d4, d5 = T.directions
-    except (TypeError, ValueError):
-        raise ValueError(_NOT_SIX) from None
-    try:
-        scale = max(abs(complex(d0, d1)), abs(complex(d2, d3)), abs(complex(d4, d5)))
-    except OverflowError:  # as in classify
-        raise ValueError(f"directions must be finite and canonical: {T.directions}") from None
-    except TypeError:
-        raise ValueError(_NOT_REAL) from None
+    d0, d1, d2, d3, d4, d5 = T.directions
+    scale = max(abs(complex(d0, d1)), abs(complex(d2, d3)), abs(complex(d4, d5)))
     s2 = d0 * d3 + -d1 * d2  # Im(conj(pa) pb), as complex multiplication rounds it
     if s2 > DEFAULT_TOL * scale * scale:
         return Orientation.POSITIVE
@@ -260,22 +273,8 @@ def orientation(T: TriangleVariable) -> Orientation:
 def interior_angles(T: TriangleVariable) -> tuple[AngleModPi, AngleModPi, AngleModPi]:
     """Interior angles (alpha, beta, gamma) mod pi: differences of the side
     arguments, as ``angles._interior`` gives them."""
-    xa, xb, xc = _arguments(T)
+    xa, xb, xc = T.arguments
     return _angles(xb.value - xc.value, xc.value - xa.value, xa.value - xb.value)
-
-
-def _arguments(T: TriangleVariable) -> tuple[AngleModPi, ...]:
-    """A hand-built triangle's arguments, as classify, interior_angles, class_of
-    and act read them: three angles as they are, each finite real wrapped
-    into an angle, anything else, or other than three of them, a ValueError
-    naming them."""
-    try:
-        xa, xb, xc = x = T.arguments
-    except (TypeError, ValueError):
-        raise ValueError("arguments must be three angles") from None
-    if xa.__class__ is xb.__class__ is xc.__class__ is AngleModPi:
-        return x
-    return tuple(_angle_field("arguments", v) for v in (xa, xb, xc))
 
 
 def validate(T: TriangleVariable) -> list[str]:
@@ -283,24 +282,17 @@ def validate(T: TriangleVariable) -> list[str]:
     ``DEFAULT_TOL``."""
     problems: list[str] = []
     a, b, c = T.sides
-    try:
-        d0, d1, d2, d3, d4, d5 = T.directions
-    except (TypeError, ValueError):
-        raise ValueError(_NOT_SIX) from None
+    d0, d1, d2, d3, d4, d5 = T.directions
     scale = max(abs(a), abs(b), abs(c))
     if scale > 0.0 and abs(a + b + c) > DEFAULT_TOL * scale:
         problems.append("side-vectors do not sum to zero")
-    try:
-        if scale > 0.0:
-            expected = _canonical6(a.real, a.imag, b.real, b.imag, c.real, c.imag)
-            if any(abs(u - v) > DEFAULT_TOL for u, v in zip(expected, T.directions)):
-                problems.append("direction sextuple inconsistent with side-vectors")
-        if abs(d0 + d2 + d4) > DEFAULT_TOL or abs(d1 + d3 + d5) > DEFAULT_TOL:
-            problems.append("direction triple violates a1+b1+c1=0 or a2+b2+c2=0")
-        pairs = T.direction_pairs()
-    except TypeError:
-        raise ValueError(_NOT_REAL) from None
-    for slot, pair, xi in zip(SLOTS, pairs, T.arguments):
+    if scale > 0.0:
+        expected = _canonical6(a.real, a.imag, b.real, b.imag, c.real, c.imag)
+        if any(abs(u - v) > DEFAULT_TOL for u, v in zip(expected, T.directions)):
+            problems.append("direction sextuple inconsistent with side-vectors")
+    if abs(d0 + d2 + d4) > DEFAULT_TOL or abs(d1 + d3 + d5) > DEFAULT_TOL:
+        problems.append("direction triple violates a1+b1+c1=0 or a2+b2+c2=0")
+    for slot, pair, xi in zip(SLOTS, T.direction_pairs(), T.arguments):
         if abs(pair) > DEFAULT_TOL:
             expected_xi = reduce_mod_pi(math.atan2(pair.imag, pair.real))
             if angle_dist(expected_xi, xi) > DEFAULT_TOL:
@@ -353,14 +345,9 @@ def act(g: GroupElement, T: TriangleVariable) -> TriangleVariable:
     The permutation shuffles the alphabetical slots of sides, direction
     pairs, and arguments.  The flip takes the mirror image (complex
     conjugation), which negates arguments mod pi and reverses orientation.
-    Arguments are read as :func:`classify` reads them.
     """
     i, j, k = g.perm
-    try:  # the unpack only tests that there are six
-        d0, d1, d2, d3, d4, d5 = d = T.directions
-    except (TypeError, ValueError):
-        raise ValueError(_NOT_SIX) from None
-    s, x, b, m = T.sides, _arguments(T), T.basepoint, 1.0
+    s, x, b, d, m = T.sides, T.arguments, T.basepoint, T.directions, 1.0
     s, x = (s[i], s[j], s[k]), (x[i], x[j], x[k])
     if g.flip:
         s = (s[0].conjugate(), s[1].conjugate(), s[2].conjugate())
@@ -369,11 +356,9 @@ def act(g: GroupElement, T: TriangleVariable) -> TriangleVariable:
     image = _new(TriangleVariable)
     _set_basepoint(image, b)
     _set_sides(image, s)
-    try:  # m * v is v or -v to the bit, signed zeros included
-        _set_directions(image, _canonical6(d[2 * i], m * d[2 * i + 1], d[2 * j],
-                                           m * d[2 * j + 1], d[2 * k], m * d[2 * k + 1]))
-    except TypeError:
-        raise ValueError(_NOT_REAL) from None
+    # m * v is v or -v to the bit, signed zeros included
+    _set_directions(image, _canonical6(d[2 * i], m * d[2 * i + 1], d[2 * j],
+                                       m * d[2 * j + 1], d[2 * k], m * d[2 * k + 1]))
     _set_arguments(image, x)
     return image
 

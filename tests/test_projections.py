@@ -377,6 +377,19 @@ def test_fiber_limit_rejects_bad_input():
         torus_fiber_limit((1, -1))
 
 
+@pytest.mark.parametrize("e, kept", [(1.93e-9, True), (1.932e-9, False)])
+def test_fiber_limit_tests_the_sum_to_tol_plus_four_ulps_of_the_largest_part(e, kept):
+    """With d = (2**20, -2**20, e) the sum is e, and the bound DEFAULT_TOL +
+    4 ulp(2**20) is 1.9313e-9: at 3 ulps 1.93e-9 is refused, at 5 ulps
+    1.932e-9 is kept."""
+    d = (2.0 ** 20, -2.0 ** 20, e)
+    if kept:
+        assert torus_fiber_limit(d) == torus_fiber_limit((1, -1, 0))
+    else:
+        with pytest.raises(ValueError, match="must sum to 0 mod pi"):
+            torus_fiber_limit(d)
+
+
 @pytest.mark.parametrize("lam", [s * 10.0**k for k in range(-8, 9) for s in (1, -1)])
 def test_fiber_limit_ignores_the_scale_and_sign_of_the_direction(lam):
     for d in ((1, -3, 2), (0.5, -0.25, -0.25), (-3, 1, 2), (0, 1, -1)):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -198,6 +200,41 @@ def test_selftest_lines_are_those_of_one_process(child_env):
     assert [line.split(b":")[0] for line in out.splitlines()] == [
         f"PASS {name}".encode() for name, _ in checks.ALL_CHECKS]
     assert hashlib.md5(out).hexdigest() == _SELFTEST_MD5
+
+
+def _other_interpreters() -> list[pathlib.Path]:
+    """The python of each ``~/.pyenv/versions`` interpreter of at least 3.10,
+    the least that pyproject.toml requires, other than the running one."""
+    root, here = pathlib.Path.home() / ".pyenv" / "versions", pathlib.Path(sys.base_prefix)
+    found = []
+    for version in sorted(root.iterdir()) if root.is_dir() else ():
+        m = re.match(r"(\d+)\.(\d+)\.", version.name)
+        python = version / "bin" / "python"
+        if (m and (int(m[1]), int(m[2])) >= (3, 10) and python.exists()
+                and version.resolve() != here.resolve()):
+            found.append(python)
+    return found
+
+
+def test_selftest_prints_the_same_bytes_under_every_interpreter(child_env):
+    """The pinned selftest bytes under each other interpreter found; the
+    children run together and need no pytest."""
+    pythons = _other_interpreters()
+    if not pythons:
+        pytest.skip("no other Python 3.10+ under ~/.pyenv/versions")
+    procs = [subprocess.Popen([str(python), "-m", "trishape.cli", "selftest"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env)
+             for python in pythons]
+    try:
+        results = {str(python): (*proc.communicate(timeout=120), proc.returncode)
+                   for python, proc in zip(pythons, procs)}
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    assert {python: (hashlib.md5(out).hexdigest(), err, code)
+            for python, (out, err, code) in results.items()} == {
+        str(python): (_SELFTEST_MD5, b"", 0) for python in pythons}
 
 
 def _no_process():

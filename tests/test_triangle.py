@@ -10,12 +10,12 @@ from hypothesis import assume, given, strategies as st
 from trishape.angles import DEFAULT_TOL, PI, AngleModPi, angle_dist, reduce_mod_pi
 from trishape.triangle import (
     _STRATA,
+    _canonical6,
     DegeneracyType,
     GroupElement,
     Orientation,
     TriangleVariable,
     act,
-    canonical_directions,
     classify,
     from_sides,
     from_vertices,
@@ -251,22 +251,18 @@ def test_non_finite_basepoint_and_directions_raise():
         from_sides(0, 0, 0, directions=(1, 0, -0.5, 0.5, -math.inf, -0.5))
 
 
-@pytest.mark.parametrize("f", [classify, orientation])
-def test_a_direction_pair_whose_modulus_raises_is_refused_by_name(f):
+def test_a_direction_pair_whose_modulus_raises_is_refused_by_name():
     """abs() of a direction pair raises OverflowError when a part is near the
     float maximum, and, when errno still holds the ERANGE of an underflow,
-    for a NaN part: classify and orientation name the directions instead."""
+    for a NaN part: the constructor names the directions instead, so
+    classify and orientation never take such a modulus."""
     sides, args = (1 + 0j, -1 + 0j, 0j), (AngleModPi(0.5),) * 3
-    huge = TriangleVariable(0j, sides, (1.7e308, 1.7e308, 1.0, 0.0, -1.0, 0.0), args)
     with pytest.raises(ValueError, match="directions must be finite and canonical"):
-        f(huge)
-    nan = TriangleVariable(0j, sides, (math.nan, 5e-324, 1.0, 0.0, -1.0, 0.0), args)
+        TriangleVariable(0j, sides, (1.7e308, 1.7e308, 1.0, 0.0, -1.0, 0.0), args)
     for _ in range(2):
         math.ldexp(5e-324, -3)  # underflows, which leaves errno at ERANGE
-        try:
-            f(nan)  # an interpreter whose abs() clears errno returns a value
-        except ValueError as exc:
-            assert "directions must be finite and canonical" in str(exc)
+        with pytest.raises(ValueError, match="directions must be finite and canonical"):
+            TriangleVariable(0j, sides, (math.nan, 5e-324, 1.0, 0.0, -1.0, 0.0), args)
 
 
 @pytest.mark.parametrize("sides, basepoint, message", [
@@ -468,40 +464,79 @@ def test_act_wraps_real_arguments_as_classify_does(g, args):
     assert got == want and interior_angles(got) == interior_angles(want)
 
 
-@pytest.mark.parametrize("g", _MOVERS, ids=["plain", "flipped"])
 @pytest.mark.parametrize("args, message", [
     ((math.nan, 0.5, 0.5), "^arguments must be a finite angle: "),
     ((AngleModPi(0.5), None, AngleModPi(0.5)), "^arguments must be a finite angle: "),
     ((AngleModPi(0.5), AngleModPi(0.5)), "^arguments must be three angles$"),
 ], ids=["nan", "None", "two"])
-def test_act_refuses_arguments_that_classify_refuses(g, args, message):
-    T = TriangleVariable(0j, _SCALENE.sides, _SCALENE.directions, args)
+def test_arguments_that_classify_and_act_refused_are_refused_by_the_constructor(args, message):
     with pytest.raises(ValueError, match=message):
-        classify(T)
-    with pytest.raises(ValueError, match=message):
-        act(g, T)
+        TriangleVariable(0j, _SCALENE.sides, _SCALENE.directions, args)
 
 
 @pytest.mark.parametrize("directions", [(1.0, 0.0, -1.0), _SCALENE.directions + (0.0,), None,
                                         ()], ids=["three", "seven", "None", "empty"])
-@pytest.mark.parametrize("f", [classify, orientation, class_of, validate,
-                               lambda T: act(_MOVERS[1], T)],
-                         ids=["classify", "orientation", "class_of", "validate", "act"])
-def test_directions_that_are_not_six_are_refused_by_name(f, directions):
-    T = TriangleVariable(0j, _SCALENE.sides, directions, _SCALENE.arguments)
+def test_directions_that_are_not_six_are_refused_by_name(directions):
     with pytest.raises(ValueError, match="^directions must be six coordinates$"):
-        f(T)
+        TriangleVariable(0j, _SCALENE.sides, directions, _SCALENE.arguments)
 
 
 @pytest.mark.parametrize("directions", [("1",) * 6, (None,) * 6, (1.0, 0.0, "-1", 0.0, 0.0, 0.0)],
                          ids=["strings", "None", "one-string"])
-@pytest.mark.parametrize("f", [classify, orientation, class_of, validate,
-                               lambda T: act(_MOVERS[1], T)],
-                         ids=["classify", "orientation", "class_of", "validate", "act"])
-def test_six_directions_that_are_not_numbers_are_refused_by_name(f, directions):
-    T = TriangleVariable(0j, _SCALENE.sides, directions, _SCALENE.arguments)
+def test_six_directions_that_are_not_numbers_are_refused_by_name(directions):
     with pytest.raises(ValueError, match="^directions must be real numbers$"):
-        f(T)
+        TriangleVariable(0j, _SCALENE.sides, directions, _SCALENE.arguments)
+
+
+@pytest.mark.parametrize("basepoint, sides, message", [
+    (complex(math.nan, 0), _BY_HAND[0], "^basepoint and side-vectors must be finite: "),
+    (0j, (1, -1, math.inf), "^basepoint and side-vectors must be finite: "),
+    ("0", _BY_HAND[0], "^basepoint must be a complex number, not str$"),
+    (0j, (1, "-1", 0), "^side b must be a complex number, not str$"),
+    (0j, (1, -1, 10**400), "^side c is out of the float range$"),
+    (0j, (1, -1), "^sides must be three side-vectors$"),
+    (0j, None, "^sides must be three side-vectors$"),
+], ids=["nan-basepoint", "inf-side", "string-basepoint", "string-side", "huge-side", "two",
+        "None"])
+def test_the_constructor_refuses_a_basepoint_or_sides_by_name(basepoint, sides, message):
+    with pytest.raises(ValueError, match=message):
+        TriangleVariable(basepoint, sides, _BY_HAND[1], (AngleModPi(0.5),) * 3)
+
+
+def test_the_constructor_stores_its_fields_converted():
+    """Numbers are stored as the type each field holds; an angle is kept as
+    it is and a finite real wrapped, so the entry points read them as stored."""
+    angle = AngleModPi(1.0)
+    T = TriangleVariable(1, (1, -1, 0j), (1, 0, -1, Fraction(0), 0.0, False), (0.5, angle, 4.0))
+    assert type(T.basepoint) is complex and [type(v) for v in T.sides] == [complex] * 3
+    assert [type(v) for v in T.directions] == [float] * 6
+    assert T.directions == (1.0, 0.0, -1.0, 0.0, 0.0, 0.0) and T.arguments[1] is angle
+    assert T == TriangleVariable(1 + 0j, _BY_HAND[0], _BY_HAND[1], tuple(map(AngleModPi, (
+        0.5, 1.0, 4.0))))
+    assert classify(T) is DegeneracyType.DOUBLE and orientation(T) is Orientation.ZERO
+
+
+@pytest.mark.parametrize("build, directions, free, message", [
+    (from_sides, ("1", "0", "-0.5", "0.5", "-0.5", "-0.5"), None,
+     "^directions must be real numbers$"),
+    (from_sides, (1, 0, -0.5, 0.5, -0.5, 10**400), None,
+     "^directions must be finite and canonical: "),
+    (from_sides, 5, None, "^directions must be six coordinates$"),
+    (from_vertices, (1, 0, -0.5, 0.5, -0.5, b"-0.5"), None, "^directions must be real numbers$"),
+    (from_sides, None, {"c": "0.5"}, "^free_arguments must be a finite angle: "),
+    (from_sides, None, {"c": 10**400}, "^free_arguments must be a finite angle: "),
+    (from_vertices, None, {"c": "x"}, "^free_arguments must be a finite angle: "),
+    (from_vertices, None, {"c": math.nan}, "^free_arguments must be a finite angle: "),
+], ids=["string-directions", "huge-direction", "five", "bytes-direction", "string-free",
+        "huge-free", "word-free", "nan-free"])
+def test_from_sides_and_from_vertices_refuse_directions_and_free_arguments_by_name(
+        build, directions, free, message):
+    """A triple point's directions pass the constructor's check, and a free
+    argument that is read passes _angle_value's; each refusal names its field."""
+    # the triple point, or a double point whose side c is zero
+    points = (0, 0, 0) if free is None else (1, -1, 0) if build is from_sides else (0, 0, 1)
+    with pytest.raises(ValueError, match=message):
+        build(*points, directions=directions, free_arguments=free)
 
 
 #: direction pairs whose moduli by abs(complex) and by math.hypot (CPython
@@ -519,7 +554,7 @@ def test_a_pair_at_the_tolerance_is_measured_as_a_complex_modulus(x, y):
 
 
 def _canonical_by_signed_divisor(v):
-    """canonical_directions as it was written: one division by m or by -m."""
+    """The canonical sextuple as it was first written: one division by m or by -m."""
     m = max(map(abs, v))
     if next((x / m for x in v if x / m), 0.0) < 0.0:
         m = -m
@@ -528,10 +563,10 @@ def _canonical_by_signed_divisor(v):
 
 @given(st.lists(_DIRECTION | st.floats(allow_nan=False, allow_infinity=False),
                 min_size=6, max_size=6))
-def test_canonical_directions_negate_the_quotients_to_the_bit(v):
+def test_the_canonical_sextuple_negates_the_quotients_to_the_bit(v):
     """-(x / m) is x / (-m) for every x, zeros and subnormals included."""
     assume(any(v))
-    got, want = canonical_directions(v), _canonical_by_signed_divisor(v)
+    got, want = _canonical6(*v), _canonical_by_signed_divisor(v)
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
@@ -540,8 +575,8 @@ def test_canonical_directions_negate_the_quotients_to_the_bit(v):
                                                          -1e-17]),
                 min_size=4, max_size=4))
 def test_from_sides_canonicalizes_as_the_signed_divisor_does(parts):
-    """from_sides' direction sextuple is, to the bit, canonical_directions as
-    it was written, of the sides a, b and c = -a - b."""
+    """from_sides' direction sextuple is, to the bit, the canonical sextuple
+    as it was first written, of the sides a, b and c = -a - b."""
     a, b = complex(parts[0], parts[1]), complex(parts[2], parts[3])
     assume(a or b)  # a triple point needs explicit directions
     c = -a - b
