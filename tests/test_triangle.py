@@ -251,18 +251,19 @@ def test_non_finite_basepoint_and_directions_raise():
         from_sides(0, 0, 0, directions=(1, 0, -0.5, 0.5, -math.inf, -0.5))
 
 
-def test_a_direction_pair_whose_modulus_raises_is_refused_by_name():
+@pytest.mark.parametrize("f", [classify, orientation])
+def test_a_direction_pair_whose_modulus_raises_is_refused_by_name(f):
     """abs() of a direction pair raises OverflowError when a part is near the
     float maximum, and, when errno still holds the ERANGE of an underflow,
     for a NaN part: the constructor names the directions instead, so
     classify and orientation never take such a modulus."""
     sides, args = (1 + 0j, -1 + 0j, 0j), (AngleModPi(0.5),) * 3
     with pytest.raises(ValueError, match="directions must be finite and canonical"):
-        TriangleVariable(0j, sides, (1.7e308, 1.7e308, 1.0, 0.0, -1.0, 0.0), args)
+        f(TriangleVariable(0j, sides, (1.7e308, 1.7e308, 1.0, 0.0, -1.0, 0.0), args))
     for _ in range(2):
         math.ldexp(5e-324, -3)  # underflows, which leaves errno at ERANGE
         with pytest.raises(ValueError, match="directions must be finite and canonical"):
-            TriangleVariable(0j, sides, (math.nan, 5e-324, 1.0, 0.0, -1.0, 0.0), args)
+            f(TriangleVariable(0j, sides, (math.nan, 5e-324, 1.0, 0.0, -1.0, 0.0), args))
 
 
 @pytest.mark.parametrize("sides, basepoint, message", [
@@ -464,28 +465,39 @@ def test_act_wraps_real_arguments_as_classify_does(g, args):
     assert got == want and interior_angles(got) == interior_angles(want)
 
 
+@pytest.mark.parametrize("g", _MOVERS, ids=["plain", "flipped"])
 @pytest.mark.parametrize("args, message", [
     ((math.nan, 0.5, 0.5), "^arguments must be a finite angle: "),
     ((AngleModPi(0.5), None, AngleModPi(0.5)), "^arguments must be a finite angle: "),
     ((AngleModPi(0.5), AngleModPi(0.5)), "^arguments must be three angles$"),
 ], ids=["nan", "None", "two"])
-def test_arguments_that_classify_and_act_refused_are_refused_by_the_constructor(args, message):
+def test_act_refuses_arguments_that_classify_refuses(g, args, message):
+    """The constructor refuses these arguments, so neither call is reached
+    with them; each refusal names the arguments as the call did."""
     with pytest.raises(ValueError, match=message):
-        TriangleVariable(0j, _SCALENE.sides, _SCALENE.directions, args)
+        classify(TriangleVariable(0j, _SCALENE.sides, _SCALENE.directions, args))
+    with pytest.raises(ValueError, match=message):
+        act(g, TriangleVariable(0j, _SCALENE.sides, _SCALENE.directions, args))
 
 
 @pytest.mark.parametrize("directions", [(1.0, 0.0, -1.0), _SCALENE.directions + (0.0,), None,
                                         ()], ids=["three", "seven", "None", "empty"])
-def test_directions_that_are_not_six_are_refused_by_name(directions):
+@pytest.mark.parametrize("f", [classify, orientation, class_of, validate,
+                               lambda T: act(_MOVERS[1], T)],
+                         ids=["classify", "orientation", "class_of", "validate", "act"])
+def test_directions_that_are_not_six_are_refused_by_name(f, directions):
     with pytest.raises(ValueError, match="^directions must be six coordinates$"):
-        TriangleVariable(0j, _SCALENE.sides, directions, _SCALENE.arguments)
+        f(TriangleVariable(0j, _SCALENE.sides, directions, _SCALENE.arguments))
 
 
 @pytest.mark.parametrize("directions", [("1",) * 6, (None,) * 6, (1.0, 0.0, "-1", 0.0, 0.0, 0.0)],
                          ids=["strings", "None", "one-string"])
-def test_six_directions_that_are_not_numbers_are_refused_by_name(directions):
+@pytest.mark.parametrize("f", [classify, orientation, class_of, validate,
+                               lambda T: act(_MOVERS[1], T)],
+                         ids=["classify", "orientation", "class_of", "validate", "act"])
+def test_six_directions_that_are_not_numbers_are_refused_by_name(f, directions):
     with pytest.raises(ValueError, match="^directions must be real numbers$"):
-        TriangleVariable(0j, _SCALENE.sides, directions, _SCALENE.arguments)
+        f(TriangleVariable(0j, _SCALENE.sides, directions, _SCALENE.arguments))
 
 
 @pytest.mark.parametrize("basepoint, sides, message", [
@@ -563,7 +575,7 @@ def _canonical_by_signed_divisor(v):
 
 @given(st.lists(_DIRECTION | st.floats(allow_nan=False, allow_infinity=False),
                 min_size=6, max_size=6))
-def test_the_canonical_sextuple_negates_the_quotients_to_the_bit(v):
+def test_canonical_directions_negate_the_quotients_to_the_bit(v):
     """-(x / m) is x / (-m) for every x, zeros and subnormals included."""
     assume(any(v))
     got, want = _canonical6(*v), _canonical_by_signed_divisor(v)
