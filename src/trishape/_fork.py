@@ -1,31 +1,23 @@
-"""Lines written to stdout in turn by the CLI process and one forked child.
+"""Lines written to stdout by the CLI process, half of them computed by one
+forked child.
 
 ``trace --format csv`` writes its rows, and ``selftest`` its check lines,
 through :func:`write_rows`.  Each command's output, its order and its exit
-code are those of one process.  The child leaves by ``os._exit``, so no
-atexit hook and no buffered output of this process runs twice, and it is
-reaped before the command returns.
+code are those of one process.  Only this process writes to stdout: the
+child sends its blocks through a pipe, leaves by ``os._exit``, so no atexit
+hook and no buffered output of this process runs twice, and is reaped
+before the command returns.
 """
 from __future__ import annotations
 
+import marshal
 import os
 import sys
 
-#: lines in one block of ``trace``.  The processes hand stdout over once per
-#: block, so smaller blocks spend more on the handoffs, and each process
-#: holds one block's text: 250 ``trace`` rows are about 100 KB.
+#: lines in one block of ``trace``.  Each block is one message of the child
+#: and one write to stdout, and each process holds one block's text: 250
+#: ``trace`` rows are about 100 KB.
 BLOCK = 250
-
-#: what a process writes to the other to give it stdout; the child writes
-#: ``_FAILED`` instead after a block with a line that was not ok
-_TURN, _FAILED = b".", b"F"
-
-
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 65536):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 def _block(line, lo: int, hi: int):
@@ -55,25 +47,6 @@ def _ended(pid: int) -> str:
     return f"exit code {code}" if code >= 0 else f"signal {-code}"
 
 
-def _child(fd: int, enc, recv: int, send: int, line, n: int, block: int) -> None:
-    """The child's part of :func:`write_rows`: the odd blocks, each written
-    to ``fd`` when ``recv`` hands it the turn, and the turn given back on
-    ``send`` with whether the block was ok, or with what stopped it."""
-    for lo in range(block, n, 2 * block):
-        text, ok, exc = _block(line, lo, min(lo + block, n))
-        if os.read(recv, 1) != _TURN:  # the parent has stopped
-            return
-        try:
-            _write(fd, text.encode(*enc))
-        except BrokenPipeError:
-            os.write(send, b"P")
-            return
-        if exc is not None:
-            os.write(send, b"V" + str(exc).encode())
-            return
-        os.write(send, _TURN if ok else _FAILED)
-
-
 def write_rows(head: str, n: int, line, block: int = BLOCK) -> bool:
     """Write ``head`` and then the text of ``line(k)`` for k in range(n) to
     stdout, in blocks of ``block`` lines, and return whether every line was
@@ -81,87 +54,68 @@ def write_rows(head: str, n: int, line, block: int = BLOCK) -> bool:
     line.  A ``ValueError`` from ``line(k)`` is raised once the lines
     before it are written.
 
-    Where stdout has a file descriptor, the platform forks and there is a
+    Where stdout has a file descriptor, each block is written to it with
+    ``os.write``, so a reader that leaves during any block raises
+    ``BrokenPipeError``.  There, where the platform forks and there is a
     second block, a child computes the odd blocks while this process
-    computes the even ones.  Each writes its own block to the descriptor
-    when the other hands it the turn, so no line passes between them.  If
-    the child dies, this raises ``ValueError("no rows from <k>: …")``.
+    computes the even ones, and sends each one's encoded text, whether it
+    was ok and the message of its ``ValueError`` through a pipe.  If the
+    child dies, this raises ``ValueError("no rows from <k>: …")``.
     """
     fd = pid = None
-    if n > block and hasattr(os, "fork"):
-        try:
-            fd, enc = sys.stdout.fileno(), (sys.stdout.encoding, sys.stdout.errors)
-        except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
-            pass
-    if fd is not None:
-        sys.stdout.flush()
-        down, up = os.pipe(), os.pipe()
+    sys.stdout.flush()
+    try:
+        fd, enc = sys.stdout.fileno(), (sys.stdout.encoding, sys.stdout.errors)
+    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
+        pass
+    if fd is not None and n > block and hasattr(os, "fork"):
+        recv, send = os.pipe()
         try:
             pid = os.fork()
-        except OSError:  # no process to spare: write them all here
-            for end in (*down, *up):
-                os.close(end)
-    if pid is None:
-        ok = True
-        for lo in range(0, n, block):
-            text, passed, exc = _block(line, lo, min(lo + block, n))
-            sys.stdout.write(head + text if lo == 0 and text else text)
-            if exc is not None:
-                raise exc
-            ok = ok and passed
-        return ok
-    if pid == 0:
-        status = 1
+        except OSError:  # no process to spare: compute them all here
+            os.close(recv)
+            os.close(send)
+    if pid == 0:  # the child: the odd blocks, sent through the pipe
         try:
-            os.close(down[1])
-            os.close(up[0])
-            _child(fd, enc, down[0], up[1], line, n, block)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(down[0])
-    os.close(up[1])
-    send, recv = down[1], up[0]
-
-    def take_turn(lo: int) -> bool:
-        """Wait until the child has written its block from line ``lo`` and
-        say whether it was ok; raise what stopped the child instead."""
-        nonlocal pid
-        said = os.read(recv, 1)
-        if said in (_TURN, _FAILED):
-            return said == _TURN
-        said += _read_all(recv)
-        if said[:1] == b"P":
-            raise BrokenPipeError
-        if said[:1] == b"V":
-            raise ValueError(said[1:].decode())
-        ended, pid = _ended(pid), 0
-        raise ValueError(f"no rows from {lo}: the row process ended with {ended}")
-
+            os.close(recv)
+            for lo in range(block, n, 2 * block):
+                text, ok, exc = _block(line, lo, min(lo + block, n))
+                _write(send, marshal.dumps((text.encode(*enc), ok, exc and str(exc))))
+            os._exit(0)
+        finally:  # what stopped it, the closed pipe among them
+            os._exit(1)
+    if pid:
+        os.close(send)
+        pipe = open(recv, "rb")
     ok = True
     try:
-        for lo in range(0, n, 2 * block):
-            text, passed, exc = _block(line, lo, min(lo + block, n))
-            if lo:
-                ok = take_turn(lo - block) and ok
-            _write(fd, (head + text if lo == 0 and text else text).encode(*enc))
+        for lo in range(0, n, block):
+            if pid and lo // block % 2:
+                try:
+                    data, passed, exc = marshal.load(pipe)
+                except EOFError:  # the child ended before it sent this block
+                    ended, pid = _ended(pid), 0
+                    raise ValueError(f"no rows from {lo}: the row process ended with "
+                                     f"{ended}") from None
+                _write(fd, data)
+                exc = None if exc is None else ValueError(exc)
+            else:
+                text, passed, exc = _block(line, lo, min(lo + block, n))
+                text = head + text if lo == 0 and text else text
+                if fd is None:
+                    sys.stdout.write(text)
+                else:
+                    _write(fd, text.encode(*enc))
             if exc is not None:
                 raise exc
             ok = ok and passed
-            if lo + block < n:
-                try:
-                    os.write(send, _TURN)
-                except BrokenPipeError:  # the child is gone: its turn says how
-                    pass
-        last = (n - 1) // block * block
-        if last % (2 * block):  # the last block is the child's
-            ok = take_turn(last) and ok
-        _ended(pid)
-        pid = 0
+        if pid:
+            _ended(pid)
+            pid = 0
         return ok
     finally:
-        os.close(send)
-        os.close(recv)
+        if pid is not None:
+            pipe.close()
         if pid:  # not reaped: stop it first
             import signal
 

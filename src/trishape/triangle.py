@@ -81,9 +81,9 @@ class TriangleVariable(_Value):
 
     The constructor checks each field once and refuses a malformed one with
     a ``ValueError`` that names it: a finite complex basepoint, three finite
-    complex sides, six finite real directions whose three pair moduli are
-    finite, and three arguments, each an ``AngleModPi`` or a finite real,
-    which it wraps.  The fields are stored converted (a real side as a
+    complex sides whose moduli are finite, six finite real directions whose
+    three pair moduli are finite, and three arguments, each an
+    ``AngleModPi`` or a finite real, which it wraps.  The fields are stored converted (a real side as a
     complex, an int direction as a float), and the functions below read them
     as stored.  ``from_sides`` and ``act`` build their triangles past the
     constructor, and copies and pickles restore the fields unchecked.
@@ -111,6 +111,10 @@ class TriangleVariable(_Value):
                 and cmath.isfinite(c)):
             raise ValueError(f"basepoint and side-vectors must be finite: "
                              f"basepoint = {basepoint}, a = {a}, b = {b}, c = {c}")
+        try:
+            abs(a), abs(b), abs(c)  # validate's scale, as from_sides refuses
+        except OverflowError:
+            raise ValueError(f"side-vectors too long: a = {a}, b = {b}, c = {c}") from None
         _set_basepoint(self, basepoint)
         _set_sides(self, (a, b, c))
         _set_directions(self, _direction_field(directions))
@@ -139,6 +143,12 @@ def _side_record(a: complex, b: complex, c: complex, basepoint: complex = 0j,
         raise ValueError(f"side-vectors must be finite: a = {a}, b = {b}, c = {c}")
     if not cmath.isfinite(basepoint):
         raise ValueError(f"basepoint must be finite: {basepoint}")
+    if free_arguments is not None:  # checked whole, though only a zero side's is read
+        if not isinstance(free_arguments, dict) or not free_arguments.keys() <= set(SLOTS):
+            raise ValueError(f"free_arguments must be a dict with keys among 'a', 'b', 'c': "
+                             f"{free_arguments!r}")
+        free_arguments = {slot: _angle_value("free_arguments", x)
+                          for slot, x in free_arguments.items()}
     try:
         scale = max(abs(a), abs(b), abs(c))
         if scale > 0.0 and abs(a + b + c) > DEFAULT_TOL * scale:
@@ -169,8 +179,7 @@ def _side_record(a: complex, b: complex, c: complex, basepoint: complex = 0j,
           for k in (0, 2, 4)]
     free = free_arguments or {}
     line = next(x for x in xi if x is not None)
-    xi = [x if x is not None else _angle_value("free_arguments", free[slot]) if slot in free
-          else line for slot, x in zip(SLOTS, xi)]
+    xi = [x if x is not None else free.get(slot, line) for slot, x in zip(SLOTS, xi)]
     return c, dirs, xi
 
 
@@ -187,10 +196,12 @@ def from_sides(
     The closure defect a + b + c is checked against ``DEFAULT_TOL`` and then
     removed exactly by setting c = -a - b.  Zero sides get their argument from
     ``free_arguments``; unspecified free arguments default to the direction
-    of the line through the remaining vertices.  Non-finite side-vectors or
+    of the line through the remaining vertices.  A free argument for a
+    nonzero side is checked and ignored.  Non-finite side-vectors or
     basepoint, side-vectors whose length overflows, a triple point's
-    directions that ``TriangleVariable`` refuses and a free argument read
-    that is not an angle or a finite real raise ``ValueError``.
+    directions that ``TriangleVariable`` refuses and ``free_arguments``
+    that is not a dict, or has a key other than a, b or c or a value that is
+    not an angle or a finite real raise ``ValueError``.
     """
     if not a.__class__ is b.__class__ is c.__class__ is basepoint.__class__ is complex:
         a, b, c, basepoint = (_number(v, field, complex) for field, v in zip(

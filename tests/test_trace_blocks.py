@@ -1,10 +1,11 @@
-"""Lines written in blocks, in turn, by two processes: the rows of
-``trace --format csv`` and the lines of ``selftest``.
+"""Lines computed in blocks by two processes and written by one: the rows
+of ``trace --format csv`` and the lines of ``selftest``.
 
 Where stdout has a file descriptor and ``os.fork`` exists, this process
-computes the even blocks and a forked child the odd ones: blocks of
-``_fork.BLOCK`` rows for ``trace``, and the first ceil(n/2) checks and the
-rest for ``selftest``.  Every byte, the exit code and stderr must be those
+computes the even blocks and a forked child the odd ones, which it sends
+through a pipe for this process to write: blocks of ``_fork.BLOCK`` rows
+for ``trace``, and the first ceil(n/2) checks and the rest for
+``selftest``.  Every byte, the exit code and stderr must be those
 of the same command with ``os.fork`` deleted, which runs every line in one
 process.  The byte tests run the CLI as a subprocess, so stdout is a real
 pipe; the others capture stdout with ``capfd``, which keeps a descriptor,
@@ -358,15 +359,23 @@ _BIG_CHECKS = ("from trishape import checks; checks.ALL_CHECKS = "
                "[(f'check-{k}', lambda: (True, 'x' * 200_000)) for k in range(4)]; " + _FORKED)
 
 
-@pytest.mark.parametrize("command, lines", [
-    ("trace", 1), ("trace", BLOCK + 10), ("selftest", 1), ("selftest", 3),
-], ids=["trace-header", "trace-in-child-block", "selftest-first", "selftest-in-child-block"])
-def test_closed_stdout_exits_1_and_leaves_no_process(child_env, command, lines):
+@pytest.mark.parametrize("command, lines, argv", [
+    ("trace", 1, [_FORKED, *_PONCELET_10000]),
+    ("trace", BLOCK + 10, [_FORKED, *_PONCELET_10000]),
+    ("selftest", 1, [_BIG_CHECKS, "selftest"]),
+    ("selftest", 3, [_BIG_CHECKS, "selftest"]),
+    ("trace", 1, [_FORKED, *_PONCELET_10000[:4], str(BLOCK), "--format", "csv"]),
+    ("trace", 9760, [_ONE_PROCESS, *_PONCELET_10000]),
+], ids=["trace-header", "trace-in-child-block", "selftest-first", "selftest-in-child-block",
+        "trace-only-block", "one-process-last-block"])
+def test_closed_stdout_exits_1_and_leaves_no_process(child_env, command, lines, argv):
     # closed after the first line, this process's first write fails; closed
     # inside the child's first block, most of that block is still to come,
-    # more than a 64 KiB pipe holds, so the child's write fails.  Its own
-    # session, so that a child left running would still be found
-    argv = [_FORKED, *_PONCELET_10000] if command == "trace" else [_BIG_CHECKS, "selftest"]
+    # more than a 64 KiB pipe holds, so this process's write of it fails.
+    # The only block, and the last block of one process, are each one large
+    # write that the reader leaves while more than a pipe holds is still to
+    # come, and that write's failure must still show.  Its own session, so
+    # that a child left running would still be found
     proc = subprocess.Popen(
         [sys.executable, "-c", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env,

@@ -508,8 +508,10 @@ def test_six_directions_that_are_not_numbers_are_refused_by_name(f, directions):
     (0j, (1, -1, 10**400), "^side c is out of the float range$"),
     (0j, (1, -1), "^sides must be three side-vectors$"),
     (0j, None, "^sides must be three side-vectors$"),
+    # finite, but their moduli, which validate reads, overflow
+    (0j, (1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j, 0j), "^side-vectors too long: a = "),
 ], ids=["nan-basepoint", "inf-side", "string-basepoint", "string-side", "huge-side", "two",
-        "None"])
+        "None", "long-sides"])
 def test_the_constructor_refuses_a_basepoint_or_sides_by_name(basepoint, sides, message):
     with pytest.raises(ValueError, match=message):
         TriangleVariable(basepoint, sides, _BY_HAND[1], (AngleModPi(0.5),) * 3)
@@ -549,6 +551,28 @@ def test_from_sides_and_from_vertices_refuse_directions_and_free_arguments_by_na
     points = (0, 0, 0) if free is None else (1, -1, 0) if build is from_sides else (0, 0, 1)
     with pytest.raises(ValueError, match=message):
         build(*points, directions=directions, free_arguments=free)
+
+
+@pytest.mark.parametrize("free, message", [
+    ({"A": 0.5}, "^free_arguments must be a dict with keys among 'a', 'b', 'c': "),
+    ({"c": 0.5, "d": 0.5}, "^free_arguments must be a dict with keys among 'a', 'b', 'c': "),
+    ([("c", 0.5)], "^free_arguments must be a dict with keys among 'a', 'b', 'c': "),
+    ({"a": "x"}, "^free_arguments must be a finite angle: "),
+    ({"a": math.inf, "c": 0.5}, "^free_arguments must be a finite angle: "),
+], ids=["capital-key", "unknown-key", "pairs", "word-at-a", "inf-at-a"])
+@pytest.mark.parametrize("sides", [(1, -1, 0), (1, 1j, -1 - 1j)], ids=["double", "scalene"])
+def test_free_arguments_are_checked_whole_whatever_sides_are_zero(sides, free, message):
+    """Every key and value is checked, also those of nonzero sides, which
+    are not read."""
+    with pytest.raises(ValueError, match=message):
+        from_sides(*sides, free_arguments=free)
+
+
+def test_a_free_argument_of_a_nonzero_side_is_ignored():
+    assert (from_sides(1, -1, 0, free_arguments={"a": 0.5, "c": AngleModPi(1.0)})
+            == from_sides(1, -1, 0, free_arguments={"c": 1.0}))
+    assert from_sides(1, 1j, -1 - 1j, free_arguments={"b": AngleModPi(0.5)}) == from_sides(
+        1, 1j, -1 - 1j)
 
 
 #: direction pairs whose moduli by abs(complex) and by math.hypot (CPython
